@@ -78,8 +78,7 @@ def cmd_kappa(args):
 def cmd_super_kappa(args):
     start = time.perf_counter()
     graph = load_graph_file(args.graph)
-    method = {"exhaustive": "exhaustive", "separators": "separators"}.get(args.method, "auto")
-    result = conn.is_super_kappa(graph, budget=args.budget, method=method)
+    result = conn.is_super_kappa(graph, budget=args.budget, method=args.method)
     payload = {
         "is_super_kappa": result.status,
         "vacuous": result.vacuous,
@@ -178,7 +177,7 @@ def build_parser():
 
     p = sub.add_parser("super-kappa", help="super connectivity verdict with witness")
     p.add_argument("graph")
-    p.add_argument("--method", choices=("exhaustive", "separators", "auto"), default="auto")
+    p.add_argument("--method", choices=("exhaustive", "separators"), default="separators")
     p.add_argument("--budget", type=int, default=conn.EXHAUSTIVE_BUDGET)
     p.add_argument("--out", help="write a RunReport JSON")
     p.set_defaults(func=cmd_super_kappa)

@@ -2,24 +2,21 @@
 max-connectivity / super-connectivity predicates.
 
 The fast path is unit-capacity augmenting-path flow on the vertex-split
-digraph; a brute-force subset scan backs it as an independent oracle and
-as the exhaustive cut-enumeration method.
+digraph, and minimum cuts come from partitioning minimum s-t separators;
+a brute-force subset scan backs both as an independent oracle.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 from .errors import InputError, NoCutError
 
 EXHAUSTIVE_BUDGET = 10**6  # candidate subsets
 SEPARATOR_BUDGET = 10**5  # distinct cuts
-# above this many candidate subsets, prefer separator enumeration even
-# when the exhaustive budget would allow the scan
-_EXHAUSTIVE_FAST_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -40,8 +37,8 @@ class VertexCut:
 
 @dataclass
 class SuperKappaResult:
-    """Tri-state outcome: status True/False, or None when the cut
-    enumeration hit its budget before completing."""
+    """Tri-state outcome: status True/False, or None when the budget
+    stopped the decision (then enumeration_complete is False)."""
 
     status: bool | None
     witness: VertexCut | None = None
@@ -166,12 +163,6 @@ class _SplitFlow:
         return frozenset(cut)
 
 
-def _st_vertex_connectivity(G, s, t, limit, removed=frozenset(), uncuttable=frozenset()):
-    flow = _SplitFlow(G, removed=removed, uncuttable=uncuttable)
-    value = flow.max_flow(s, t, limit)
-    return value, flow
-
-
 def _pair_scan_order(G):
     """Deterministic (s,t) scan: s = lowest-index minimum-degree vertex,
     t ascending over non-neighbors, then non-adjacent neighbor pairs."""
@@ -198,9 +189,7 @@ def vertex_connectivity(G):
         return 0
     best = G.n - 1
     for s, t in _pair_scan_order(G):
-        value, _ = _st_vertex_connectivity(G, s, t, best)
-        if value < best:
-            best = value
+        best = min(best, _SplitFlow(G).max_flow(s, t, best))
     return best
 
 
@@ -318,12 +307,12 @@ def minimum_vertex_cut(G):
     best = G.n - 1
     best_pair = None
     for s, t in _pair_scan_order(G):
-        value, _ = _st_vertex_connectivity(G, s, t, best)
+        value = _SplitFlow(G).max_flow(s, t, best)
         if value < best:
             best = value
             best_pair = (s, t)
-    s, t = best_pair
-    _, flow = _st_vertex_connectivity(G, s, t, G.n)
+    flow = _SplitFlow(G)
+    flow.max_flow(*best_pair, G.n)
     return classify_cut(G, flow.min_cut_vertices())
 
 
@@ -334,105 +323,105 @@ class CutEnumeration:
     method: str
 
 
-def _enumerate_exhaustive(G, kappa, budget):
+def _exhaustive_cuts(G, kappa):
+    """Every kappa-subset whose removal disconnects G, in lexicographic order."""
     masks = G.adjacency_masks()
     full = (1 << G.n) - 1
-    cuts = []
     for S in combinations(range(G.n), kappa):
         if _disconnects(masks, full, S):
-            cuts.append(frozenset(S))
-    return cuts
+            yield frozenset(S)
 
 
-def _enumerate_separators(G, kappa, budget):
-    """All minimum vertex cuts via per-pair enumeration of minimum s-t
-    separators, using solution-space partitioning on forced-out vertices."""
+def _separator_cuts(G, kappa):
+    """Distinct minimum vertex cuts, pair by pair in scan order. Within a
+    pair, Lawler's partitioning over forced-in/forced-out vertices yields
+    each minimum s-t separator once; a pair whose root flow exceeds kappa
+    has none."""
     found = set()
-    complete = True
     for s, t in _pair_scan_order(G):
-        value, flow = _st_vertex_connectivity(G, s, t, kappa + 1)
-        if value != kappa:
-            continue
         stack = [(frozenset(), frozenset())]  # (forced_in, forced_out)
         while stack:
             forced_in, forced_out = stack.pop()
             target = kappa - len(forced_in)
-            value, flow = _st_vertex_connectivity(
-                G, s, t, target + 1, removed=forced_in, uncuttable=forced_out
-            )
-            if value > target:
+            flow = _SplitFlow(G, removed=forced_in, uncuttable=forced_out)
+            if flow.max_flow(s, t, target + 1) > target:
                 continue
             cut = forced_in | flow.min_cut_vertices()
-            found.add(cut)
-            if len(found) > budget:
-                return sorted(found, key=sorted), False
+            if cut not in found:
+                found.add(cut)
+                yield cut
             free = sorted(cut - forced_in)
             for i, v in enumerate(free):
                 stack.append(
                     (forced_in | frozenset(free[:i]), forced_out | {v})
                 )
-    return sorted(found, key=sorted), complete
 
 
-def all_minimum_vertex_cuts(G, budget=EXHAUSTIVE_BUDGET, method="auto"):
-    """Every vertex cut of size kappa(G), with an explicit completeness flag.
+_METHOD_NAMES = {"exhaustive": "exhaustive", "separators": "separator-enumeration"}
 
-    method "exhaustive" scans all C(n, kappa) subsets (complete while that
-    count fits the budget); "separators" enumerates minimum s-t separators
-    over all non-adjacent pairs; "auto" picks whichever is cheaper.
+
+def _minimum_cuts(G, budget, method):
+    """(stream of minimum cuts as vertex sets, how many may be examined).
+
+    An exhaustive scan of more than `budget` candidate subsets is not run:
+    its stream is empty and its cap -1, so its empty result is incomplete.
+    """
+    if method not in _METHOD_NAMES:
+        raise InputError(f"unknown enumeration method {method!r}")
+    kappa = vertex_connectivity(G)
+    if method == "separators":
+        return _separator_cuts(G, kappa), min(budget, SEPARATOR_BUDGET)
+    if comb(G.n, kappa) > budget:
+        return iter(()), -1
+    return _exhaustive_cuts(G, kappa), budget
+
+
+def all_minimum_vertex_cuts(G, budget=EXHAUSTIVE_BUDGET, method="separators"):
+    """Every vertex cut of size kappa(G), sorted, with a completeness flag.
+
+    "separators" (Lawler-partitioned minimum s-t separators over the
+    Esfahanian-Hakimi pairs) is complete while the distinct cuts fit
+    min(budget, SEPARATOR_BUDGET); "exhaustive" scans all C(n, kappa)
+    subsets and is complete while that count fits the budget.
     """
     if not G.is_connected():
         raise InputError("cut enumeration on a disconnected graph")
     if G.is_complete():
         raise NoCutError("complete graphs have no vertex cut")
-    kappa = vertex_connectivity(G)
-    candidates = comb(G.n, kappa)
-    if method == "auto":
-        method = (
-            "exhaustive"
-            if candidates <= min(budget, _EXHAUSTIVE_FAST_CAP)
-            else "separators"
-        )
-    if method == "exhaustive":
-        if candidates > budget:
-            return CutEnumeration(cuts=[], complete=False, method="exhaustive")
-        raw = _enumerate_exhaustive(G, kappa, budget)
-        complete = True
-    elif method == "separators":
-        raw, complete = _enumerate_separators(G, kappa, min(budget, SEPARATOR_BUDGET))
-    else:
-        raise InputError(f"unknown enumeration method {method!r}")
+    stream, cap = _minimum_cuts(G, budget, method)
+    raw = list(islice(stream, cap + 1))
     cuts = [classify_cut(G, S) for S in sorted(raw, key=sorted)]
-    name = "exhaustive" if method == "exhaustive" else "separator-enumeration"
-    return CutEnumeration(cuts=cuts, complete=complete, method=name)
+    return CutEnumeration(cuts=cuts, complete=len(raw) <= cap, method=_METHOD_NAMES[method])
 
 
-def is_super_kappa(G, budget=EXHAUSTIVE_BUDGET, method="auto"):
+def is_super_kappa(G, budget=EXHAUSTIVE_BUDGET, method="separators"):
     """Every minimum vertex cut is the neighborhood of a minimum-degree
-    vertex. Complete graphs hold vacuously; incomplete enumeration yields
-    status None."""
+    vertex. Complete graphs hold vacuously.
+
+    Cuts are classified as they are enumerated; the first that is no such
+    neighborhood is the witness (with kappa < delta, the first cut). Only a
+    True status examines every minimum cut. Status None: the budgets of
+    `all_minimum_vertex_cuts` stopped the decision.
+    """
     if not G.is_connected():
         raise InputError("super connectivity of a disconnected graph")
     if G.is_complete():
         return SuperKappaResult(status=True, vacuous=True)
-    enum = all_minimum_vertex_cuts(G, budget=budget, method=method)
-    for cut in enum.cuts:
+    stream, cap = _minimum_cuts(G, budget, method)
+    name = _METHOD_NAMES[method]
+    examined = 0
+    for S in islice(stream, cap + 1):
+        examined += 1
+        cut = classify_cut(G, S)
         if not cut.is_neighborhood_of_min_degree_vertex:
-            return SuperKappaResult(
-                status=False,
-                witness=cut,
-                enumeration_complete=enum.complete,
-                cuts_examined=len(enum.cuts),
-                method=enum.method,
-            )
-    if not enum.complete:
-        return SuperKappaResult(
-            status=None,
-            enumeration_complete=False,
-            cuts_examined=len(enum.cuts),
-            method=enum.method,
-        )
-    return SuperKappaResult(status=True, cuts_examined=len(enum.cuts), method=enum.method)
+            return SuperKappaResult(status=False, witness=cut, cuts_examined=examined, method=name)
+    complete = examined <= cap
+    return SuperKappaResult(
+        status=True if complete else None,
+        enumeration_complete=complete,
+        cuts_examined=examined,
+        method=name,
+    )
 
 
 def is_max_kappa(G):
@@ -441,7 +430,7 @@ def is_max_kappa(G):
     return vertex_connectivity(G) == G.min_degree()
 
 
-def connectivity_report(G, budget=EXHAUSTIVE_BUDGET, method="auto"):
+def connectivity_report(G, budget=EXHAUSTIVE_BUDGET, method="separators"):
     kappa = vertex_connectivity(G)
     delta = G.min_degree()
     kappa_edge = edge_connectivity(G) if G.n >= 2 else None

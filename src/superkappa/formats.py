@@ -107,6 +107,11 @@ def write_edgelist_json(G, meta=None):
     return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
 
 
+def _is_int(x):
+    # bool subclasses int, but JSON true/false is not a vertex index
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_edgelist_json(text):
     try:
         doc = json.loads(text)
@@ -114,7 +119,7 @@ def parse_edgelist_json(text):
         raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("document must be a JSON object")
-    if "n" not in doc or not isinstance(doc["n"], int) or doc["n"] < 0:
+    if "n" not in doc or not _is_int(doc["n"]) or doc["n"] < 0:
         raise FormatError("field 'n' must be a non-negative integer")
     n = doc["n"]
     edges_field = doc.get("edges")
@@ -123,7 +128,7 @@ def parse_edgelist_json(text):
     seen = set()
     edges = []
     for item in edges_field:
-        if not (isinstance(item, list) and len(item) == 2 and all(isinstance(x, int) for x in item)):
+        if not (isinstance(item, list) and len(item) == 2 and all(_is_int(x) for x in item)):
             raise FormatError(f"field 'edges': bad entry {item!r}")
         u, v = item
         if u == v:

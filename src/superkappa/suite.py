@@ -18,10 +18,8 @@ seed-pinned, so a manifest replays byte-for-byte.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from . import connectivity as conn
@@ -89,6 +87,9 @@ def run_manifest(doc, jobs=1):
     """Run every instance; results keep manifest order regardless of jobs."""
     entries = doc["instances"]
     if jobs > 1:
+        # imported here: it loads multiprocessing, which only pools need
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_instance, entries))
     else:
@@ -97,6 +98,8 @@ def run_manifest(doc, jobs=1):
 
 
 def sha256_file(path):
+    import hashlib  # imported here: it loads OpenSSL, which only RunReports need
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):

@@ -195,15 +195,6 @@ def predicted(theorem_id, G, n=None, odd_cycle_lengths=None):
 # -- verdicts -----------------------------------------------------------------
 
 
-def _graph_from_vertices(prod, vertices):
-    return prod.induced_subgraph(sorted(vertices))
-
-
-def _super_kappa_actual(H, budget):
-    res = conn.is_super_kappa(H, budget=budget)
-    return res
-
-
 def _witness_from_cut(H, cut):
     return {
         "graph6": write_graph6(H).strip(),
@@ -225,8 +216,8 @@ def replay_witness(witness):
 
 
 def _components_isomorphic(prod, comps, notes):
-    g1 = _graph_from_vertices(prod, comps[0])
-    g2 = _graph_from_vertices(prod, comps[1])
+    g1 = prod.induced_subgraph(sorted(comps[0]))
+    g2 = prod.induced_subgraph(sorted(comps[1]))
     try:
         return is_isomorphic_small(g1, g2)
     except CapacityError:
@@ -246,7 +237,12 @@ def _components_isomorphic(prod, comps, notes):
 
 def verify(theorem_id, G, n=None, budget=conn.EXHAUSTIVE_BUDGET, odd_cycle_lengths=None, instance=None):
     """Check hypotheses, build the construction, compute ground truth with
-    the connectivity module, and compare against the prediction."""
+    the connectivity module, and compare against the prediction.
+
+    For the super-connectivity results, `actual["minimum_cuts"]` counts the
+    minimum cuts examined: all of them on a confirmation, and those up to
+    and including the witness on a refutation.
+    """
     _check_theorem_id(theorem_id)
     start = time.perf_counter()
     instance = dict(instance or {})
@@ -306,7 +302,7 @@ def verify(theorem_id, G, n=None, budget=conn.EXHAUSTIVE_BUDGET, odd_cycle_lengt
         if len(comps) != 2:
             return done(pred, actual, REFUTED)
         kappas = [
-            conn.vertex_connectivity(_graph_from_vertices(H, c)) for c in comps
+            conn.vertex_connectivity(H.induced_subgraph(sorted(c))) for c in comps
         ]
         actual["component_kappa"] = kappas
         actual["isomorphic"] = _components_isomorphic(H, comps, notes)
@@ -325,8 +321,8 @@ def verify(theorem_id, G, n=None, budget=conn.EXHAUSTIVE_BUDGET, odd_cycle_lengt
         statuses = []
         witness = None
         for c in comps:
-            sub = _graph_from_vertices(H, c)
-            res = _super_kappa_actual(sub, budget)
+            sub = H.induced_subgraph(sorted(c))
+            res = conn.is_super_kappa(sub, budget=budget)
             statuses.append(res.status)
             if res.status is False and witness is None:
                 witness = _witness_from_cut(sub, res.witness)
@@ -351,7 +347,7 @@ def verify(theorem_id, G, n=None, budget=conn.EXHAUSTIVE_BUDGET, odd_cycle_lengt
             if kdc != 2 ** k or delta != 2 ** k:
                 actual = {"kappa_double_cover": kdc, "delta": delta, "expected": 2 ** k}
                 return done(pred, actual, REFUTED)
-        res = _super_kappa_actual(H, budget)
+        res = conn.is_super_kappa(H, budget=budget)
         actual = {"super_kappa": res.status, "minimum_cuts": res.cuts_examined}
         if res.status is None:
             return done(pred, actual, INDETERMINATE, notes=notes)

@@ -2,7 +2,8 @@
 
 Samples small instances that fail exactly one hypothesis clause of a
 target rule, builds the corresponding construction, decides super
-connectivity by complete cut enumeration, and records which boundary
+connectivity (stopping at the first minimum cut that is no minimum-degree
+vertex's neighborhood, the witness), and records which boundary
 instances break the conclusion (witnesses) and which do not
 (non-witnesses; the conditions are sufficient, not necessary).
 """

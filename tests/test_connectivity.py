@@ -1,3 +1,5 @@
+from itertools import islice
+
 import pytest
 
 from superkappa import (
@@ -14,10 +16,14 @@ from superkappa import (
     is_super_kappa,
     minimum_vertex_cut,
     petersen,
+    replay_witness,
+    tilde,
     vertex_connectivity,
     vertex_connectivity_exhaustive,
 )
+from superkappa.connectivity import EXHAUSTIVE_BUDGET, _minimum_cuts, classify_cut
 from superkappa.graph import Graph
+from superkappa.theorems import _witness_from_cut
 
 from conftest import seeded_corpus
 
@@ -157,3 +163,52 @@ def test_super_kappa_implies_max_kappa():
     for G in seeded_corpus(seed=19, count=40, max_n=8):
         if is_super_kappa(G).status is True:
             assert is_max_kappa(G)
+
+
+def _decider_corpus():
+    graphs = [G for G in seeded_corpus(seed=29, count=60, max_n=8) if not G.is_complete()]
+    for a in range(3, 8):
+        for b in range(a, 8):
+            P = direct_product(cycle(a), cycle(b))
+            if P.is_connected():
+                graphs.append(P)
+    for base in (complete_bipartite(1, 3), complete_bipartite(2, 3), cycle(4), cycle(6)):
+        for n in (3, 4, 5):
+            graphs.append(tilde(base, base.is_bipartite(), n)[0])
+    return graphs
+
+
+def test_separator_decider_matches_exhaustive_oracle():
+    for G in _decider_corpus():
+        res = is_super_kappa(G)
+        oracle = is_super_kappa(G, method="exhaustive")
+        assert res.status == oracle.status is not None, sorted(G.edges)
+        if res.status:
+            # a confirmation examines every minimum cut
+            assert res.cuts_examined == oracle.cuts_examined
+            continue
+        assert replay_witness(_witness_from_cut(G, res.witness))
+        delta = G.min_degree()
+        min_degree_vertices = sum(1 for v in range(G.n) if G.degree(v) == delta)
+        assert res.cuts_examined <= min_degree_vertices + 1
+        stream, _ = _minimum_cuts(G, EXHAUSTIVE_BUDGET, "separators")
+        *before, last = islice(stream, res.cuts_examined)
+        assert last == res.witness.vertices
+        assert len(set(before)) == len(before)
+        assert all(classify_cut(G, S).is_neighborhood_of_min_degree_vertex for S in before)
+
+
+@pytest.mark.parametrize(
+    "G,status,cuts",
+    [
+        (direct_product(cycle(3), cycle(6)), True, 18),
+        (direct_product(cycle(3), cycle(7)), True, 21),
+        (cycle(5), True, 5),
+        (cycle(8), False, 2),
+        (direct_product(complete(2), complete(3)), False, 2),
+    ],
+    ids=["C3xC6", "C3xC7", "C5", "C8", "K2xK3"],
+)
+def test_super_kappa_cuts_examined(G, status, cuts):
+    res = is_super_kappa(G)
+    assert (res.status, res.cuts_examined) == (status, cuts)

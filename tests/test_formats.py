@@ -91,6 +91,8 @@ def test_edgelist_json_examples():
         ('{"n":2,"edges":[],"labels":["a"]}', "'labels'"),
         ("[1,2]", "object"),
         ("{", "invalid JSON"),
+        ('{"n":2,"edges":[[true,false]]}', "bad entry"),
+        ('{"n":true,"edges":[]}', "'n'"),
     ],
 )
 def test_edgelist_json_schema_errors(bad, needle):
