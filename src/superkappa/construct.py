@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from .errors import GenerationError, InputError
 from .graph import Bipartition, Graph
 
-RNG_NAME = "python-random-mt19937"
 RESAMPLE_BUDGET = 10_000
 
 
@@ -34,12 +33,6 @@ def complete_bipartite(m, n):
     if m < 1 or n < 1:
         raise InputError(f"complete_bipartite needs m,n >= 1, got {m},{n}")
     return Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
-
-
-def path(n):
-    if n < 1:
-        raise InputError(f"path needs n >= 1, got {n}")
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def petersen():

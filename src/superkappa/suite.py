@@ -12,8 +12,10 @@ A manifest is a JSON document:
 
 Graph descriptors: {"expr": <family expression>}, {"graph6": <g6 line>},
 {"random_bipartite": {m,n,p,seed,min_delta}}, or
-{"random_nonbipartite": {n,p,seed,min_delta}}. Random descriptors are
-seed-pinned, so a manifest replays byte-for-byte.
+{"random_nonbipartite": {n,p,seed,min_delta}} (min_delta optional). Random
+descriptors are seed-pinned, so a manifest replays byte-for-byte.
+`load_manifest` checks every entry before any runs and raises InputError
+naming the first malformed one.
 """
 
 from __future__ import annotations
@@ -27,9 +29,16 @@ from .construct import random_connected_bipartite, random_connected_nonbipartite
 from .errors import InputError
 from .expr import build_expression
 from .formats import parse_graph6
-from .theorems import verify, verify_decomposition
+from .theorems import RULES, verify, verify_decomposition
 
 RNG_NOTE = "python-random-mt19937"
+# required fields of each graph descriptor kind; None: the value is a string
+_DESCRIPTOR_FIELDS = {
+    "expr": None,
+    "graph6": None,
+    "random_bipartite": ("m", "n", "p", "seed"),
+    "random_nonbipartite": ("n", "p", "seed"),
+}
 
 
 def resolve_graph(descriptor):
@@ -42,18 +51,11 @@ def resolve_graph(descriptor):
         return graph, spec.odd_cycle_lengths()
     if kind == "graph6":
         return parse_graph6(value), None
-    if kind == "random_bipartite":
-        graph, _ = random_connected_bipartite(
-            value["m"], value["n"], value["p"], value["seed"],
-            min_delta=value.get("min_delta", 1),
-        )
-        return graph, None
-    if kind == "random_nonbipartite":
-        graph = random_connected_nonbipartite(
-            value["n"], value["p"], value["seed"],
-            min_delta=value.get("min_delta", 1),
-        )
-        return graph, None
+    if kind in _DESCRIPTOR_FIELDS:  # a seeded random graph
+        args = [value[f] for f in _DESCRIPTOR_FIELDS[kind]]
+        if kind == "random_bipartite":
+            return random_connected_bipartite(*args, min_delta=value.get("min_delta", 1))[0], None
+        return random_connected_nonbipartite(*args, min_delta=value.get("min_delta", 1)), None
     raise InputError(f"unknown graph descriptor kind {kind!r}")
 
 
@@ -75,11 +77,47 @@ def run_instance(entry):
     )
 
 
+def _entry_problem(entry):
+    """Why a manifest entry cannot run, or None."""
+    if not isinstance(entry, dict):
+        return "not an object"
+    if entry.get("check") == "decomposition":
+        if not _is_int(entry.get("n")):
+            return "a decomposition check needs an integer 'n'"
+    elif entry.get("theorem") not in RULES:
+        return f"unknown theorem id {entry.get('theorem')!r}"
+    if any(entry.get(key) is not None and not _is_int(entry[key]) for key in ("n", "budget")):
+        return "'n' and 'budget' must be integers"
+    descriptor = entry.get("graph")
+    if not isinstance(descriptor, dict) or len(descriptor) != 1 or next(iter(descriptor)) not in _DESCRIPTOR_FIELDS:
+        return f"bad graph descriptor {descriptor!r}"
+    (kind, value), = descriptor.items()
+    fields = _DESCRIPTOR_FIELDS[kind]
+    if fields is None and not isinstance(value, str):
+        return f"{kind} descriptor needs a string"
+    if fields is not None and not (isinstance(value, dict) and all(f in value for f in fields)):
+        return f"{kind} descriptor needs fields {', '.join(fields)}"
+    return None
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_manifest(path):
+    """Read a manifest and check every entry before any of them runs."""
     with open(path) as fh:
-        doc = json.load(fh)
-    if "instances" not in doc or not isinstance(doc["instances"], list):
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("instances"), list):
         raise InputError("manifest needs an 'instances' list")
+    for i, entry in enumerate(doc["instances"]):
+        problem = _entry_problem(entry)
+        if problem:
+            name = entry.get("id", f"#{i}") if isinstance(entry, dict) else f"#{i}"
+            raise InputError(f"manifest entry {name}: {problem}")
     return doc
 
 

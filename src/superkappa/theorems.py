@@ -1,30 +1,118 @@
 """Checkable rules for the connectivity and super-connectivity results:
 hypothesis evaluation, formula predictions, independent ground truth, and
 verdicts with replayable witnesses.
+
+Each result is one `Rule` in the ordered `RULES` table, which
+`check_hypotheses`, `predicted`, `verify` and the tightness search all read:
+
+- `graph_class`, `n_min`, `parity`: the clauses "G is bipartite" or "G is
+  non-bipartite" (None: no class clause) and "n >= n_min [odd|even]"
+  (`n_min` None: the result takes no n);
+- `part_sizes`: the clauses |X| >= delta+1 and |Y| >= delta+1;
+- `strict`: `(invariant, minus, factor)` for the strict inequality
+  `(n - minus) * invariant > factor * delta`, the invariant being
+  kappa(G) ("kappa") or kappa(GxK2) ("kappa_dc");
+- `odd_cycles`: the clause that G is a direct product of k >= 1 odd cycles
+  (the caller supplies their lengths);
+- `construction`: the cyclic layered graph, G x C_n, the two components of
+  G x C_n, or G x K2;
+- `predict`: the claim, from the base graph's invariants, n and the odd
+  cycle lengths only;
+- `compare`: kappa equal to the claim, kappa within the claimed interval,
+  two isomorphic components of the claimed kappa, or super-kappa (of each
+  component, for the two-component construction);
+- `composes`: for the corollaries, the note naming the results they chain;
+  `verify` first checks T3.9's value kappa(GxK2) = delta = 2^k;
+- `decomposition`: the layer decomposition of G x C_n its proof uses.
+
+To add a result, add its record: the CLI, the manifest check and, for a
+rule with a strict clause (a super-kappa sufficient condition), the
+tightness search pick it up. A
+new kind of clause, construction or comparison also needs its branch in
+`_clauses`, `_construct` or `verify`. Each call computes the invariants it
+needs (connected, bipartition, delta, kappa(G), kappa(GxK2)) at most once.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 from . import connectivity as conn
 from .construct import cycle, direct_product, double_cover, layer_decomposition, tilde
-from .errors import CapacityError, InputError
+from .errors import InputError
 from .formats import parse_graph6, write_graph6
-from .graph import ISO_CAP, Graph, is_isomorphic_small
 
-THEOREM_IDS = (
-    "T2.1", "L2.2",
-    "T3.1", "T3.2", "T3.3", "T3.4",
-    "T3.5", "T3.6", "T3.7", "T3.8",
-    "T3.9", "C3.10", "C3.11",
-)
+BIPARTITE, NONBIPARTITE = "bipartite", "non-bipartite"
+TILDE, PRODUCT, COMPONENTS, COVER = "tilde", "G x C_n", "components of G x C_n", "G x K2"
+EQUAL, INTERVAL, COMPONENT_KAPPA, SUPER = "equal", "within-interval", "components", "super-kappa"
 
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
 HYP_NOT_MET = "hypotheses-not-met"
 INDETERMINATE = "indeterminate"
+
+
+@dataclass(frozen=True)
+class Rule:
+    graph_class: str | None
+    n_min: int | None
+    parity: str | None
+    part_sizes: bool = False
+    strict: tuple | None = None
+    odd_cycles: bool = False
+    construction: str = PRODUCT
+    predict: Callable = lambda inv, n, lengths: {"super_kappa": True}
+    compare: str = SUPER
+    composes: str | None = None
+    decomposition: str | None = None
+
+
+def _layers_times_kappa(inv, n, lengths):
+    return min(n * inv.kappa, 2 * inv.delta)
+
+
+def _two_components(inv, n, lengths):
+    return {"components": 2, "component_kappa": min(n // 2 * inv.kappa, 2 * inv.delta), "isomorphic": True}
+
+
+RULES = {
+    "T2.1": Rule(BIPARTITE, 2, None, construction=TILDE, predict=_layers_times_kappa, compare=EQUAL),
+    "L2.2": Rule(BIPARTITE, 3, None, part_sizes=True, strict=("kappa", 0, 2), construction=TILDE),
+    "T3.1": Rule(BIPARTITE, 3, "odd", predict=_layers_times_kappa, compare=EQUAL),
+    "T3.2": Rule(BIPARTITE, 4, "even", construction=COMPONENTS, predict=_two_components, compare=COMPONENT_KAPPA),
+    "T3.3": Rule(
+        NONBIPARTITE, 4, "even", compare=EQUAL,
+        predict=lambda inv, n, lengths: min(n // 2 * inv.kappa_dc, 2 * inv.delta),
+    ),
+    "T3.4": Rule(
+        NONBIPARTITE, 5, "odd", compare=INTERVAL,
+        predict=lambda inv, n, lengths: [
+            min((n - 1) // 2 * inv.kappa_dc, 2 * inv.delta), min((n + 1) // 2 * inv.kappa_dc, 2 * inv.delta)
+        ],
+    ),
+    "T3.5": Rule(BIPARTITE, 3, "odd", part_sizes=True, strict=("kappa", 0, 2), decomposition="bipartite-odd"),
+    "T3.6": Rule(
+        BIPARTITE, 6, "even", part_sizes=True, strict=("kappa", 0, 4), construction=COMPONENTS,
+        predict=lambda inv, n, lengths: {**_two_components(inv, n, lengths), "super_kappa": True},
+        decomposition="bipartite-even",
+    ),
+    "T3.7": Rule(NONBIPARTITE, 6, "even", strict=("kappa_dc", 0, 4), decomposition="nonbipartite-even"),
+    "T3.8": Rule(NONBIPARTITE, 7, "odd", strict=("kappa_dc", 1, 4), decomposition="nonbipartite-odd"),
+    "T3.9": Rule(
+        None, None, None, odd_cycles=True, construction=COVER, compare=EQUAL,
+        predict=lambda inv, n, lengths: 2 ** len(lengths),
+    ),
+    "C3.10": Rule(None, 6, "even", odd_cycles=True, composes="composed as: kappa(GxK2)=2^k (T3.9) feeding T3.7"),
+    "C3.11": Rule(
+        None, 7, "odd", odd_cycles=True,
+        composes="composed as: kappa(GxK2)=2^k (T3.9) feeding T3.8 (the even-n rule does not apply to odd n)",
+    ),
+}
+
+THEOREM_IDS = tuple(RULES)
 
 
 @dataclass(frozen=True)
@@ -59,100 +147,84 @@ class TheoremVerdict:
         }
 
 
-def _check_theorem_id(theorem_id):
-    if theorem_id not in THEOREM_IDS:
+class _Invariants:
+    """The base-graph invariants rules read, each computed on first use."""
+
+    def __init__(self, G):
+        self.G = G
+
+    connected = cached_property(lambda self: self.G.is_connected())
+    # None unless G is connected and bipartite
+    bipartition = cached_property(lambda self: self.G.is_bipartite() if self.connected else None)
+    nonbipartite = cached_property(lambda self: self.connected and self.bipartition is None)
+    delta = cached_property(lambda self: self.G.min_degree())
+    kappa = cached_property(lambda self: conn.vertex_connectivity(self.G) if self.connected else 0)
+    kappa_dc = cached_property(lambda self: conn.vertex_connectivity(double_cover(self.G)))
+
+
+def _parity(n):
+    return "even" if n % 2 == 0 else "odd"
+
+
+def _start(theorem_id, G):
+    if theorem_id not in RULES:
         raise InputError(f"unknown theorem id {theorem_id!r}")
-
-
-def _needs_cycle_lengths(theorem_id):
-    return theorem_id in ("T3.9", "C3.10", "C3.11")
+    if G is None or G.n == 0:
+        raise InputError("hypothesis check needs a nonempty graph")
+    return RULES[theorem_id], _Invariants(G)
 
 
 # -- hypotheses ---------------------------------------------------------------
 
 
+def _class_and_n_clauses(rule, inv, n):
+    clauses = []
+    if rule.graph_class == BIPARTITE:
+        clauses.append(Clause("G is bipartite", inv.bipartition is not None))
+    elif rule.graph_class == NONBIPARTITE:
+        clauses.append(Clause("G is non-bipartite", inv.nonbipartite))
+    if rule.n_min is not None:
+        holds = n is not None and n >= rule.n_min and rule.parity in (None, _parity(n))
+        clauses.append(Clause(f"n >= {rule.n_min}" + (f" {rule.parity}" if rule.parity else ""), holds))
+    return clauses
+
+
+def _clauses(rule, inv, n, odd_cycle_lengths):
+    clauses = [Clause("G is connected", inv.connected)]
+    clauses += _class_and_n_clauses(rule, inv, n)
+    if rule.part_sizes:
+        B, limit = inv.bipartition, inv.delta + 1
+        for part in ("X", "Y"):
+            size = len(getattr(B, part)) if B else 0
+            clauses.append(Clause(f"|{part}| >= delta+1 ({size} vs {limit})", B is not None and size >= limit))
+    if rule.strict:
+        invariant, minus, factor = rule.strict
+        if invariant == "kappa_dc" and not inv.nonbipartite:
+            # kappa(GxK2) is read only on a connected non-bipartite G
+            clauses.append(Clause("kappa(GxK2) strict lower bound", False))
+        elif n is not None:
+            name = "kappa(G)" if invariant == "kappa" else "kappa(GxK2)"
+            over, value = f"(n-{minus})" if minus else "n", getattr(inv, invariant)
+            clauses.append(Clause(
+                f"{name} > ({factor}/{over}) delta(G)  [{n - minus}*{value} > {factor}*{inv.delta}]",
+                inv.connected and (n - minus) * value > factor * inv.delta,
+            ))
+    if rule.odd_cycles:
+        ok = bool(odd_cycle_lengths) and all(l >= 3 and l % 2 == 1 for l in odd_cycle_lengths)
+        clauses.append(Clause("G is a direct product of k >= 1 odd cycles", ok))
+    return clauses
+
+
 def check_hypotheses(theorem_id, G, n=None, odd_cycle_lengths=None):
     """Evaluate every hypothesis clause separately. Strict rational
     inequalities are compared by integer cross-multiplication."""
-    _check_theorem_id(theorem_id)
-    if G is None or G.n == 0:
-        raise InputError("hypothesis check needs a nonempty graph")
-    clauses = []
-    connected = G.is_connected()
-    clauses.append(Clause("G is connected", connected))
-    B = G.is_bipartite() if connected else None
-    delta = G.min_degree()
-    kappa = conn.vertex_connectivity(G) if connected else 0
+    rule, inv = _start(theorem_id, G)
+    return _clauses(rule, inv, n, odd_cycle_lengths)
 
-    def add(text, holds):
-        clauses.append(Clause(text, bool(holds)))
 
-    bip = B is not None
-
-    if theorem_id in ("T2.1", "L2.2", "T3.1", "T3.2", "T3.5", "T3.6"):
-        add("G is bipartite", bip)
-    if theorem_id in ("T3.3", "T3.4", "T3.7", "T3.8"):
-        add("G is non-bipartite", connected and not bip)
-
-    if theorem_id == "T2.1":
-        add("n >= 2", n is not None and n >= 2)
-    elif theorem_id in ("L2.2",):
-        add("n >= 3", n is not None and n >= 3)
-    elif theorem_id in ("T3.1", "T3.5"):
-        add("n >= 3 odd", n is not None and n >= 3 and n % 2 == 1)
-    elif theorem_id == "T3.2":
-        add("n >= 4 even", n is not None and n >= 4 and n % 2 == 0)
-    elif theorem_id == "T3.3":
-        add("n >= 4 even", n is not None and n >= 4 and n % 2 == 0)
-    elif theorem_id == "T3.4":
-        add("n >= 5 odd", n is not None and n >= 5 and n % 2 == 1)
-    elif theorem_id == "T3.6":
-        add("n >= 6 even", n is not None and n >= 6 and n % 2 == 0)
-    elif theorem_id in ("T3.7", "C3.10"):
-        add("n >= 6 even", n is not None and n >= 6 and n % 2 == 0)
-    elif theorem_id in ("T3.8", "C3.11"):
-        add("n >= 7 odd", n is not None and n >= 7 and n % 2 == 1)
-
-    if theorem_id in ("L2.2", "T3.5", "T3.6"):
-        x = len(B.X) if bip else 0
-        y = len(B.Y) if bip else 0
-        add(f"|X| >= delta+1 ({x} vs {delta + 1})", bip and x >= delta + 1)
-        add(f"|Y| >= delta+1 ({y} vs {delta + 1})", bip and y >= delta + 1)
-    if theorem_id in ("L2.2", "T3.5") and n is not None:
-        add(
-            f"kappa(G) > (2/n) delta(G)  [{n}*{kappa} > 2*{delta}]",
-            connected and n * kappa > 2 * delta,
-        )
-    if theorem_id == "T3.6" and n is not None:
-        add(
-            f"kappa(G) > (4/n) delta(G)  [{n}*{kappa} > 4*{delta}]",
-            connected and n * kappa > 4 * delta,
-        )
-    if theorem_id in ("T3.7", "T3.8") and n is not None and connected and not bip:
-        kdc = conn.vertex_connectivity(double_cover(G))
-        if theorem_id == "T3.7":
-            add(
-                f"kappa(GxK2) > (4/n) delta(G)  [{n}*{kdc} > 4*{delta}]",
-                n * kdc > 4 * delta,
-            )
-        else:
-            add(
-                f"kappa(GxK2) > (4/(n-1)) delta(G)  [{n - 1}*{kdc} > 4*{delta}]",
-                (n - 1) * kdc > 4 * delta,
-            )
-    elif theorem_id in ("T3.7", "T3.8"):
-        if not (connected and not bip):
-            add("kappa(GxK2) strict lower bound", False)
-
-    if _needs_cycle_lengths(theorem_id):
-        ok = (
-            odd_cycle_lengths is not None
-            and len(odd_cycle_lengths) >= 1
-            and all(l >= 3 and l % 2 == 1 for l in odd_cycle_lengths)
-        )
-        add("G is a direct product of k >= 1 odd cycles", ok)
-
-    return clauses
+def class_and_n_rule_hold(theorem_id, G, n):
+    """The cheap clauses of a rule: G's graph class and the n-rule."""
+    return all(c.holds for c in _class_and_n_clauses(RULES[theorem_id], _Invariants(G), n))
 
 
 def hypotheses_hold(clauses):
@@ -166,30 +238,54 @@ def predicted(theorem_id, G, n=None, odd_cycle_lengths=None):
     """The formula value / interval / property claim. Computed only from
     kappa(G), delta(G), kappa(G x K2), k and n -- never from the
     constructed product itself."""
-    _check_theorem_id(theorem_id)
-    clauses = check_hypotheses(theorem_id, G, n=n, odd_cycle_lengths=odd_cycle_lengths)
+    rule, inv = _start(theorem_id, G)
+    clauses = _clauses(rule, inv, n, odd_cycle_lengths)
     if not hypotheses_hold(clauses):
         failed = [c.text for c in clauses if not c.holds]
         raise InputError(f"hypotheses not satisfied for {theorem_id}: {failed}")
-    delta = G.min_degree()
-    kappa = conn.vertex_connectivity(G)
-    if theorem_id in ("T2.1", "T3.1"):
-        return min(n * kappa, 2 * delta)
-    if theorem_id in ("T3.2", "T3.6"):
-        each = min(n // 2 * kappa, 2 * delta)
-        claim = {"components": 2, "component_kappa": each, "isomorphic": True}
-        if theorem_id == "T3.6":
-            claim["super_kappa"] = True
-        return claim
-    if theorem_id in ("T3.3", "T3.4"):
-        kdc = conn.vertex_connectivity(double_cover(G))
-        if theorem_id == "T3.3":
-            return min(n // 2 * kdc, 2 * delta)
-        return [min((n - 1) // 2 * kdc, 2 * delta), min((n + 1) // 2 * kdc, 2 * delta)]
-    if theorem_id == "T3.9":
-        return 2 ** len(odd_cycle_lengths)
-    # L2.2, T3.5, T3.7, T3.8, C3.10, C3.11
-    return {"super_kappa": True}
+    return rule.predict(inv, n, odd_cycle_lengths)
+
+
+# -- constructions --------------------------------------------------------------
+
+
+def _construct(rule, inv, n):
+    if rule.construction == TILDE:
+        return tilde(inv.G, inv.bipartition, n)[0]
+    if rule.construction == COVER:
+        return double_cover(inv.G)
+    return direct_product(inv.G, cycle(n))
+
+
+def _split(H):
+    """H's components as (vertex set, induced subgraph), by lowest member."""
+    return [(c, H.induced_subgraph(sorted(c))) for c in H.components()]
+
+
+def construction(theorem_id, G, n):
+    """The graphs the conclusion of a result is about: its construction,
+    or each component of G x C_n for the two-component results."""
+    rule = RULES[theorem_id]
+    H = _construct(rule, _Invariants(G), n)
+    return [sub for _, sub in _split(H)] if rule.construction == COMPONENTS else [H]
+
+
+def _shift_is_isomorphism(H, n, A, B):
+    """Weichsel's certificate that components A and B of G x C_n are
+    isomorphic: the cycle shift (v,i) -> (v,i+1), vertex v*n+i in the
+    flattening of `direct_product`, maps A onto B and every edge of A to an
+    edge of B, and A and B have equally many edges. O(|V| + |E|)."""
+
+    def shift(x):
+        v, i = divmod(x, n)
+        return v * n + (i + 1) % n
+
+    if {shift(x) for x in A} != B:
+        return False
+    edges_a = [e for e in H.edges if e[0] in A]
+    return len(edges_a) == sum(1 for e in H.edges if e[0] in B) and all(
+        tuple(sorted((shift(u), shift(v)))) in H.edges for u, v in edges_a
+    )
 
 
 # -- verdicts -----------------------------------------------------------------
@@ -215,24 +311,22 @@ def replay_witness(witness):
     )
 
 
-def _components_isomorphic(prod, comps, notes):
-    g1 = prod.induced_subgraph(sorted(comps[0]))
-    g2 = prod.induced_subgraph(sorted(comps[1]))
-    try:
-        return is_isomorphic_small(g1, g2)
-    except CapacityError:
-        same = (
-            g1.n == g2.n
-            and len(g1.edges) == len(g2.edges)
-            and sorted(g1.degree(v) for v in range(g1.n))
-            == sorted(g2.degree(v) for v in range(g2.n))
-            and conn.vertex_connectivity(g1) == conn.vertex_connectivity(g2)
-        )
-        notes.append(
-            f"components above the {ISO_CAP}-vertex isomorphism cap; "
-            "compared by invariants (order, size, degree multiset, kappa)"
-        )
-        return same
+def _instance(G, n, instance):
+    instance = dict(instance or {})
+    instance.setdefault("graph6", write_graph6(G).strip())
+    if n is not None:
+        instance.setdefault("n", n)
+    return instance
+
+
+def _verdict_maker(theorem_id, instance, clauses, start):
+    """A function that turns an outcome into a TheoremVerdict, timed from `start`."""
+
+    def done(pred, actual, verdict, witness=None, notes=None):
+        ms = int((time.perf_counter() - start) * 1000)
+        return TheoremVerdict(theorem_id, instance, clauses, pred, actual, verdict, ms, witness, notes or [])
+
+    return done
 
 
 def verify(theorem_id, G, n=None, budget=conn.EXHAUSTIVE_BUDGET, odd_cycle_lengths=None, instance=None):
@@ -243,156 +337,70 @@ def verify(theorem_id, G, n=None, budget=conn.EXHAUSTIVE_BUDGET, odd_cycle_lengt
     minimum cuts examined: all of them on a confirmation, and those up to
     and including the witness on a refutation.
     """
-    _check_theorem_id(theorem_id)
+    rule, inv = _start(theorem_id, G)
     start = time.perf_counter()
-    instance = dict(instance or {})
-    instance.setdefault("graph6", write_graph6(G).strip())
-    if n is not None:
-        instance.setdefault("n", n)
-    clauses = check_hypotheses(theorem_id, G, n=n, odd_cycle_lengths=odd_cycle_lengths)
-
-    def done(pred, actual, verdict, witness=None, notes=None):
-        ms = int((time.perf_counter() - start) * 1000)
-        return TheoremVerdict(
-            theorem_id=theorem_id,
-            instance=instance,
-            hypotheses=clauses,
-            predicted=pred,
-            actual=actual,
-            verdict=verdict,
-            runtime_ms=ms,
-            witness=witness,
-            notes=notes or [],
-        )
-
+    clauses = _clauses(rule, inv, n, odd_cycle_lengths)
+    done = _verdict_maker(theorem_id, _instance(G, n, instance), clauses, start)
     if not hypotheses_hold(clauses):
         return done(None, None, HYP_NOT_MET)
+    pred = rule.predict(inv, n, odd_cycle_lengths)
+    H = _construct(rule, inv, n)
 
-    pred = predicted(theorem_id, G, n=n, odd_cycle_lengths=odd_cycle_lengths)
-    notes = []
-
-    if theorem_id in ("T2.1", "L2.2"):
-        H, _ = tilde(G, G.is_bipartite(), n)
-    elif theorem_id == "T3.9":
-        H = double_cover(G)
-    else:
-        H = direct_product(G, cycle(n))
-
-    if theorem_id in ("T2.1", "T3.1"):
+    if rule.compare in (EQUAL, INTERVAL):
         actual = conn.vertex_connectivity(H)
-        return done(pred, actual, CONFIRMED if actual == pred else REFUTED)
+        ok = actual == pred if rule.compare == EQUAL else pred[0] <= actual <= pred[1]
+        return done(pred, actual, CONFIRMED if ok else REFUTED)
 
-    if theorem_id == "T3.3":
-        actual = conn.vertex_connectivity(H)
-        return done(pred, actual, CONFIRMED if actual == pred else REFUTED)
-
-    if theorem_id == "T3.4":
-        actual = conn.vertex_connectivity(H)
-        lo, hi = pred
-        notes.append(f"kappa(GxC_n)={actual} within [{lo},{hi}]")
-        return done(pred, actual, CONFIRMED if lo <= actual <= hi else REFUTED)
-
-    if theorem_id == "T3.9":
-        actual = conn.vertex_connectivity(H)
-        return done(pred, actual, CONFIRMED if actual == pred else REFUTED)
-
-    if theorem_id == "T3.2":
-        comps = H.components()
-        actual = {"components": len(comps)}
-        if len(comps) != 2:
+    parts, actual, isomorphic = [H], {}, True
+    if rule.construction == COMPONENTS:
+        split = _split(H)
+        actual["components"] = len(split)
+        if len(split) != 2:
             return done(pred, actual, REFUTED)
-        kappas = [
-            conn.vertex_connectivity(H.induced_subgraph(sorted(c))) for c in comps
-        ]
+        isomorphic = _shift_is_isomorphism(H, n, split[0][0], split[1][0])
+        parts = [sub for _, sub in split]
+    if rule.compare == COMPONENT_KAPPA:
+        kappas = [conn.vertex_connectivity(sub) for sub in parts]
         actual["component_kappa"] = kappas
-        actual["isomorphic"] = _components_isomorphic(H, comps, notes)
-        ok = (
-            kappas[0] == kappas[1] == pred["component_kappa"]
-            and actual["isomorphic"]
-        )
-        return done(pred, actual, CONFIRMED if ok else REFUTED, notes=notes)
+        actual["isomorphic"] = isomorphic
+        ok = kappas[0] == kappas[1] == pred["component_kappa"] and isomorphic
+        return done(pred, actual, CONFIRMED if ok else REFUTED)
 
-    if theorem_id == "T3.6":
-        comps = H.components()
-        actual = {"components": len(comps)}
-        if len(comps) != 2:
+    # super-kappa, of H or of each component
+    if rule.composes:
+        k = len(odd_cycle_lengths)
+        if inv.kappa_dc != 2 ** k or inv.delta != 2 ** k:
+            actual = {"kappa_double_cover": inv.kappa_dc, "delta": inv.delta, "expected": 2 ** k}
             return done(pred, actual, REFUTED)
-        actual["isomorphic"] = _components_isomorphic(H, comps, notes)
-        statuses = []
-        witness = None
-        for c in comps:
-            sub = H.induced_subgraph(sorted(c))
-            res = conn.is_super_kappa(sub, budget=budget)
-            statuses.append(res.status)
-            if res.status is False and witness is None:
-                witness = _witness_from_cut(sub, res.witness)
+    notes = [rule.composes] if rule.composes else []
+    statuses, witness = [], None
+    for sub in parts:
+        res = conn.is_super_kappa(sub, budget=budget)
+        statuses.append(res.status)
+        if res.status is False and witness is None:
+            witness = _witness_from_cut(sub, res.witness)
+    if rule.construction == COMPONENTS:
+        actual["isomorphic"] = isomorphic
         actual["super_kappa"] = statuses
-        if any(s is None for s in statuses):
-            return done(pred, actual, INDETERMINATE, notes=notes)
-        ok = all(statuses) and actual["isomorphic"]
-        return done(pred, actual, CONFIRMED if ok else REFUTED, witness=witness, notes=notes)
-
-    if theorem_id in ("L2.2", "T3.5", "T3.7", "T3.8", "C3.10", "C3.11"):
-        if theorem_id == "C3.10":
-            notes.append("composed as: kappa(GxK2)=2^k (T3.9) feeding T3.7")
-        if theorem_id == "C3.11":
-            notes.append(
-                "composed as: kappa(GxK2)=2^k (T3.9) feeding T3.8 "
-                "(the even-n rule does not apply to odd n)"
-            )
-        if theorem_id in ("C3.10", "C3.11"):
-            k = len(odd_cycle_lengths)
-            kdc = conn.vertex_connectivity(double_cover(G))
-            delta = G.min_degree()
-            if kdc != 2 ** k or delta != 2 ** k:
-                actual = {"kappa_double_cover": kdc, "delta": delta, "expected": 2 ** k}
-                return done(pred, actual, REFUTED)
-        res = conn.is_super_kappa(H, budget=budget)
+    else:
         actual = {"super_kappa": res.status, "minimum_cuts": res.cuts_examined}
-        if res.status is None:
-            return done(pred, actual, INDETERMINATE, notes=notes)
-        if res.status:
-            return done(pred, actual, CONFIRMED, notes=notes)
-        return done(pred, actual, REFUTED, witness=_witness_from_cut(H, res.witness), notes=notes)
-
-    raise InputError(f"unhandled theorem id {theorem_id!r}")  # pragma: no cover
+    if None in statuses:
+        return done(pred, actual, INDETERMINATE, notes=notes)
+    ok = all(statuses) and isomorphic
+    return done(pred, actual, CONFIRMED if ok else REFUTED, witness=witness, notes=notes)
 
 
 # -- decomposition checks ------------------------------------------------------
 
 
-_CASE_FOR = {
-    ("bipartite", "odd"): ("bipartite-odd", "T3.5"),
-    ("bipartite", "even"): ("bipartite-even", "T3.6"),
-    ("nonbipartite", "even"): ("nonbipartite-even", "T3.7"),
-    ("nonbipartite", "odd"): ("nonbipartite-odd", "T3.8"),
-}
+def _relabeled(edges, n, left_layer):
+    """A block's edges under (v,i) -> v, or, given its left cycle layer,
+    under (v,i) -> (v, side) in G x K2."""
 
+    def image(x):
+        return x // n if left_layer is None else x // n * 2 + (0 if x in left_layer else 1)
 
-def _block_graph(edges):
-    verts = sorted({v for e in edges for v in e})
-    idx = {v: i for i, v in enumerate(verts)}
-    return Graph(len(verts), [(idx[u], idx[v]) for u, v in edges]), verts
-
-
-def _bipartite_block_matches(G, n, edges):
-    """A bipartite-case block equals G under (v, i) -> v."""
-    mapped = {tuple(sorted((u // n, v // n))) for u, v in edges}
-    return mapped == G.edges
-
-
-def _cover_block_matches(G, n, edges, left_layer):
-    """A non-bipartite-case block equals G x K2 under (v,i) -> (v, side)."""
-    dc = double_cover(G)
-
-    def side(vid):
-        return 0 if vid in left_layer else 1
-
-    mapped = {
-        tuple(sorted(((u // n) * 2 + side(u), (v // n) * 2 + side(v))))
-        for u, v in edges
-    }
-    return mapped == dc.edges
+    return {tuple(sorted((image(u), image(v)))) for u, v in edges}
 
 
 def verify_decomposition(G, n, budget=conn.EXHAUSTIVE_BUDGET, instance=None):
@@ -402,59 +410,35 @@ def verify_decomposition(G, n, budget=conn.EXHAUSTIVE_BUDGET, instance=None):
     with the cyclic layered construction."""
     start = time.perf_counter()
     B = G.is_bipartite()
-    key = ("bipartite" if B else "nonbipartite", "even" if n % 2 == 0 else "odd")
-    case, theorem_id = _CASE_FOR[key]
-    instance = dict(instance or {})
-    instance.setdefault("graph6", write_graph6(G).strip())
-    instance.setdefault("n", n)
+    case = f"{'bipartite' if B else 'nonbipartite'}-{_parity(n)}"
+    theorem_id = next(tid for tid, rule in RULES.items() if rule.decomposition == case)
+    instance = _instance(G, n, instance)
     instance["check"] = f"decomposition:{case}"
-
     clauses = [Clause("G is connected", G.is_connected())]
+    done = _verdict_maker(theorem_id, instance, clauses, start)
     dec = layer_decomposition(G, n, case)
     prod = direct_product(G, cycle(n))
 
     checks = {}
     checks["reassembly"] = dec.all_block_edges() == prod.edges
-    if case.startswith("bipartite"):
-        blocks_ok = all(_bipartite_block_matches(G, n, blk) for blk in dec.H)
-        blocks_ok = blocks_ok and all(
-            _bipartite_block_matches(G, n, blk) for blk in dec.H_prime
-        )
+    if B:
+        blocks, base = [(blk, None) for blk in dec.H + dec.H_prime], G.edges
     else:
-        blocks_ok = all(
-            _cover_block_matches(G, n, blk, dec.layer_X[i])
-            for i, blk in enumerate(dec.H)
-        )
-        blocks_ok = blocks_ok and all(
-            _cover_block_matches(G, n, blk, dec.layer_Y[i])
-            for i, blk in enumerate(dec.H_prime)
-        )
-    checks["blocks_match_base"] = blocks_ok
+        blocks = list(zip(dec.H, dec.layer_X)) + list(zip(dec.H_prime, dec.layer_Y))
+        base = double_cover(G).edges
+    checks["blocks_match_base"] = all(_relabeled(blk, n, left) == base for blk, left in blocks)
 
     notes = []
     if case == "bipartite-odd":
         tg, tdec = tilde(G, B, n)
         mapping = {}
         for k in range(n):
-            for v in tdec.layer_X[k]:
-                base = v % G.n
-                mapping[v] = base * n + (dec.x_cycle_layer[k] - 1)
-            for v in tdec.layer_Y[k]:
-                base = v % G.n
-                mapping[v] = base * n + (dec.y_cycle_layer[k] - 1)
+            for layer, cycle_layer in ((tdec.layer_X[k], dec.x_cycle_layer[k]), (tdec.layer_Y[k], dec.y_cycle_layer[k])):
+                for v in layer:
+                    mapping[v] = v % G.n * n + (cycle_layer - 1)
         mapped = {tuple(sorted((mapping[u], mapping[v]))) for u, v in tg.edges}
         checks["tilde_edge_identity"] = mapped == prod.edges
         notes.append("layer relabeling maps the cyclic layered graph onto G x C_n")
 
-    ok = all(checks.values()) and all(c.holds for c in clauses)
-    ms = int((time.perf_counter() - start) * 1000)
-    return TheoremVerdict(
-        theorem_id=theorem_id,
-        instance=instance,
-        hypotheses=clauses,
-        predicted={"decomposition_valid": True},
-        actual=checks,
-        verdict=CONFIRMED if ok else REFUTED,
-        runtime_ms=ms,
-        notes=notes,
-    )
+    ok = all(checks.values()) and hypotheses_hold(clauses)
+    return done({"decomposition_valid": True}, checks, CONFIRMED if ok else REFUTED, notes=notes)

@@ -14,19 +14,14 @@ import time
 from dataclasses import dataclass, field
 
 from . import connectivity as conn
-from .construct import (
-    cycle,
-    direct_product,
-    double_cover,
-    random_connected_bipartite,
-    random_connected_nonbipartite,
-    tilde,
-)
+from .construct import random_connected_bipartite, random_connected_nonbipartite
+from .construct import direct_product  # noqa: F401  (kept: perfbench/test_perfbench.py checks its tracing)
 from .errors import GenerationError, InputError
 from .formats import write_graph6
-from .theorems import check_hypotheses, hypotheses_hold
+from .theorems import BIPARTITE, RULES, check_hypotheses, class_and_n_rule_hold, construction
 
-TARGETS = ("L2.2", "T3.5", "T3.6", "T3.7", "T3.8")
+# the super-connectivity sufficient conditions: the rules with a strict clause
+TARGETS = tuple(tid for tid, rule in RULES.items() if rule.strict)
 
 
 @dataclass
@@ -70,7 +65,7 @@ class TightnessReport:
 
 def _boundary_candidates(target, max_part_size, n_range, seed):
     """Yield (graph, n, provenance) candidates to screen."""
-    if target in ("L2.2", "T3.5", "T3.6"):
+    if RULES[target].graph_class == BIPARTITE:
         sizes = [
             (m, k)
             for m in range(1, max_part_size + 1)
@@ -103,29 +98,6 @@ def _boundary_candidates(target, max_part_size, n_range, seed):
                     }
 
 
-def _parity_ok(target, G, n):
-    bip = G.is_bipartite() is not None
-    if target == "L2.2":
-        return bip and n >= 3
-    if target == "T3.5":
-        return bip and n >= 3 and n % 2 == 1
-    if target == "T3.6":
-        return bip and n >= 6 and n % 2 == 0
-    if target == "T3.7":
-        return (not bip) and n >= 6 and n % 2 == 0
-    return (not bip) and n >= 7 and n % 2 == 1
-
-
-def _build(target, G, n):
-    if target == "L2.2":
-        H, _ = tilde(G, G.is_bipartite(), n)
-        return [H]
-    prod = direct_product(G, cycle(n))
-    if target == "T3.6":
-        return [prod.induced_subgraph(sorted(c)) for c in prod.components()]
-    return [prod]
-
-
 def tightness_search(target, max_part_size, n_range, seed, budget, cut_budget=conn.EXHAUSTIVE_BUDGET):
     """Probe instances that miss exactly one hypothesis clause of `target`.
 
@@ -144,7 +116,7 @@ def tightness_search(target, max_part_size, n_range, seed, budget, cut_budget=co
         if key in seen:
             continue
         seen.add(key)
-        if not _parity_ok(target, G, n):
+        if not class_and_n_rule_hold(target, G, n):
             continue
         clauses = check_hypotheses(target, G, n=n)
         failed = [c for c in clauses if not c.holds]
@@ -154,10 +126,9 @@ def tightness_search(target, max_part_size, n_range, seed, budget, cut_budget=co
             report.complete = False
             break
         report.instances_probed += 1
-        built = _build(target, G, n)
         holds = True
         witness = None
-        for H in built:
+        for H in construction(target, G, n):
             res = conn.is_super_kappa(H, budget=cut_budget)
             if res.status is None:
                 holds = None

@@ -1,6 +1,9 @@
 import json
+import re
 import subprocess
 import sys
+
+import pytest
 
 
 def run_cli(*args, cwd=None):
@@ -127,3 +130,54 @@ def test_search_tightness_cli():
     assert res.returncode in (0, 1)
     doc = json.loads(res.stdout)
     assert doc["complete"] is True
+
+
+@pytest.mark.parametrize(
+    "bad_entry",
+    [
+        {"id": "no-theorem", "graph": {"expr": "cycle(5)"}, "n": 6},
+        {"id": "no-p", "theorem": "T3.5", "graph": {"random_bipartite": {"m": 2, "n": 3, "seed": 1}}, "n": 3},
+    ],
+    ids=["missing-theorem", "random-bipartite-without-p"],
+)
+def test_suite_rejects_malformed_entry_before_running(tmp_path, bad_entry):
+    manifest = tmp_path / "m.json"
+    good = {"id": "good", "theorem": "T2.1", "graph": {"expr": "kbip(2,3)"}, "n": 3}
+    manifest.write_text(json.dumps({"instances": [good, bad_entry]}))
+    res = run_cli("suite", "--manifest", str(manifest))
+    assert res.returncode == 3
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and bad_entry["id"] in lines[0]
+    assert res.stdout == ""  # no entry ran
+
+
+def test_suite_rejects_invalid_json(tmp_path):
+    manifest = tmp_path / "m.json"
+    manifest.write_text('{"instances": [')
+    res = run_cli("suite", "--manifest", str(manifest))
+    assert res.returncode == 3
+    assert "Traceback" not in res.stderr and len(res.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        ("not-a-dict", "manifest entry #0: not an object"),
+        ({"id": "e", "theorem": "T9.9", "graph": {"expr": "cycle(5)"}}, "manifest entry e: unknown theorem id 'T9.9'"),
+        ({"id": "e", "check": "decomposition", "graph": {"expr": "cycle(5)"}}, "needs an integer 'n'"),
+        ({"id": "e", "theorem": "T3.7", "graph": {"expr": "cycle(5)"}, "n": True}, "must be integers"),
+        ({"id": "e", "theorem": "T3.7", "graph": {"expr": "cycle(5)"}, "budget": "9"}, "must be integers"),
+        ({"id": "e", "theorem": "T3.7", "n": 6}, "bad graph descriptor None"),
+        ({"id": "e", "theorem": "T3.7", "graph": {"expr": 5}, "n": 6}, "expr descriptor needs a string"),
+        ({"theorem": "T3.7", "graph": {"random_nonbipartite": {"n": 5}}}, "manifest entry #0: random_nonbipartite"),
+    ],
+)
+def test_load_manifest_names_the_bad_entry(tmp_path, entry, message):
+    from superkappa.errors import InputError
+    from superkappa.suite import load_manifest
+
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"instances": [entry]}))
+    with pytest.raises(InputError, match=re.escape(message)):
+        load_manifest(str(path))

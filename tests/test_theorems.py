@@ -1,18 +1,23 @@
+from collections import Counter
+
 import pytest
 
 from superkappa import (
+    Graph,
     InputError,
     check_hypotheses,
     complete,
     complete_bipartite,
+    connectivity,
     cycle,
     direct_product,
+    double_cover,
     predicted,
     replay_witness,
     verify,
     verify_decomposition,
 )
-from superkappa.theorems import CONFIRMED, HYP_NOT_MET, hypotheses_hold
+from superkappa.theorems import CONFIRMED, HYP_NOT_MET, RULES, THEOREM_IDS, _shift_is_isomorphism, hypotheses_hold
 
 
 def clause_map(clauses):
@@ -151,3 +156,132 @@ def test_verify_decomposition(base, n):
 def test_verify_decomposition_complete_base():
     v = verify_decomposition(complete(4), 6)
     assert v.verdict == CONFIRMED
+
+
+def _joined(a, b, bridges):
+    """a and b side by side, plus the edges (u, v) from u in a to v in b."""
+    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges] + [(u, v + a.n) for u, v in bridges]
+    return Graph(a.n + b.n, edges)
+
+
+TABLE_GRAPHS = {
+    "kbip23": complete_bipartite(2, 3),
+    "kbip34": complete_bipartite(3, 4),
+    "c3": cycle(3),
+    "c5": cycle(5),
+    "c6": cycle(6),
+    "c3xc5": direct_product(cycle(3), cycle(5)),
+    "kbip33-bridge-kbip33": _joined(complete_bipartite(3, 3), complete_bipartite(3, 3), [(0, 3)]),
+    "k4-bridge-k4": _joined(complete(4), complete(4), [(0, 0)]),
+}
+CONNECTED, BIPARTITE, NONBIPARTITE = ("G is connected", True), ("G is bipartite", True), ("G is non-bipartite", True)
+PARTS_3_3 = [("|X| >= delta+1 (3 vs 3)", True), ("|Y| >= delta+1 (3 vs 3)", True)]
+ODD_CYCLES = ("G is a direct product of k >= 1 odd cycles", True)
+SUPER = {"super_kappa": True}
+NOT_MET = None  # predicted() refuses: the hypotheses do not hold
+
+# (theorem, graph, n, odd cycle lengths, every (clause, holds), prediction)
+TABLE_CASES = [
+    ("T2.1", "kbip23", 3, None, [CONNECTED, BIPARTITE, ("n >= 2", True)], 4),
+    ("L2.2", "c6", 3, None, [
+        CONNECTED, BIPARTITE, ("n >= 3", True), *PARTS_3_3,
+        ("kappa(G) > (2/n) delta(G)  [3*2 > 2*2]", True)], SUPER),
+    ("T3.1", "kbip23", 3, None, [CONNECTED, BIPARTITE, ("n >= 3 odd", True)], 4),
+    ("T3.2", "kbip23", 4, None, [CONNECTED, BIPARTITE, ("n >= 4 even", True)],
+     {"components": 2, "component_kappa": 4, "isomorphic": True}),
+    ("T3.3", "c5", 4, None, [CONNECTED, NONBIPARTITE, ("n >= 4 even", True)], 4),
+    ("T3.4", "c5", 5, None, [CONNECTED, NONBIPARTITE, ("n >= 5 odd", True)], [4, 4]),
+    ("T3.5", "c6", 3, None, [
+        CONNECTED, BIPARTITE, ("n >= 3 odd", True), *PARTS_3_3,
+        ("kappa(G) > (2/n) delta(G)  [3*2 > 2*2]", True)], SUPER),
+    ("T3.6", "c6", 6, None, [
+        CONNECTED, BIPARTITE, ("n >= 6 even", True), *PARTS_3_3,
+        ("kappa(G) > (4/n) delta(G)  [6*2 > 4*2]", True)],
+     {"components": 2, "component_kappa": 4, "isomorphic": True, "super_kappa": True}),
+    ("T3.7", "c5", 6, None, [
+        CONNECTED, NONBIPARTITE, ("n >= 6 even", True),
+        ("kappa(GxK2) > (4/n) delta(G)  [6*2 > 4*2]", True)], SUPER),
+    ("T3.8", "c5", 7, None, [
+        CONNECTED, NONBIPARTITE, ("n >= 7 odd", True),
+        ("kappa(GxK2) > (4/(n-1)) delta(G)  [6*2 > 4*2]", True)], SUPER),
+    ("T3.9", "c3xc5", None, [3, 5], [CONNECTED, ODD_CYCLES], 4),
+    ("C3.10", "c3", 6, [3], [CONNECTED, ("n >= 6 even", True), ODD_CYCLES], SUPER),
+    ("C3.11", "c3", 7, [3], [CONNECTED, ("n >= 7 odd", True), ODD_CYCLES], SUPER),
+    # one failing clause each, for the targets of the tightness search
+    ("L2.2", "kbip34", 3, None, [
+        CONNECTED, BIPARTITE, ("n >= 3", True), ("|X| >= delta+1 (3 vs 4)", False),
+        ("|Y| >= delta+1 (4 vs 4)", True), ("kappa(G) > (2/n) delta(G)  [3*3 > 2*3]", True)], NOT_MET),
+    ("T3.5", "kbip33-bridge-kbip33", 3, None, [
+        CONNECTED, BIPARTITE, ("n >= 3 odd", True), ("|X| >= delta+1 (6 vs 4)", True),
+        ("|Y| >= delta+1 (6 vs 4)", True), ("kappa(G) > (2/n) delta(G)  [3*1 > 2*3]", False)], NOT_MET),
+    ("T3.6", "kbip33-bridge-kbip33", 6, None, [
+        CONNECTED, BIPARTITE, ("n >= 6 even", True), ("|X| >= delta+1 (6 vs 4)", True),
+        ("|Y| >= delta+1 (6 vs 4)", True), ("kappa(G) > (4/n) delta(G)  [6*1 > 4*3]", False)], NOT_MET),
+    ("T3.7", "k4-bridge-k4", 6, None, [
+        CONNECTED, NONBIPARTITE, ("n >= 6 even", True),
+        ("kappa(GxK2) > (4/n) delta(G)  [6*2 > 4*3]", False)], NOT_MET),
+    ("T3.8", "k4-bridge-k4", 7, None, [
+        CONNECTED, NONBIPARTITE, ("n >= 7 odd", True),
+        ("kappa(GxK2) > (4/(n-1)) delta(G)  [6*2 > 4*3]", False)], NOT_MET),
+]
+
+
+def test_table_cases_cover_every_rule():
+    assert THEOREM_IDS == tuple(RULES)
+    assert {case[0] for case in TABLE_CASES} == set(THEOREM_IDS)
+
+
+@pytest.mark.parametrize(
+    "theorem_id,graph,n,lengths,clauses,claim", TABLE_CASES,
+    ids=[f"{c[0]}-{c[1]}-n{c[2]}" for c in TABLE_CASES],
+)
+def test_rule_table_clauses_and_prediction(theorem_id, graph, n, lengths, clauses, claim):
+    G = TABLE_GRAPHS[graph]
+    got = check_hypotheses(theorem_id, G, n=n, odd_cycle_lengths=lengths)
+    assert [(c.text, c.holds) for c in got] == clauses
+    if claim is NOT_MET:
+        assert sum(not holds for _, holds in clauses) == 1
+        with pytest.raises(InputError):
+            predicted(theorem_id, G, n=n, odd_cycle_lengths=lengths)
+    else:
+        assert predicted(theorem_id, G, n=n, odd_cycle_lengths=lengths) == claim
+
+
+@pytest.mark.parametrize(
+    "theorem_id,G,n,lengths,kappa_calls,cover_calls",
+    [
+        ("T3.7", cycle(5), 6, None, 0, 1),
+        ("T3.3", cycle(5), 4, None, 0, 1),
+        ("C3.10", cycle(3), 6, [3], 0, 1),
+        ("T3.5", cycle(6), 3, None, 1, 0),
+        ("T2.1", complete_bipartite(2, 3), 3, None, 1, 0),
+    ],
+    ids=["T3.7", "T3.3", "C3.10", "T3.5", "T2.1"],
+)
+def test_verify_computes_base_kappas_at_most_once(monkeypatch, theorem_id, G, n, lengths, kappa_calls, cover_calls):
+    calls = Counter()
+    original = connectivity.vertex_connectivity
+
+    def counting(H):
+        calls[H] += 1
+        return original(H)
+
+    monkeypatch.setattr(connectivity, "vertex_connectivity", counting)
+    assert verify(theorem_id, G, n=n, odd_cycle_lengths=lengths).verdict == CONFIRMED
+    assert calls[G] == kappa_calls
+    assert calls[double_cover(G)] == cover_calls
+
+
+def test_t32_components_above_64_vertices_are_certified_isomorphic():
+    v = verify("T3.2", complete_bipartite(3, 3), n=22)
+    assert v.verdict == CONFIRMED
+    assert v.actual == {"components": 2, "component_kappa": [6, 6], "isomorphic": True}
+    assert v.notes == []
+
+
+def test_shift_certificate_checks_vertices_and_edges():
+    # n = 2: vertex v*2 + i; the shift swaps i = 0 and i = 1
+    A, B = frozenset({0, 3}), frozenset({1, 2})
+    assert _shift_is_isomorphism(Graph(4, [(0, 3), (1, 2)]), 2, A, B)
+    assert not _shift_is_isomorphism(Graph(4, [(0, 3)]), 2, A, B)  # B lacks A's edge
+    assert not _shift_is_isomorphism(Graph(4, [(0, 3), (1, 2)]), 2, A, A)  # A is not the shift of A
