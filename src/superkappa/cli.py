@@ -220,6 +220,8 @@ def main(argv=None):
             raise SystemExit(EXIT_INPUT) from exc
         raise
     try:
+        if getattr(args, "budget", 0) < 0:
+            raise InputError(f"--budget must be non-negative, got {args.budget}")
         return args.func(args)
     except (InputError, FormatError, NoCutError, GenerationError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,8 +2,10 @@
 max-connectivity / super-connectivity predicates.
 
 The fast path is unit-capacity augmenting-path flow on the vertex-split
-digraph, and minimum cuts come from partitioning minimum s-t separators;
-a brute-force subset scan backs both as an independent oracle.
+digraph, and minimum cuts come from Lawler-partitioning minimum s-t
+separators, where each sub-problem is warm-started from a copy of its
+parent's maximum flow instead of a network rebuilt from zero flow; a
+brute-force subset scan backs both as an independent oracle.
 """
 
 from __future__ import annotations
@@ -82,12 +84,12 @@ class _SplitFlow:
 
     Vertex v splits into nodes 2v (in) and 2v+1 (out) joined by a
     capacity-1 arc; every edge uv becomes arcs out(u)->in(v) and
-    out(v)->in(u) of effectively unbounded capacity.
+    out(v)->in(u) of effectively unbounded capacity. These are the forward
+    arcs; each has a reverse arc of capacity 0, so the flow on a forward
+    arc is the residual capacity of its reverse.
     """
 
-    def __init__(self, G, removed=frozenset(), uncuttable=frozenset()):
-        self.G = G
-        self.removed = frozenset(removed)
+    def __init__(self, G):
         n = G.n
         big = n + 1
         cap = {}
@@ -102,20 +104,23 @@ class _SplitFlow:
             cap[(a, b)] += c
 
         for v in range(n):
-            if v in self.removed:
-                continue
-            add(2 * v, 2 * v + 1, big if v in uncuttable else 1)
+            add(2 * v, 2 * v + 1, 1)
         for u, v in G.edges:
-            if u in self.removed or v in self.removed:
-                continue
             add(2 * u + 1, 2 * v, big)
             add(2 * v + 1, 2 * u, big)
         self.cap = cap
         self.adj = adj
-        self.n2 = 2 * n
+        self.n = n
+
+    def copy(self):
+        """The same network and flow; the adjacency never changes, so it is shared."""
+        other = object.__new__(_SplitFlow)
+        other.cap, other.adj, other.n, other._last = dict(self.cap), self.adj, self.n, self._last
+        return other
 
     def max_flow(self, s, t, limit):
-        """Flow from out(s) to in(t), stopping early once `limit` is reached."""
+        """Augment from out(s) to in(t), stopping early once `limit` more
+        units are found; returns how many were found."""
         src, sink = 2 * s + 1, 2 * t
         cap = self.cap
         adj = self.adj
@@ -141,8 +146,42 @@ class _SplitFlow:
         self._last = (src, sink)
         return flow
 
+    def remove(self, v):
+        """Delete v, which carries one unit of the last flow: cancel that
+        unit along positive-flow arcs from out(v) on to the sink and from
+        in(v) back to the source, then close v's arc."""
+        src, sink = self._last
+        cap = self.cap
+        adj = self.adj
+        a = 2 * v + 1
+        while True:  # at out(x): on along some out(x)->in(w), w != x
+            b = next(b for b in adj[a] if b != a - 1 and cap[(b, a)] > 0)
+            cap[(a, b)] += 1
+            cap[(b, a)] -= 1
+            if b == sink:
+                break
+            cap[(b, b + 1)] += 1
+            cap[(b + 1, b)] -= 1
+            a = b + 1
+        b = 2 * v
+        while True:  # at in(x): back along some out(u)->in(x), u != x
+            a = next(a for a in adj[b] if a != b + 1 and cap[(b, a)] > 0)
+            cap[(a, b)] += 1
+            cap[(b, a)] -= 1
+            if a == src:
+                break
+            cap[(a - 1, a)] += 1
+            cap[(a, a - 1)] -= 1
+            b = a - 1
+        cap[(2 * v, 2 * v + 1)] = cap[(2 * v + 1, 2 * v)] = 0
+
+    def make_uncuttable(self, v):
+        """Raise v's arc above any flow, so that no minimum cut holds v."""
+        self.cap[(2 * v, 2 * v + 1)] += self.n
+
     def min_cut_vertices(self):
-        """Split vertices saturated by the last max-flow computation."""
+        """Split vertices saturated by the last flow, on the cut nearest the
+        source (a removed vertex carries no flow, so it is never one)."""
         src, _ = self._last
         cap = self.cap
         adj = self.adj
@@ -154,13 +193,11 @@ class _SplitFlow:
                 if b not in reach and cap[(a, b)] > 0:
                     reach.add(b)
                     queue.append(b)
-        cut = set()
-        for v in range(self.G.n):
-            if v in self.removed:
-                continue
-            if 2 * v in reach and 2 * v + 1 not in reach:
-                cut.add(v)
-        return frozenset(cut)
+        return frozenset(
+            v
+            for v in range(self.n)
+            if 2 * v in reach and 2 * v + 1 not in reach and cap[(2 * v + 1, 2 * v)] > 0
+        )
 
 
 def _pair_scan_order(G):
@@ -336,25 +373,39 @@ def _separator_cuts(G, kappa):
     """Distinct minimum vertex cuts, pair by pair in scan order. Within a
     pair, Lawler's partitioning over forced-in/forced-out vertices yields
     each minimum s-t separator once; a pair whose root flow exceeds kappa
-    has none."""
+    has none.
+
+    A node whose cut has free vertices f_0..f_k has children i = 0..k:
+    f_0..f_(i-1) forced in (removed), f_i forced out (uncuttable). Each
+    child is derived when popped from its parent's finished maximum flow:
+    removing i cut vertices leaves a flow of exactly the child's target
+    kappa - |forced_in|, so one augmenting-path search decides whether the
+    child has a minimum separator, and its nearest-source cut is the same
+    as from a flow built from scratch (Picard & Queyranne 1980).
+    """
     found = set()
     for s, t in _pair_scan_order(G):
-        stack = [(frozenset(), frozenset())]  # (forced_in, forced_out)
+        root = _SplitFlow(G)
+        if root.max_flow(s, t, kappa + 1) > kappa:
+            continue
+        stack = [(root, frozenset(), None)]  # (parent, its forced_in, child (free, i))
         while stack:
-            forced_in, forced_out = stack.pop()
-            target = kappa - len(forced_in)
-            flow = _SplitFlow(G, removed=forced_in, uncuttable=forced_out)
-            if flow.max_flow(s, t, target + 1) > target:
-                continue
+            flow, forced_in, child = stack.pop()
+            if child is not None:
+                free, i = child
+                flow = flow.copy()
+                for v in free[:i]:
+                    flow.remove(v)
+                flow.make_uncuttable(free[i])
+                if flow.max_flow(s, t, 1):
+                    continue
+                forced_in = forced_in | frozenset(free[:i])
             cut = forced_in | flow.min_cut_vertices()
             if cut not in found:
                 found.add(cut)
                 yield cut
             free = sorted(cut - forced_in)
-            for i, v in enumerate(free):
-                stack.append(
-                    (forced_in | frozenset(free[:i]), forced_out | {v})
-                )
+            stack.extend((flow, forced_in, (free, i)) for i in range(len(free)))
 
 
 _METHOD_NAMES = {"exhaustive": "exhaustive", "separators": "separator-enumeration"}

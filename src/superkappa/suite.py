@@ -66,7 +66,7 @@ def run_instance(entry):
     budget = entry.get("budget", conn.EXHAUSTIVE_BUDGET)
     descriptor = {"id": entry.get("id"), **entry["graph"]}
     if entry.get("check") == "decomposition":
-        return verify_decomposition(graph, n, budget=budget, instance=descriptor)
+        return verify_decomposition(graph, n, instance=descriptor)
     return verify(
         entry["theorem"],
         graph,
@@ -88,6 +88,8 @@ def _entry_problem(entry):
         return f"unknown theorem id {entry.get('theorem')!r}"
     if any(entry.get(key) is not None and not _is_int(entry[key]) for key in ("n", "budget")):
         return "'n' and 'budget' must be integers"
+    if "budget" in entry and (entry["budget"] is None or entry["budget"] < 0):
+        return "'budget' must be a non-negative integer"
     descriptor = entry.get("graph")
     if not isinstance(descriptor, dict) or len(descriptor) != 1 or next(iter(descriptor)) not in _DESCRIPTOR_FIELDS:
         return f"bad graph descriptor {descriptor!r}"

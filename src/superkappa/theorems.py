@@ -403,7 +403,7 @@ def _relabeled(edges, n, left_layer):
     return {tuple(sorted((image(u), image(v)))) for u, v in edges}
 
 
-def verify_decomposition(G, n, budget=conn.EXHAUSTIVE_BUDGET, instance=None):
+def verify_decomposition(G, n, instance=None):
     """Confirm the constructive relabeling of G x C_n: exact edge-set
     reassembly and per-block identity with G (bipartite cases) or with
     G x K2 (non-bipartite cases); for bipartite odd n, edge-level identity

@@ -67,6 +67,24 @@ def test_verify_indeterminate_budget():
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("budget", ["-5", "-1"])
+@pytest.mark.parametrize("command", ["kappa", "super-kappa", "verify"])
+def test_negative_budget_is_an_input_error(tmp_path, command, budget):
+    c8 = tmp_path / "c8.g6"
+    c8.write_text(run_cli("gen", "cycle(8)").stdout)
+    args = {
+        "kappa": ["kappa", str(c8)],
+        "super-kappa": ["super-kappa", str(c8)],
+        "verify": ["verify", "--theorem", "T3.7", "--expr", "cycle(5)", "--n", "6"],
+    }[command]
+    res = run_cli(*args, "--budget", budget)
+    assert res.returncode == 3
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and "--budget" in lines[0]
+    assert res.stdout == ""
+
+
 def test_input_errors():
     assert run_cli("gen", "blob(3)").returncode == 3
     assert run_cli("kappa", "/nonexistent.g6").returncode == 3
@@ -137,8 +155,9 @@ def test_search_tightness_cli():
     [
         {"id": "no-theorem", "graph": {"expr": "cycle(5)"}, "n": 6},
         {"id": "no-p", "theorem": "T3.5", "graph": {"random_bipartite": {"m": 2, "n": 3, "seed": 1}}, "n": 3},
+        {"id": "minus-one", "theorem": "T3.7", "graph": {"expr": "cycle(5)"}, "n": 6, "budget": -1},
     ],
-    ids=["missing-theorem", "random-bipartite-without-p"],
+    ids=["missing-theorem", "random-bipartite-without-p", "negative-budget"],
 )
 def test_suite_rejects_malformed_entry_before_running(tmp_path, bad_entry):
     manifest = tmp_path / "m.json"
@@ -171,6 +190,8 @@ def test_suite_rejects_invalid_json(tmp_path):
         ({"id": "e", "theorem": "T3.7", "n": 6}, "bad graph descriptor None"),
         ({"id": "e", "theorem": "T3.7", "graph": {"expr": 5}, "n": 6}, "expr descriptor needs a string"),
         ({"theorem": "T3.7", "graph": {"random_nonbipartite": {"n": 5}}}, "manifest entry #0: random_nonbipartite"),
+        ({"id": "e", "theorem": "T3.7", "graph": {"expr": "cycle(5)"}, "n": 6, "budget": -1}, "'budget' must be a non-negative"),
+        ({"id": "e", "theorem": "T3.7", "graph": {"expr": "cycle(5)"}, "n": 6, "budget": None}, "'budget' must be a non-negative"),
     ],
 )
 def test_load_manifest_names_the_bad_entry(tmp_path, entry, message):

@@ -212,3 +212,49 @@ def test_separator_decider_matches_exhaustive_oracle():
 def test_super_kappa_cuts_examined(G, status, cuts):
     res = is_super_kappa(G)
     assert (res.status, res.cuts_examined) == (status, cuts)
+
+
+@pytest.mark.parametrize(
+    "G,cuts",
+    [
+        (
+            direct_product(cycle(3), cycle(6)),
+            [
+                [7, 11, 13, 17], [6, 8, 12, 14], [7, 9, 13, 15], [8, 10, 14, 16], [9, 11, 15, 17],
+                [6, 10, 12, 16], [1, 5, 13, 17], [1, 3, 13, 15], [2, 4, 14, 16], [3, 5, 15, 17],
+                [1, 5, 7, 11], [1, 3, 7, 9], [2, 4, 8, 10], [3, 5, 9, 11], [0, 2, 12, 14],
+                [0, 4, 12, 16], [0, 2, 6, 8], [0, 4, 6, 10],
+            ],
+        ),
+        (
+            direct_product(cycle(3), cycle(7)),
+            [
+                [8, 13, 15, 20], [7, 9, 14, 16], [8, 10, 15, 17], [9, 11, 16, 18], [10, 12, 17, 19],
+                [11, 13, 18, 20], [7, 12, 14, 19], [1, 6, 15, 20], [1, 3, 15, 17], [2, 4, 16, 18],
+                [3, 5, 17, 19], [4, 6, 18, 20], [1, 6, 8, 13], [1, 3, 8, 10], [2, 4, 9, 11],
+                [3, 5, 10, 12], [4, 6, 11, 13], [0, 2, 14, 16], [0, 5, 14, 19], [0, 2, 7, 9],
+                [0, 5, 7, 12],
+            ],
+        ),
+        (
+            cycle(8),
+            [
+                [1, 7], [1, 6], [1, 5], [1, 4], [1, 3], [2, 7], [2, 6], [2, 5], [2, 4], [3, 7],
+                [3, 6], [3, 5], [4, 7], [4, 6], [5, 7], [0, 2], [0, 3], [0, 4], [0, 5], [0, 6],
+            ],
+        ),
+        (
+            direct_product(complete(2), complete(3)),
+            [[4, 5], [2, 5], [3, 5], [1, 4], [3, 4], [1, 2], [0, 2], [0, 3], [0, 1]],
+        ),
+        (
+            tilde(complete_bipartite(2, 3), complete_bipartite(2, 3).is_bipartite(), 3)[0],
+            [[0, 1, 5, 6], [5, 6, 10, 11], [0, 1, 10, 11]],
+        ),
+    ],
+    ids=["C3xC6", "C3xC7", "C8", "K2xK3", "tilde(kbip(2,3),3)"],
+)
+def test_separator_cut_stream_order(G, cuts):
+    # the order decides which witness a refutation reports
+    stream, _ = _minimum_cuts(G, EXHAUSTIVE_BUDGET, "separators")
+    assert [sorted(S) for S in stream] == cuts
