@@ -222,6 +222,8 @@ def main(argv=None):
     try:
         if getattr(args, "budget", 0) < 0:
             raise InputError(f"--budget must be non-negative, got {args.budget}")
+        if getattr(args, "jobs", 1) < 1:
+            raise InputError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except (InputError, FormatError, NoCutError, GenerationError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

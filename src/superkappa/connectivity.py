@@ -1,8 +1,9 @@
 """Exact vertex/edge connectivity, minimum vertex cuts, and the
 max-connectivity / super-connectivity predicates.
 
-The fast path is unit-capacity augmenting-path flow on the vertex-split
-digraph, and minimum cuts come from Lawler-partitioning minimum s-t
+One flow engine serves all of them: unit-capacity augmenting-path flow on
+the vertex-split digraph, with unit vertex arcs for kappa and unit edge
+arcs for kappa'. Minimum cuts come from Lawler-partitioning minimum s-t
 separators, where each sub-problem is warm-started from a copy of its
 parent's maximum flow instead of a network rebuilt from zero flow; a
 brute-force subset scan backs both as an independent oracle.
@@ -80,18 +81,19 @@ class ConnectivityReport:
 
 
 class _SplitFlow:
-    """Max number of internally vertex-disjoint s-t paths.
+    """Unit-capacity flow on the vertex-split digraph, for kappa and kappa'.
 
-    Vertex v splits into nodes 2v (in) and 2v+1 (out) joined by a
-    capacity-1 arc; every edge uv becomes arcs out(u)->in(v) and
-    out(v)->in(u) of effectively unbounded capacity. These are the forward
-    arcs; each has a reverse arc of capacity 0, so the flow on a forward
-    arc is the residual capacity of its reverse.
+    Vertex v splits into nodes 2v (in) and 2v+1 (out) joined by an arc of
+    capacity `vertex_cap`; every edge uv becomes arcs out(u)->in(v) and
+    out(v)->in(u) of capacity `edge_cap`. These are the forward arcs; each
+    has a reverse arc of capacity 0, so the flow on a forward arc is the
+    residual capacity of its reverse. With (1, n + 1) a maximum flow counts
+    internally vertex-disjoint s-t paths; with (n, 1) it counts
+    edge-disjoint ones.
     """
 
-    def __init__(self, G):
+    def __init__(self, G, vertex_cap, edge_cap):
         n = G.n
-        big = n + 1
         cap = {}
         adj = [[] for _ in range(2 * n)]
 
@@ -104,26 +106,30 @@ class _SplitFlow:
             cap[(a, b)] += c
 
         for v in range(n):
-            add(2 * v, 2 * v + 1, 1)
+            add(2 * v, 2 * v + 1, vertex_cap)
         for u, v in G.edges:
-            add(2 * u + 1, 2 * v, big)
-            add(2 * v + 1, 2 * u, big)
+            add(2 * u + 1, 2 * v, edge_cap)
+            add(2 * v + 1, 2 * u, edge_cap)
         self.cap = cap
         self.adj = adj
         self.n = n
+        self._last = self.reach = None
 
     def copy(self):
         """The same network and flow; the adjacency never changes, so it is shared."""
         other = object.__new__(_SplitFlow)
-        other.cap, other.adj, other.n, other._last = dict(self.cap), self.adj, self.n, self._last
+        other.cap, other.adj, other.n = dict(self.cap), self.adj, self.n
+        other._last, other.reach = self._last, self.reach
         return other
 
     def max_flow(self, s, t, limit):
         """Augment from out(s) to in(t), stopping early once `limit` more
-        units are found; returns how many were found."""
+        units are found; returns how many were found. A search that finds
+        no augmenting path leaves the source side it explored in `reach`."""
         src, sink = 2 * s + 1, 2 * t
         cap = self.cap
         adj = self.adj
+        self._last, self.reach = (src, sink), None
         flow = 0
         while flow < limit:
             parent = {src: None}
@@ -135,6 +141,7 @@ class _SplitFlow:
                         parent[b] = a
                         queue.append(b)
             if sink not in parent:
+                self.reach = parent
                 break
             b = sink
             while parent[b] is not None:
@@ -143,7 +150,6 @@ class _SplitFlow:
                 cap[(b, a)] += 1
                 b = a
             flow += 1
-        self._last = (src, sink)
         return flow
 
     def remove(self, v):
@@ -181,18 +187,9 @@ class _SplitFlow:
 
     def min_cut_vertices(self):
         """Split vertices saturated by the last flow, on the cut nearest the
-        source (a removed vertex carries no flow, so it is never one)."""
-        src, _ = self._last
-        cap = self.cap
-        adj = self.adj
-        reach = {src}
-        queue = deque([src])
-        while queue:
-            a = queue.popleft()
-            for b in adj[a]:
-                if b not in reach and cap[(a, b)] > 0:
-                    reach.add(b)
-                    queue.append(b)
+        source: the `reach` of the search that found no augmenting path (a
+        removed vertex carries no flow, so it is never one)."""
+        reach, cap = self.reach, self.cap
         return frozenset(
             v
             for v in range(self.n)
@@ -226,7 +223,7 @@ def vertex_connectivity(G):
         return 0
     best = G.n - 1
     for s, t in _pair_scan_order(G):
-        best = min(best, _SplitFlow(G).max_flow(s, t, best))
+        best = min(best, _SplitFlow(G, 1, G.n + 1).max_flow(s, t, best))
     return best
 
 
@@ -275,40 +272,10 @@ def edge_connectivity(G):
         raise InputError("edge connectivity needs at least 2 vertices")
     if not G.is_connected():
         return 0
-    cap = {}
-    adj = [[] for _ in range(G.n)]
-    for u, v in G.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-        cap[(u, v)] = 1
-        cap[(v, u)] = 1
-
-    def maxflow(s, t, limit):
-        work = dict(cap)
-        flow = 0
-        while flow < limit:
-            parent = {s: None}
-            queue = deque([s])
-            while queue and t not in parent:
-                a = queue.popleft()
-                for b in adj[a]:
-                    if b not in parent and work[(a, b)] > 0:
-                        parent[b] = a
-                        queue.append(b)
-            if t not in parent:
-                break
-            b = t
-            while parent[b] is not None:
-                a = parent[b]
-                work[(a, b)] -= 1
-                work[(b, a)] += 1
-                b = a
-            flow += 1
-        return flow
-
+    base = _SplitFlow(G, G.n, 1)
     best = G.min_degree()
     for t in range(1, G.n):
-        best = min(best, maxflow(0, t, best))
+        best = min(best, base.copy().max_flow(0, t, best))
     return best
 
 
@@ -336,21 +303,13 @@ def classify_cut(G, S):
 
 
 def minimum_vertex_cut(G):
-    """One minimum cut, from the first optimal (s,t) pair in scan order."""
+    """One minimum cut: the first that the separator stream yields, the cut
+    nearest s of the first optimal (s,t) pair in scan order."""
     if not G.is_connected():
         raise InputError("minimum cut of a disconnected graph")
     if G.is_complete():
         raise NoCutError("complete graphs have no vertex cut")
-    best = G.n - 1
-    best_pair = None
-    for s, t in _pair_scan_order(G):
-        value = _SplitFlow(G).max_flow(s, t, best)
-        if value < best:
-            best = value
-            best_pair = (s, t)
-    flow = _SplitFlow(G)
-    flow.max_flow(*best_pair, G.n)
-    return classify_cut(G, flow.min_cut_vertices())
+    return classify_cut(G, next(_separator_cuts(G, vertex_connectivity(G))))
 
 
 @dataclass
@@ -385,7 +344,7 @@ def _separator_cuts(G, kappa):
     """
     found = set()
     for s, t in _pair_scan_order(G):
-        root = _SplitFlow(G)
+        root = _SplitFlow(G, 1, G.n + 1)
         if root.max_flow(s, t, kappa + 1) > kappa:
             continue
         stack = [(root, frozenset(), None)]  # (parent, its forced_in, child (free, i))

@@ -136,6 +136,20 @@ def test_suite_jobs_parallel(tmp_path):
     assert res.stdout.index("a: ") < res.stdout.index("b: ")
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_suite_jobs_below_one_is_an_input_error(tmp_path, jobs):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(
+        json.dumps({"instances": [{"id": "a", "theorem": "T3.9", "graph": {"expr": "cycle(3)"}}]})
+    )
+    res = run_cli("suite", "--manifest", str(manifest), "--jobs", jobs)
+    assert res.returncode == 3
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and "--jobs" in lines[0]
+    assert res.stdout == ""
+
+
 def test_search_tightness_cli():
     res = run_cli(
         "search-tightness",

@@ -1,3 +1,4 @@
+import random
 from itertools import islice
 
 import pytest
@@ -25,7 +26,7 @@ from superkappa.connectivity import EXHAUSTIVE_BUDGET, _minimum_cuts, classify_c
 from superkappa.graph import Graph
 from superkappa.theorems import _witness_from_cut
 
-from conftest import seeded_corpus
+from conftest import random_graph, seeded_corpus
 
 
 def test_vertex_connectivity_examples():
@@ -135,6 +136,24 @@ def test_flow_matches_exhaustive_oracle():
         assert kf == kb, f"flow {kf} != brute {kb} on {sorted(G.edges)}"
         if G.n >= 2:
             assert kf <= edge_connectivity(G) <= G.min_degree()
+
+
+def test_connectivity_matches_networkx_oracle():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(31)
+    graphs = [random_graph(rng, max_n=11, connected_only=False) for _ in range(200)]
+    graphs += [direct_product(cycle(a), cycle(b)) for a, b in ((3, 3), (3, 5), (4, 5), (4, 6), (5, 6))]
+    for G in graphs:
+        H = nx.Graph()
+        H.add_nodes_from(range(G.n))
+        H.add_edges_from(G.edges)
+        kappa = vertex_connectivity(G)
+        assert edge_connectivity(G) == nx.edge_connectivity(H), sorted(G.edges)
+        assert kappa == nx.node_connectivity(H), sorted(G.edges)
+        if G.is_connected() and not G.is_complete():
+            cut = minimum_vertex_cut(G)
+            assert cut.size == kappa
+            assert not nx.is_connected(H.subgraph(set(range(G.n)) - cut.vertices))
 
 
 def test_separator_enumeration_matches_exhaustive():
@@ -258,3 +277,18 @@ def test_separator_cut_stream_order(G, cuts):
     # the order decides which witness a refutation reports
     stream, _ = _minimum_cuts(G, EXHAUSTIVE_BUDGET, "separators")
     assert [sorted(S) for S in stream] == cuts
+
+
+@pytest.mark.parametrize(
+    "G,cut",
+    [
+        (direct_product(cycle(3), cycle(6)), [7, 11, 13, 17]),
+        (direct_product(cycle(3), cycle(7)), [8, 13, 15, 20]),
+        (cycle(8), [1, 7]),
+        (direct_product(complete(2), complete(3)), [4, 5]),
+        (tilde(complete_bipartite(2, 3), complete_bipartite(2, 3).is_bipartite(), 3)[0], [0, 1, 5, 6]),
+    ],
+    ids=["C3xC6", "C3xC7", "C8", "K2xK3", "tilde(kbip(2,3),3)"],
+)
+def test_minimum_vertex_cut_is_the_first_stream_cut(G, cut):
+    assert sorted(minimum_vertex_cut(G).vertices) == cut
