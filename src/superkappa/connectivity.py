@@ -4,9 +4,9 @@ max-connectivity / super-connectivity predicates.
 One flow engine serves all of them: unit-capacity augmenting-path flow on
 the vertex-split digraph, with unit vertex arcs for kappa and unit edge
 arcs for kappa'. Minimum cuts come from Lawler-partitioning minimum s-t
-separators, where each sub-problem is warm-started from a copy of its
-parent's maximum flow instead of a network rebuilt from zero flow; a
-brute-force subset scan backs both as an independent oracle.
+separators, rooted at the kappa scan's own flows and warm-started from
+each parent's maximum flow; cuts are classified by bit-BFS over adjacency
+masks, which also drives the brute-force subset scan, an independent oracle.
 """
 
 from __future__ import annotations
@@ -212,6 +212,17 @@ def _pair_scan_order(G):
     return pairs
 
 
+def _kappa_scan(G):
+    """(s, t, flow, value) per pair in scan order, each a fresh network
+    augmented up to the least value before it; the least value is kappa."""
+    best = G.n - 1
+    for s, t in _pair_scan_order(G):
+        flow = _SplitFlow(G, 1, G.n + 1)
+        value = flow.max_flow(s, t, best)
+        best = min(best, value)
+        yield s, t, flow, value
+
+
 def vertex_connectivity(G):
     """kappa(G): |V|-1 for complete graphs, 0 when disconnected, else the
     minimum over non-adjacent pairs of the max vertex-disjoint path count."""
@@ -221,10 +232,7 @@ def vertex_connectivity(G):
         return G.n - 1
     if not G.is_connected():
         return 0
-    best = G.n - 1
-    for s, t in _pair_scan_order(G):
-        best = min(best, _SplitFlow(G, 1, G.n + 1).max_flow(s, t, best))
-    return best
+    return min(value for *_, value in _kappa_scan(G))
 
 
 def vertex_connectivity_exhaustive(G):
@@ -250,8 +258,11 @@ def _disconnects(masks, full, S):
     for v in S:
         smask |= 1 << v
     rem = full & ~smask
-    if rem == 0:
-        return False
+    return rem != 0 and _component(masks, rem) != rem
+
+
+def _component(masks, rem):
+    """Bitmask of the lowest vertex's component in the subgraph `rem` induces."""
     comp = rem & -rem
     frontier = comp
     while frontier:
@@ -263,7 +274,7 @@ def _disconnects(masks, full, S):
             m ^= b
         frontier = nbrs & rem & ~comp
         comp |= frontier
-    return comp != rem
+    return comp
 
 
 def edge_connectivity(G):
@@ -283,22 +294,25 @@ def edge_connectivity(G):
 
 
 def classify_cut(G, S):
-    """Build a VertexCut for S, recomputing both classification flags."""
+    """Build a VertexCut for S, recomputing both classification flags from
+    the components of G - S, found by bit-BFS over the adjacency masks."""
     S = frozenset(S)
-    rest = G.remove_vertices(S)
-    comps = rest.components()
+    smask = 0
+    for v in S:
+        G._check_vertex(v)
+        smask |= 1 << v
+    masks = G.adjacency_masks()
+    rem, comps = ((1 << G.n) - 1) & ~smask, []
+    while rem:
+        comps.append(_component(masks, rem))
+        rem &= ~comps[-1]
     if len(comps) < 2:
         raise InputError(f"{sorted(S)} is not a vertex cut")
-    isolates = any(len(c) == 1 for c in comps)
-    delta = G.min_degree()
-    is_nbhd = any(
-        G.degree(v) == delta and G.neighborhood(v) == S for v in range(G.n) if v not in S
-    )
     return VertexCut(
         vertices=S,
         size=len(S),
-        isolates_vertex=isolates,
-        is_neighborhood_of_min_degree_vertex=is_nbhd,
+        isolates_vertex=any(c & (c - 1) == 0 for c in comps),
+        is_neighborhood_of_min_degree_vertex=len(S) == G.min_degree() and smask in masks,
     )
 
 
@@ -309,7 +323,7 @@ def minimum_vertex_cut(G):
         raise InputError("minimum cut of a disconnected graph")
     if G.is_complete():
         raise NoCutError("complete graphs have no vertex cut")
-    return classify_cut(G, next(_separator_cuts(G, vertex_connectivity(G))))
+    return classify_cut(G, next(_minimum_cuts(G, SEPARATOR_BUDGET, "separators")[0]))
 
 
 @dataclass
@@ -328,24 +342,27 @@ def _exhaustive_cuts(G, kappa):
             yield frozenset(S)
 
 
-def _separator_cuts(G, kappa):
-    """Distinct minimum vertex cuts, pair by pair in scan order. Within a
-    pair, Lawler's partitioning over forced-in/forced-out vertices yields
-    each minimum s-t separator once; a pair whose root flow exceeds kappa
-    has none.
+def _separator_cuts(G, roots):
+    """Distinct minimum vertex cuts, pair by pair in scan order. A root
+    (s, t, residual capacities) is a kappa-scan flow of value kappa, put on
+    one base network: one augmenting-path search finds a flow above kappa
+    (no minimum separator) or proves it maximum. Lawler's partitioning over
+    forced-in/forced-out vertices then yields each minimum s-t separator once.
 
     A node whose cut has free vertices f_0..f_k has children i = 0..k:
     f_0..f_(i-1) forced in (removed), f_i forced out (uncuttable). Each
     child is derived when popped from its parent's finished maximum flow:
     removing i cut vertices leaves a flow of exactly the child's target
     kappa - |forced_in|, so one augmenting-path search decides whether the
-    child has a minimum separator, and its nearest-source cut is the same
-    as from a flow built from scratch (Picard & Queyranne 1980).
+    child has a minimum separator. Its cut is the nearest-source cut that
+    every maximum flow shares (Picard & Queyranne 1980).
     """
     found = set()
-    for s, t in _pair_scan_order(G):
-        root = _SplitFlow(G, 1, G.n + 1)
-        if root.max_flow(s, t, kappa + 1) > kappa:
+    base = _SplitFlow(G, 1, G.n + 1)
+    for s, t, residual in roots:
+        root = base.copy()
+        root.cap = dict(zip(base.cap, residual))
+        if root.max_flow(s, t, 1):
             continue
         stack = [(root, frozenset(), None)]  # (parent, its forced_in, child (free, i))
         while stack:
@@ -370,20 +387,32 @@ def _separator_cuts(G, kappa):
 _METHOD_NAMES = {"exhaustive": "exhaustive", "separators": "separator-enumeration"}
 
 
-def _minimum_cuts(G, budget, method):
-    """(stream of minimum cuts as vertex sets, how many may be examined).
+def _kappa_and_cuts(G, budget, method):
+    """(kappa from one scan, stream of minimum cuts as vertex sets, how
+    many may be examined) of a connected, non-complete G.
 
     An exhaustive scan of more than `budget` candidate subsets is not run:
     its stream is empty and its cap -1, so its empty result is incomplete.
     """
     if method not in _METHOD_NAMES:
         raise InputError(f"unknown enumeration method {method!r}")
-    kappa = vertex_connectivity(G)
     if method == "separators":
-        return _separator_cuts(G, kappa), min(budget, SEPARATOR_BUDGET)
+        kappa, roots = G.n - 1, []  # the pairs whose flow is the least so far
+        for s, t, flow, value in _kappa_scan(G):
+            if value < kappa:
+                kappa, roots = value, []
+            if value == kappa:
+                roots.append((s, t, list(flow.cap.values())))
+        return kappa, _separator_cuts(G, roots), min(budget, SEPARATOR_BUDGET)
+    kappa = vertex_connectivity(G)
     if comb(G.n, kappa) > budget:
-        return iter(()), -1
-    return _exhaustive_cuts(G, kappa), budget
+        return kappa, iter(()), -1
+    return kappa, _exhaustive_cuts(G, kappa), budget
+
+
+def _minimum_cuts(G, budget, method):
+    """(stream of minimum cuts as vertex sets, how many may be examined)."""
+    return _kappa_and_cuts(G, budget, method)[1:]
 
 
 def all_minimum_vertex_cuts(G, budget=EXHAUSTIVE_BUDGET, method="separators"):
@@ -413,20 +442,25 @@ def is_super_kappa(G, budget=EXHAUSTIVE_BUDGET, method="separators"):
     True status examines every minimum cut. Status None: the budgets of
     `all_minimum_vertex_cuts` stopped the decision.
     """
+    return _super_kappa(G, budget, method)[1]
+
+
+def _super_kappa(G, budget, method):
+    """(kappa, is_super_kappa's result), with kappa from the decision's own scan."""
     if not G.is_connected():
         raise InputError("super connectivity of a disconnected graph")
     if G.is_complete():
-        return SuperKappaResult(status=True, vacuous=True)
-    stream, cap = _minimum_cuts(G, budget, method)
+        return G.n - 1, SuperKappaResult(status=True, vacuous=True)
+    kappa, stream, cap = _kappa_and_cuts(G, budget, method)
     name = _METHOD_NAMES[method]
     examined = 0
     for S in islice(stream, cap + 1):
         examined += 1
         cut = classify_cut(G, S)
         if not cut.is_neighborhood_of_min_degree_vertex:
-            return SuperKappaResult(status=False, witness=cut, cuts_examined=examined, method=name)
+            return kappa, SuperKappaResult(status=False, witness=cut, cuts_examined=examined, method=name)
     complete = examined <= cap
-    return SuperKappaResult(
+    return kappa, SuperKappaResult(
         status=True if complete else None,
         enumeration_complete=complete,
         cuts_examined=examined,
@@ -441,29 +475,20 @@ def is_max_kappa(G):
 
 
 def connectivity_report(G, budget=EXHAUSTIVE_BUDGET, method="separators"):
-    kappa = vertex_connectivity(G)
+    connected = G.is_connected()
+    if connected:
+        kappa, sk = _super_kappa(G, budget, method)
+    else:  # kappa 0, or InputError on the empty graph
+        kappa, sk = vertex_connectivity(G), SuperKappaResult(status=None)
     delta = G.min_degree()
-    kappa_edge = edge_connectivity(G) if G.n >= 2 else None
-    if G.is_connected():
-        sk = is_super_kappa(G, budget=budget, method=method)
-        return ConnectivityReport(
-            kappa=kappa,
-            kappa_edge=kappa_edge,
-            delta=delta,
-            is_max_kappa=kappa == delta,
-            is_super_kappa=sk.status,
-            witness_cut=sk.witness,
-            method=sk.method,
-            enumeration_complete=sk.enumeration_complete,
-            vacuous_super_kappa=sk.vacuous,
-        )
     return ConnectivityReport(
-        kappa=0,
-        kappa_edge=kappa_edge,
+        kappa=kappa,
+        kappa_edge=edge_connectivity(G) if G.n >= 2 else None,
         delta=delta,
-        is_max_kappa=False,
-        is_super_kappa=None,
-        witness_cut=None,
-        method="flow",
-        enumeration_complete=True,
+        is_max_kappa=connected and kappa == delta,
+        is_super_kappa=sk.status,
+        witness_cut=sk.witness,
+        method=sk.method,
+        enumeration_complete=sk.enumeration_complete,
+        vacuous_super_kappa=sk.vacuous,
     )

@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import json
 
-from .errors import FormatError, InputError
+from .errors import CapacityError, FormatError, InputError
 from .graph import Graph
 
 _HEADER = ">>graph6<<"
+# graph6's 18-bit size prefix, less the sizes whose first 6-bit group would
+# read as the 36-bit form's marker; JSON edge lists share the limit
+MAX_VERTICES = 258047
 
 
 def write_graph6(G):
-    if G.n > 258047:
-        raise InputError("graph6 writer supports up to 258047 vertices")
+    if G.n > MAX_VERTICES:
+        raise InputError(f"graph6 writer supports up to {MAX_VERTICES} vertices")
     out = []
     n = G.n
     if n <= 62:
@@ -122,6 +125,8 @@ def parse_edgelist_json(text):
     if "n" not in doc or not _is_int(doc["n"]) or doc["n"] < 0:
         raise FormatError("field 'n' must be a non-negative integer")
     n = doc["n"]
+    if n > MAX_VERTICES:  # refused before Graph allocates n neighbor sets
+        raise CapacityError(f"field 'n' is {n}, above the {MAX_VERTICES}-vertex limit")
     edges_field = doc.get("edges")
     if not isinstance(edges_field, list):
         raise FormatError("field 'edges' must be a list of [u,v] pairs")

@@ -91,6 +91,18 @@ def test_input_errors():
     assert run_cli("frobnicate").returncode == 3
 
 
+def test_oversized_json_vertex_count_is_refused_before_allocation(tmp_path):
+    # Graph(10**9, ...) would first allocate 10**9 neighbor sets
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n": 1000000000, "edges": []}')
+    res = run_cli("kappa", str(huge))
+    assert res.returncode == 3
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and "258047-vertex limit" in lines[0]
+    assert res.stdout == ""
+
+
 def test_suite_and_run_report_replay(tmp_path):
     manifest = tmp_path / "m.json"
     manifest.write_text(

@@ -1,5 +1,5 @@
 import random
-from itertools import islice
+from itertools import combinations, islice
 
 import pytest
 
@@ -22,7 +22,8 @@ from superkappa import (
     vertex_connectivity,
     vertex_connectivity_exhaustive,
 )
-from superkappa.connectivity import EXHAUSTIVE_BUDGET, _minimum_cuts, classify_cut
+from superkappa import connectivity
+from superkappa.connectivity import EXHAUSTIVE_BUDGET, VertexCut, _minimum_cuts, classify_cut
 from superkappa.graph import Graph
 from superkappa.theorems import _witness_from_cut
 
@@ -292,3 +293,81 @@ def test_separator_cut_stream_order(G, cuts):
 )
 def test_minimum_vertex_cut_is_the_first_stream_cut(G, cut):
     assert sorted(minimum_vertex_cut(G).vertices) == cut
+
+
+@pytest.mark.parametrize(
+    "G,builds,searches",
+    [
+        (direct_product(cycle(3), cycle(6)), 20, 236),
+        (direct_product(cycle(3), cycle(7)), 23, 275),
+        (cycle(8), 7, 15),
+        (direct_product(complete(2), complete(3)), 5, 12),
+        (tilde(complete_bipartite(2, 3), complete_bipartite(2, 3).is_bipartite(), 3)[0], 17, 139),
+    ],
+    ids=["C3xC6", "C3xC7", "C8", "K2xK3", "tilde(kbip(2,3),3)"],
+)
+def test_super_kappa_work_counts(monkeypatch, G, builds, searches):
+    # deterministic work, so a change that redoes flows shows up here
+    counts = {"builds": 0, "searches": 0}
+    init, max_flow = connectivity._SplitFlow.__init__, connectivity._SplitFlow.max_flow
+
+    def counting_init(self, *args):
+        counts["builds"] += 1
+        init(self, *args)
+
+    def counting_max_flow(self, s, t, limit):
+        found = max_flow(self, s, t, limit)
+        # one search per unit found, plus the one that found no path, if run
+        counts["searches"] += found + (self.reach is not None)
+        return found
+
+    monkeypatch.setattr(connectivity._SplitFlow, "__init__", counting_init)
+    monkeypatch.setattr(connectivity._SplitFlow, "max_flow", counting_max_flow)
+    is_super_kappa(G)
+    assert counts == {"builds": builds, "searches": searches}
+
+
+@pytest.mark.parametrize("method", ["separators", "exhaustive"])
+def test_connectivity_report_runs_one_kappa_scan(monkeypatch, method):
+    scans = []
+    scan_order = connectivity._pair_scan_order
+    monkeypatch.setattr(connectivity, "_pair_scan_order", lambda G: scans.append(G) or scan_order(G))
+    G = direct_product(cycle(3), cycle(6))
+    rep = connectivity_report(G, method=method)
+    assert len(scans) == 1
+    assert (rep.kappa, rep.delta, rep.is_max_kappa, rep.is_super_kappa) == (4, 4, True, True)
+
+
+def _classify_by_components(G, S):
+    """Reference classification: build G - S as a Graph and take its components."""
+    S = frozenset(S)
+    comps = G.remove_vertices(S).components()
+    if len(comps) < 2:
+        raise InputError(f"{sorted(S)} is not a vertex cut")
+    delta = G.min_degree()
+    return VertexCut(
+        vertices=S,
+        size=len(S),
+        isolates_vertex=any(len(c) == 1 for c in comps),
+        is_neighborhood_of_min_degree_vertex=any(
+            G.degree(v) == delta and G.neighborhood(v) == S for v in range(G.n) if v not in S
+        ),
+    )
+
+
+def _outcome(classify, G, S):
+    try:
+        return classify(G, S)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+def test_classify_cut_matches_components_of_the_remainder():
+    rng = random.Random(37)
+    graphs = [random_graph(rng, max_n=9, connected_only=False) for _ in range(200)]
+    for G in graphs:
+        subsets = [S for k in range(4) for S in combinations(range(G.n), k)]
+        subsets += [range(G.n), [G.n], [-1], [0, G.n + 2], ["a"], [0.5]]
+        for S in subsets:
+            got = _outcome(classify_cut, G, S)
+            assert got == _outcome(_classify_by_components, G, S), (sorted(G.edges), S)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from superkappa import (
+    CapacityError,
     FormatError,
     Graph,
     complete,
@@ -98,6 +99,11 @@ def test_edgelist_json_examples():
 def test_edgelist_json_schema_errors(bad, needle):
     with pytest.raises(FormatError, match=needle):
         parse_edgelist_json(bad)
+
+
+def test_edgelist_json_refuses_more_vertices_than_graph6_holds():
+    with pytest.raises(CapacityError, match="258047-vertex limit"):
+        parse_edgelist_json('{"n":258048,"edges":[]}')
 
 
 def test_round_trips_on_corpus():
