@@ -2,7 +2,8 @@
 
 Subcommands: gen, kappa, super-kappa, verify, suite, search-tightness.
 Exit codes: 0 success/confirmed, 1 refuted or witness found,
-2 indeterminate (budget), 3 input error.
+2 indeterminate (budget), 3 input error (usage errors and oversized inputs
+included), 4 internal error. Errors of kind 3 and 4 print one stderr line.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from . import __version__
 from . import connectivity as conn
 from .construct import tilde
 from .errors import CapacityError, FormatError, GenerationError, InputError, NoCutError
-from .expr import build_expression
+from .expr import build_expression, check_size
 from .formats import load_graph_file, write_edgelist_json, write_graph6
 from .suite import (
     load_manifest,
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_WITNESS = 1
 EXIT_INDETERMINATE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 _TILDE_RE = re.compile(r"^\s*tilde\s*\(\s*(.+)\s*,\s*(\d+)\s*\)\s*$")
 
@@ -42,10 +44,12 @@ def _build_from_expression(text):
         graph, _ = build_expression(text)
         return graph
     base, _ = build_expression(m.group(1))
+    n = int(m.group(2))
+    check_size(n * base.n, 2 * n * len(base.edges))  # n copies of V(G); blocks H_i and H_i' copy E(G)
     bip = base.is_bipartite()
     if bip is None:
         raise InputError("tilde(...) needs a bipartite base expression")
-    graph, _ = tilde(base, bip, int(m.group(2)))
+    graph, _ = tilde(base, bip, n)
     return graph
 
 
@@ -78,7 +82,7 @@ def cmd_kappa(args):
 def cmd_super_kappa(args):
     start = time.perf_counter()
     graph = load_graph_file(args.graph)
-    result = conn.is_super_kappa(graph, budget=args.budget, method=args.method)
+    result = conn.is_super_kappa(graph, budget=args.budget)
     payload = {
         "is_super_kappa": result.status,
         "vacuous": result.vacuous,
@@ -155,8 +159,14 @@ def cmd_search_tightness(args):
     return EXIT_WITNESS if report.witnesses else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is an input error: one stderr line, exit 3."""
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="superkappa",
         description="Connectivity and super connectivity of graph products with cycles.",
     )
@@ -171,14 +181,13 @@ def build_parser():
 
     p = sub.add_parser("kappa", help="full connectivity report for a graph file")
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=conn.EXHAUSTIVE_BUDGET)
+    p.add_argument("--budget", type=int, default=conn.CUT_BUDGET)
     p.add_argument("--out", help="write a RunReport JSON")
     p.set_defaults(func=cmd_kappa)
 
     p = sub.add_parser("super-kappa", help="super connectivity verdict with witness")
     p.add_argument("graph")
-    p.add_argument("--method", choices=("exhaustive", "separators"), default="separators")
-    p.add_argument("--budget", type=int, default=conn.EXHAUSTIVE_BUDGET)
+    p.add_argument("--budget", type=int, default=conn.CUT_BUDGET)
     p.add_argument("--out", help="write a RunReport JSON")
     p.set_defaults(func=cmd_super_kappa)
 
@@ -188,7 +197,7 @@ def build_parser():
     group.add_argument("--graph", help="graph file (graph6 or JSON)")
     group.add_argument("--expr", help="family expression")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--budget", type=int, default=conn.EXHAUSTIVE_BUDGET)
+    p.add_argument("--budget", type=int, default=conn.CUT_BUDGET)
     p.add_argument("--out", help="write a RunReport JSON")
     p.set_defaults(func=cmd_verify)
 
@@ -211,14 +220,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses exit code 2 for usage errors; remap to the input-error code
-        if exc.code not in (0, None):
-            raise SystemExit(EXIT_INPUT) from exc
-        raise
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "budget", 0) < 0:
             raise InputError(f"--budget must be non-negative, got {args.budget}")
@@ -228,6 +230,9 @@ def main(argv=None):
     except (InputError, FormatError, NoCutError, GenerationError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).splitlines())}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

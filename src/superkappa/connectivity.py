@@ -3,10 +3,12 @@ max-connectivity / super-connectivity predicates.
 
 One flow engine serves all of them: unit-capacity augmenting-path flow on
 the vertex-split digraph, with unit vertex arcs for kappa and unit edge
-arcs for kappa'. Minimum cuts come from Lawler-partitioning minimum s-t
-separators, rooted at the kappa scan's own flows and warm-started from
-each parent's maximum flow; cuts are classified by bit-BFS over adjacency
-masks, which also drives the brute-force subset scan, an independent oracle.
+arcs for kappa'. Minimum cuts come from one method, Lawler-partitioning
+minimum s-t separators, rooted at the kappa scan's own flows and
+warm-started from each parent's maximum flow; at most CUT_BUDGET of them
+are examined. Cuts are classified by bit-BFS over adjacency masks, which
+also drives the brute-force subset scan that tests use as an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -14,12 +16,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, islice
-from math import comb
 
 from .errors import InputError, NoCutError
 
-EXHAUSTIVE_BUDGET = 10**6  # candidate subsets
-SEPARATOR_BUDGET = 10**5  # distinct cuts
+CUT_BUDGET = 10**5  # distinct minimum cuts examined
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ class SuperKappaResult:
     vacuous: bool = False  # complete graph: no cuts to quantify over
     enumeration_complete: bool = True
     cuts_examined: int = 0
-    method: str = "flow"
+    method: str = "separator-enumeration"  # "flow" when no cut is enumerated
 
 
 @dataclass
@@ -59,7 +59,7 @@ class ConnectivityReport:
     is_max_kappa: bool
     is_super_kappa: bool | None
     witness_cut: VertexCut | None
-    method: str  # "flow" | "exhaustive" | "separator-enumeration"
+    method: str  # "flow" | "separator-enumeration"
     enumeration_complete: bool
     vacuous_super_kappa: bool = False
 
@@ -96,20 +96,14 @@ class _SplitFlow:
         n = G.n
         cap = {}
         adj = [[] for _ in range(2 * n)]
-
-        def add(a, b, c):
-            if (a, b) not in cap:
-                adj[a].append(b)
-                adj[b].append(a)
-                cap[(a, b)] = 0
-                cap[(b, a)] = 0
-            cap[(a, b)] += c
-
-        for v in range(n):
-            add(2 * v, 2 * v + 1, vertex_cap)
+        arcs = [(2 * v, 2 * v + 1, vertex_cap) for v in range(n)]
         for u, v in G.edges:
-            add(2 * u + 1, 2 * v, edge_cap)
-            add(2 * v + 1, 2 * u, edge_cap)
+            arcs += ((2 * u + 1, 2 * v, edge_cap), (2 * v + 1, 2 * u, edge_cap))
+        for a, b, c in arcs:  # no loops or parallel edges: every arc is new
+            adj[a].append(b)
+            adj[b].append(a)
+            cap[(a, b)] = c
+            cap[(b, a)] = 0
         self.cap = cap
         self.adj = adj
         self.n = n
@@ -236,29 +230,26 @@ def vertex_connectivity(G):
 
 
 def vertex_connectivity_exhaustive(G):
-    """Brute-force oracle: smallest vertex subset whose removal disconnects
-    the graph, by scanning subsets in increasing size. Small graphs only."""
+    """Brute-force oracle: the least k for which some k-subset's removal
+    disconnects the graph (0 when it is disconnected), scanning subsets in
+    increasing size. Small graphs only."""
     if G.n == 0:
         raise InputError("connectivity of the empty graph")
     if G.is_complete():
         return G.n - 1
-    if not G.is_connected():
-        return 0
+    for k in range(G.n - 1):
+        for _ in _exhaustive_cuts(G, k):
+            return k
+
+
+def _exhaustive_cuts(G, k):
+    """Every k-subset whose removal disconnects G, in lexicographic order."""
     masks = G.adjacency_masks()
     full = (1 << G.n) - 1
-    for k in range(G.n - 1):
-        for S in combinations(range(G.n), k):
-            if _disconnects(masks, full, S):
-                return k
-    return G.n - 1
-
-
-def _disconnects(masks, full, S):
-    smask = 0
-    for v in S:
-        smask |= 1 << v
-    rem = full & ~smask
-    return rem != 0 and _component(masks, rem) != rem
+    for S in combinations(range(G.n), k):
+        rem = full & ~sum(1 << v for v in S)
+        if rem and _component(masks, rem) != rem:
+            yield frozenset(S)
 
 
 def _component(masks, rem):
@@ -323,23 +314,13 @@ def minimum_vertex_cut(G):
         raise InputError("minimum cut of a disconnected graph")
     if G.is_complete():
         raise NoCutError("complete graphs have no vertex cut")
-    return classify_cut(G, next(_minimum_cuts(G, SEPARATOR_BUDGET, "separators")[0]))
+    return classify_cut(G, next(_minimum_cuts(G)[1]))
 
 
 @dataclass
 class CutEnumeration:
     cuts: list
     complete: bool
-    method: str
-
-
-def _exhaustive_cuts(G, kappa):
-    """Every kappa-subset whose removal disconnects G, in lexicographic order."""
-    masks = G.adjacency_masks()
-    full = (1 << G.n) - 1
-    for S in combinations(range(G.n), kappa):
-        if _disconnects(masks, full, S):
-            yield frozenset(S)
 
 
 def _separator_cuts(G, roots):
@@ -384,87 +365,66 @@ def _separator_cuts(G, roots):
             stack.extend((flow, forced_in, (free, i)) for i in range(len(free)))
 
 
-_METHOD_NAMES = {"exhaustive": "exhaustive", "separators": "separator-enumeration"}
+def _minimum_cuts(G):
+    """(kappa from one scan, stream of minimum cuts as vertex sets) of a
+    connected, non-complete G."""
+    kappa, roots = G.n - 1, []  # the pairs whose flow is the least so far
+    for s, t, flow, value in _kappa_scan(G):
+        if value < kappa:
+            kappa, roots = value, []
+        if value == kappa:
+            roots.append((s, t, list(flow.cap.values())))
+    return kappa, _separator_cuts(G, roots)
 
 
-def _kappa_and_cuts(G, budget, method):
-    """(kappa from one scan, stream of minimum cuts as vertex sets, how
-    many may be examined) of a connected, non-complete G.
-
-    An exhaustive scan of more than `budget` candidate subsets is not run:
-    its stream is empty and its cap -1, so its empty result is incomplete.
-    """
-    if method not in _METHOD_NAMES:
-        raise InputError(f"unknown enumeration method {method!r}")
-    if method == "separators":
-        kappa, roots = G.n - 1, []  # the pairs whose flow is the least so far
-        for s, t, flow, value in _kappa_scan(G):
-            if value < kappa:
-                kappa, roots = value, []
-            if value == kappa:
-                roots.append((s, t, list(flow.cap.values())))
-        return kappa, _separator_cuts(G, roots), min(budget, SEPARATOR_BUDGET)
-    kappa = vertex_connectivity(G)
-    if comb(G.n, kappa) > budget:
-        return kappa, iter(()), -1
-    return kappa, _exhaustive_cuts(G, kappa), budget
-
-
-def _minimum_cuts(G, budget, method):
-    """(stream of minimum cuts as vertex sets, how many may be examined)."""
-    return _kappa_and_cuts(G, budget, method)[1:]
-
-
-def all_minimum_vertex_cuts(G, budget=EXHAUSTIVE_BUDGET, method="separators"):
+def all_minimum_vertex_cuts(G, budget=CUT_BUDGET):
     """Every vertex cut of size kappa(G), sorted, with a completeness flag.
 
-    "separators" (Lawler-partitioned minimum s-t separators over the
-    Esfahanian-Hakimi pairs) is complete while the distinct cuts fit
-    min(budget, SEPARATOR_BUDGET); "exhaustive" scans all C(n, kappa)
-    subsets and is complete while that count fits the budget.
+    The cuts are the Lawler-partitioned minimum s-t separators over the
+    Esfahanian-Hakimi pairs; the enumeration is complete while the distinct
+    cuts fit min(budget, CUT_BUDGET).
     """
     if not G.is_connected():
         raise InputError("cut enumeration on a disconnected graph")
     if G.is_complete():
         raise NoCutError("complete graphs have no vertex cut")
-    stream, cap = _minimum_cuts(G, budget, method)
-    raw = list(islice(stream, cap + 1))
+    cap = min(budget, CUT_BUDGET)
+    raw = list(islice(_minimum_cuts(G)[1], cap + 1))
     cuts = [classify_cut(G, S) for S in sorted(raw, key=sorted)]
-    return CutEnumeration(cuts=cuts, complete=len(raw) <= cap, method=_METHOD_NAMES[method])
+    return CutEnumeration(cuts=cuts, complete=len(raw) <= cap)
 
 
-def is_super_kappa(G, budget=EXHAUSTIVE_BUDGET, method="separators"):
+def is_super_kappa(G, budget=CUT_BUDGET):
     """Every minimum vertex cut is the neighborhood of a minimum-degree
     vertex. Complete graphs hold vacuously.
 
-    Cuts are classified as they are enumerated; the first that is no such
-    neighborhood is the witness (with kappa < delta, the first cut). Only a
-    True status examines every minimum cut. Status None: the budgets of
-    `all_minimum_vertex_cuts` stopped the decision.
+    Cuts are classified as the separator stream of `all_minimum_vertex_cuts`
+    yields them; the first that is no such neighborhood is the witness (with
+    kappa < delta, the first cut). Only a True status examines every minimum
+    cut. Status None: more than min(budget, CUT_BUDGET) cuts were needed.
     """
-    return _super_kappa(G, budget, method)[1]
+    return _super_kappa(G, budget)[1]
 
 
-def _super_kappa(G, budget, method):
+def _super_kappa(G, budget):
     """(kappa, is_super_kappa's result), with kappa from the decision's own scan."""
     if not G.is_connected():
         raise InputError("super connectivity of a disconnected graph")
     if G.is_complete():
-        return G.n - 1, SuperKappaResult(status=True, vacuous=True)
-    kappa, stream, cap = _kappa_and_cuts(G, budget, method)
-    name = _METHOD_NAMES[method]
+        return G.n - 1, SuperKappaResult(status=True, vacuous=True, method="flow")
+    kappa, stream = _minimum_cuts(G)
+    cap = min(budget, CUT_BUDGET)
     examined = 0
     for S in islice(stream, cap + 1):
         examined += 1
         cut = classify_cut(G, S)
         if not cut.is_neighborhood_of_min_degree_vertex:
-            return kappa, SuperKappaResult(status=False, witness=cut, cuts_examined=examined, method=name)
+            return kappa, SuperKappaResult(status=False, witness=cut, cuts_examined=examined)
     complete = examined <= cap
     return kappa, SuperKappaResult(
         status=True if complete else None,
         enumeration_complete=complete,
         cuts_examined=examined,
-        method=name,
     )
 
 
@@ -474,12 +434,12 @@ def is_max_kappa(G):
     return vertex_connectivity(G) == G.min_degree()
 
 
-def connectivity_report(G, budget=EXHAUSTIVE_BUDGET, method="separators"):
+def connectivity_report(G, budget=CUT_BUDGET):
     connected = G.is_connected()
     if connected:
-        kappa, sk = _super_kappa(G, budget, method)
+        kappa, sk = _super_kappa(G, budget)
     else:  # kappa 0, or InputError on the empty graph
-        kappa, sk = vertex_connectivity(G), SuperKappaResult(status=None)
+        kappa, sk = vertex_connectivity(G), SuperKappaResult(status=None, method="flow")
     delta = G.min_degree()
     return ConnectivityReport(
         kappa=kappa,

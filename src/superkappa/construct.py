@@ -145,28 +145,21 @@ def tilde(G, B, n):
     return Graph(n * nv, edges, labels=labels), dec
 
 
-_PARITY_CASES = ("bipartite-odd", "bipartite-even", "nonbipartite-even", "nonbipartite-odd")
-
-
-def layer_decomposition(G, n, parity_case):
+def layer_decomposition(G, n):
     """Relabel V(G x C_n) into the explicit layer blocks used in the proofs
     of the four super-connectivity sufficient conditions.
 
-    Bipartite cases produce n layers with blocks copying G; non-bipartite
-    cases produce ~n/2 blocks copying G x K_2. Vertex ids refer to the
-    row-major flattening of direct_product(G, cycle(n)).
+    The case, kept in the result's `case`, is G's bipartiteness and n's
+    parity: "bipartite-odd", "bipartite-even", "nonbipartite-even" or
+    "nonbipartite-odd". Bipartite cases produce n layers with blocks copying
+    G; non-bipartite cases produce ~n/2 blocks copying G x K_2. Vertex ids
+    refer to the row-major flattening of direct_product(G, cycle(n)).
     """
-    if parity_case not in _PARITY_CASES:
-        raise InputError(f"unknown parity case {parity_case!r}")
     if not G.is_connected():
         raise InputError("base graph must be connected")
     B = G.is_bipartite()
     bipartite = B is not None
-    if parity_case.startswith("bipartite") != bipartite:
-        raise InputError(f"base graph bipartiteness does not match {parity_case!r}")
-    even = n % 2 == 0
-    if parity_case.endswith("even") != even:
-        raise InputError(f"n={n} parity does not match {parity_case!r}")
+    parity_case = f"{'bipartite' if bipartite else 'nonbipartite'}-{'even' if n % 2 == 0 else 'odd'}"
     minimums = {
         "bipartite-odd": 3,
         "bipartite-even": 4,

@@ -4,6 +4,9 @@ Leaves: cycle(n), complete(n), kbip(m,n), file(path). The infix operator
 `x` is the direct product, left-associative:
 
     cycle(3) x cycle(5) x complete(2)
+
+Expressions are sized from their leaves, and refused above MAX_VERTICES
+vertices or MAX_EDGES edges, before any graph is built.
 """
 
 from __future__ import annotations
@@ -12,8 +15,16 @@ import re
 from dataclasses import dataclass
 
 from . import construct
-from .errors import InputError
-from .formats import load_graph_file
+from .errors import CapacityError, InputError
+from .formats import MAX_VERTICES, load_graph_file
+
+MAX_EDGES = 10**6
+# (|V|, |E|) of a leaf, from its arguments
+_LEAF_SIZES = {
+    "cycle": lambda n: (n, n),
+    "complete": lambda n: (n, n * (n - 1) // 2),
+    "kbip": lambda m, n: (m + n, m * n),
+}
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)\s*\((?P<args>[^()]*)\)|(?P<op>x)\b)",
@@ -86,6 +97,14 @@ def parse_spec(text):
     return ProductSpec(leaves=tuple(leaves))
 
 
+def check_size(vertices, edges):
+    """Refuse a graph of this many vertices and edges before it is built."""
+    if vertices > MAX_VERTICES or edges > MAX_EDGES:
+        raise CapacityError(
+            f"{vertices} vertices and {edges} edges exceed the {MAX_VERTICES}-vertex or {MAX_EDGES}-edge limit"
+        )
+
+
 def build_leaf(leaf):
     if leaf.kind == "cycle":
         return construct.cycle(*leaf.args)
@@ -93,15 +112,24 @@ def build_leaf(leaf):
         return construct.complete(*leaf.args)
     if leaf.kind == "kbip":
         return construct.complete_bipartite(*leaf.args)
-    if leaf.kind == "file":
-        return load_graph_file(leaf.args[0])
     raise InputError(f"unknown leaf kind {leaf.kind!r}")
 
 
 def build_spec(spec):
-    graph = build_leaf(spec.leaves[0])
-    for leaf in spec.leaves[1:]:
-        graph = construct.direct_product(graph, build_leaf(leaf))
+    """Build the product once each leaf (file leaves loaded) and each partial
+    product is sized, with |V(G x H)| = |V(G)||V(H)|, |E(G x H)| = 2|E(G)||E(H)|."""
+    loaded = {leaf: load_graph_file(leaf.args[0]) for leaf in spec.leaves if leaf.kind == "file"}
+    size = None
+    for leaf in spec.leaves:
+        G = loaded.get(leaf)
+        v, e = (G.n, len(G.edges)) if G is not None else _LEAF_SIZES[leaf.kind](*leaf.args)
+        check_size(v, e)  # a leaf with no edges must not hide a large one after it
+        size = (v, e) if size is None else (size[0] * v, 2 * size[1] * e)
+        check_size(*size)
+    graph = None
+    for leaf in spec.leaves:
+        H = loaded[leaf] if leaf in loaded else build_leaf(leaf)
+        graph = H if graph is None else construct.direct_product(graph, H)
     return graph
 
 

@@ -98,15 +98,13 @@ def parse_graph6(text):
 # -- JSON edge lists ---------------------------------------------------------
 
 
-def write_edgelist_json(G, meta=None):
+def write_edgelist_json(G):
     doc = {
         "n": G.n,
         "edges": sorted([u, v] for u, v in G.edges),
     }
     if G.labels is not None:
         doc["labels"] = list(G.labels)
-    if meta:
-        doc["meta"] = meta
     return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
 
 

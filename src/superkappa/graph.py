@@ -186,10 +186,10 @@ def _refine_colors(G, H):
         cg, ch = new_g, new_h
 
 
-def is_isomorphic_small(G, H, cap=ISO_CAP):
-    """Edge-preserving bijection test by backtracking; graphs up to `cap` vertices."""
-    if G.n > cap or H.n > cap:
-        raise CapacityError(f"isomorphism search capped at {cap} vertices")
+def is_isomorphic_small(G, H):
+    """Edge-preserving bijection test by backtracking; graphs up to ISO_CAP vertices."""
+    if G.n > ISO_CAP or H.n > ISO_CAP:
+        raise CapacityError(f"isomorphism search capped at {ISO_CAP} vertices")
     if G.n != H.n or len(G.edges) != len(H.edges):
         return False
     if G.n == 0:

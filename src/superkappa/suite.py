@@ -63,7 +63,7 @@ def run_instance(entry):
     """Evaluate one manifest entry; pure function of the entry."""
     graph, lengths = resolve_graph(entry["graph"])
     n = entry.get("n")
-    budget = entry.get("budget", conn.EXHAUSTIVE_BUDGET)
+    budget = entry.get("budget", conn.CUT_BUDGET)
     descriptor = {"id": entry.get("id"), **entry["graph"]}
     if entry.get("check") == "decomposition":
         return verify_decomposition(graph, n, instance=descriptor)

@@ -329,7 +329,7 @@ def _verdict_maker(theorem_id, instance, clauses, start):
     return done
 
 
-def verify(theorem_id, G, n=None, budget=conn.EXHAUSTIVE_BUDGET, odd_cycle_lengths=None, instance=None):
+def verify(theorem_id, G, n=None, budget=conn.CUT_BUDGET, odd_cycle_lengths=None, instance=None):
     """Check hypotheses, build the construction, compute ground truth with
     the connectivity module, and compare against the prediction.
 
@@ -410,13 +410,12 @@ def verify_decomposition(G, n, instance=None):
     with the cyclic layered construction."""
     start = time.perf_counter()
     B = G.is_bipartite()
-    case = f"{'bipartite' if B else 'nonbipartite'}-{_parity(n)}"
-    theorem_id = next(tid for tid, rule in RULES.items() if rule.decomposition == case)
+    dec = layer_decomposition(G, n)
+    theorem_id = next(tid for tid, rule in RULES.items() if rule.decomposition == dec.case)
     instance = _instance(G, n, instance)
-    instance["check"] = f"decomposition:{case}"
+    instance["check"] = f"decomposition:{dec.case}"
     clauses = [Clause("G is connected", G.is_connected())]
     done = _verdict_maker(theorem_id, instance, clauses, start)
-    dec = layer_decomposition(G, n, case)
     prod = direct_product(G, cycle(n))
 
     checks = {}
@@ -429,7 +428,7 @@ def verify_decomposition(G, n, instance=None):
     checks["blocks_match_base"] = all(_relabeled(blk, n, left) == base for blk, left in blocks)
 
     notes = []
-    if case == "bipartite-odd":
+    if dec.case == "bipartite-odd":
         tg, tdec = tilde(G, B, n)
         mapping = {}
         for k in range(n):

@@ -98,7 +98,7 @@ def _boundary_candidates(target, max_part_size, n_range, seed):
                     }
 
 
-def tightness_search(target, max_part_size, n_range, seed, budget, cut_budget=conn.EXHAUSTIVE_BUDGET):
+def tightness_search(target, max_part_size, n_range, seed, budget):
     """Probe instances that miss exactly one hypothesis clause of `target`.
 
     `budget` caps the number of boundary instances evaluated; hitting it
@@ -129,7 +129,7 @@ def tightness_search(target, max_part_size, n_range, seed, budget, cut_budget=co
         holds = True
         witness = None
         for H in construction(target, G, n):
-            res = conn.is_super_kappa(H, budget=cut_budget)
+            res = conn.is_super_kappa(H)
             if res.status is None:
                 holds = None
                 break

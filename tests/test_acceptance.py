@@ -7,6 +7,7 @@ lines; the pinned instance manifests live in manifests/.
 import json
 import time
 from itertools import combinations_with_replacement
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from superkappa import (
     vertex_connectivity_exhaustive,
     write_graph6,
 )
-from superkappa.connectivity import classify_cut
+from superkappa.connectivity import _exhaustive_cuts, classify_cut
 from superkappa.formats import parse_edgelist_json, parse_graph6, write_edgelist_json
 from superkappa.suite import load_manifest, run_manifest
 from superkappa.theorems import CONFIRMED, _witness_from_cut
@@ -134,9 +135,15 @@ def test_criterion_09_corollaries_exhaustive():
     for lengths, n, subsets in (([3], 6, 3060), ([3], 7, 5985)):
         prod = direct_product(cycle(3), cycle(n))
         start = time.perf_counter()
-        res = is_super_kappa(prod, method="exhaustive")
+        kappa = vertex_connectivity_exhaustive(prod)
+        assert comb(prod.n, kappa) == subsets
+        # every kappa-subset is scanned; each that disconnects must be a neighborhood
+        cuts = [classify_cut(prod, S) for S in _exhaustive_cuts(prod, kappa)]
+        assert all(cut.is_neighborhood_of_min_degree_vertex for cut in cuts)
+        res = is_super_kappa(prod)
         elapsed = time.perf_counter() - start
         assert res.status is True and res.enumeration_complete
+        assert res.cuts_examined == len(cuts)
         assert elapsed < 10.0, f"n={n} took {elapsed:.1f}s"
     report("09 corollary instances", "(C3xC6, C3xC7 exhaustive < 10s)")
 

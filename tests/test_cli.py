@@ -103,6 +103,47 @@ def test_oversized_json_vertex_count_is_refused_before_allocation(tmp_path):
     assert res.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "expression",
+    ["complete(100000)", "cycle(300000)", "cycle(1000) x cycle(1000) x cycle(1000)", "tilde(kbip(2,3), 100000)"],
+)
+def test_oversized_expression_is_refused_before_allocation(expression):
+    # complete(100000) alone would build about 5*10**9 edges
+    res = run_cli("gen", expression)
+    assert res.returncode == 3
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and "258047-vertex or 1000000-edge limit" in lines[0]
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["super-kappa", "--method", "separators", "g.g6"], ["frobnicate"], ["kappa"]],
+    ids=["removed-option", "unknown-command", "missing-argument"],
+)
+def test_usage_errors_print_one_line(args):
+    res = run_cli(*args)
+    assert res.returncode == 3
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("superkappa")
+    assert res.stdout == ""
+
+
+def test_internal_error_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
+    from superkappa import cli
+
+    def broken(doc, jobs):
+        raise RuntimeError("unexpected state")
+
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"instances": [{"id": "a", "theorem": "T3.9", "graph": {"expr": "cycle(3)"}}]}))
+    monkeypatch.setattr(cli, "run_manifest", broken)
+    assert cli.main(["suite", "--manifest", str(manifest)]) == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["internal error: RuntimeError: unexpected state"]
+
+
 def test_suite_and_run_report_replay(tmp_path):
     manifest = tmp_path / "m.json"
     manifest.write_text(

@@ -23,7 +23,7 @@ from superkappa import (
     vertex_connectivity_exhaustive,
 )
 from superkappa import connectivity
-from superkappa.connectivity import EXHAUSTIVE_BUDGET, VertexCut, _minimum_cuts, classify_cut
+from superkappa.connectivity import VertexCut, _exhaustive_cuts, _minimum_cuts, classify_cut
 from superkappa.graph import Graph
 from superkappa.theorems import _witness_from_cut
 
@@ -84,14 +84,14 @@ def test_all_minimum_cuts_c5(c5):
 
 
 def test_all_minimum_cuts_c6(c6):
-    for method in ("exhaustive", "separators"):
-        enum = all_minimum_vertex_cuts(c6, method=method)
-        assert enum.complete and len(enum.cuts) == 9
+    enum = all_minimum_vertex_cuts(c6)
+    assert enum.complete and len(enum.cuts) == 9
+    assert len(list(_exhaustive_cuts(c6, vertex_connectivity_exhaustive(c6)))) == 9
 
 
 def test_all_minimum_cuts_budget(c6):
-    enum = all_minimum_vertex_cuts(c6, budget=3, method="exhaustive")
-    assert not enum.complete and enum.cuts == []
+    enum = all_minimum_vertex_cuts(c6, budget=3)
+    assert not enum.complete and len(enum.cuts) == 4
 
 
 def test_super_kappa_examples(c5, c6):
@@ -110,8 +110,8 @@ def test_super_kappa_vacuous_and_errors():
         is_super_kappa(Graph(4, [(0, 1), (2, 3)]))
 
 
-def test_super_kappa_indeterminate(c6):
-    res = is_super_kappa(c6, budget=3, method="exhaustive")
+def test_super_kappa_indeterminate(c5):
+    res = is_super_kappa(c5, budget=3)
     assert res.status is None and not res.enumeration_complete
 
 
@@ -161,10 +161,10 @@ def test_separator_enumeration_matches_exhaustive():
     for G in seeded_corpus(seed=13, count=40, max_n=8):
         if G.is_complete():
             continue
-        a = all_minimum_vertex_cuts(G, method="exhaustive")
-        b = all_minimum_vertex_cuts(G, method="separators")
-        assert a.complete and b.complete
-        assert {c.vertices for c in a.cuts} == {c.vertices for c in b.cuts}
+        oracle = set(_exhaustive_cuts(G, vertex_connectivity_exhaustive(G)))
+        enum = all_minimum_vertex_cuts(G)
+        assert enum.complete
+        assert {c.vertices for c in enum.cuts} == oracle
 
 
 def test_isolating_min_cut_is_a_neighborhood():
@@ -201,17 +201,17 @@ def _decider_corpus():
 def test_separator_decider_matches_exhaustive_oracle():
     for G in _decider_corpus():
         res = is_super_kappa(G)
-        oracle = is_super_kappa(G, method="exhaustive")
-        assert res.status == oracle.status is not None, sorted(G.edges)
+        oracle = [classify_cut(G, S) for S in _exhaustive_cuts(G, vertex_connectivity_exhaustive(G))]
+        assert res.status == all(c.is_neighborhood_of_min_degree_vertex for c in oracle), sorted(G.edges)
         if res.status:
             # a confirmation examines every minimum cut
-            assert res.cuts_examined == oracle.cuts_examined
+            assert res.cuts_examined == len(oracle)
             continue
         assert replay_witness(_witness_from_cut(G, res.witness))
         delta = G.min_degree()
         min_degree_vertices = sum(1 for v in range(G.n) if G.degree(v) == delta)
         assert res.cuts_examined <= min_degree_vertices + 1
-        stream, _ = _minimum_cuts(G, EXHAUSTIVE_BUDGET, "separators")
+        _, stream = _minimum_cuts(G)
         *before, last = islice(stream, res.cuts_examined)
         assert last == res.witness.vertices
         assert len(set(before)) == len(before)
@@ -276,7 +276,7 @@ def test_super_kappa_cuts_examined(G, status, cuts):
 )
 def test_separator_cut_stream_order(G, cuts):
     # the order decides which witness a refutation reports
-    stream, _ = _minimum_cuts(G, EXHAUSTIVE_BUDGET, "separators")
+    _, stream = _minimum_cuts(G)
     assert [sorted(S) for S in stream] == cuts
 
 
@@ -327,13 +327,12 @@ def test_super_kappa_work_counts(monkeypatch, G, builds, searches):
     assert counts == {"builds": builds, "searches": searches}
 
 
-@pytest.mark.parametrize("method", ["separators", "exhaustive"])
-def test_connectivity_report_runs_one_kappa_scan(monkeypatch, method):
+def test_connectivity_report_runs_one_kappa_scan(monkeypatch):
     scans = []
     scan_order = connectivity._pair_scan_order
     monkeypatch.setattr(connectivity, "_pair_scan_order", lambda G: scans.append(G) or scan_order(G))
     G = direct_product(cycle(3), cycle(6))
-    rep = connectivity_report(G, method=method)
+    rep = connectivity_report(G)
     assert len(scans) == 1
     assert (rep.kappa, rep.delta, rep.is_max_kappa, rep.is_super_kappa) == (4, 4, True, True)
 

@@ -127,7 +127,8 @@ def test_tilde_input_validation():
 )
 def test_layer_decomposition_reassembles(base, n, case):
     G = {"kbip23": complete_bipartite(2, 3), "c5": cycle(5), "c6": cycle(6)}[base]
-    dec = layer_decomposition(G, n, case)
+    dec = layer_decomposition(G, n)
+    assert dec.case == case
     prod = direct_product(G, cycle(n))
     assert dec.all_block_edges() == prod.edges
     if case == "nonbipartite-odd":
@@ -136,13 +137,25 @@ def test_layer_decomposition_reassembles(base, n, case):
         assert len(dec.H) == len(dec.H_prime) == n // 2
 
 
-def test_layer_decomposition_case_mismatch():
-    with pytest.raises(InputError):
-        layer_decomposition(cycle(5), 6, "bipartite-even")
-    with pytest.raises(InputError):
-        layer_decomposition(cycle(6), 5, "bipartite-even")
-    with pytest.raises(InputError):
-        layer_decomposition(cycle(6), 4, "weird")
+@pytest.mark.parametrize(
+    "base,n,message",
+    [
+        ("kbip23", 1, "bipartite-odd needs n >= 3, got 1"),
+        ("kbip23", 2, "bipartite-even needs n >= 4, got 2"),
+        ("c5", 2, "nonbipartite-even needs n >= 4, got 2"),
+        ("c5", 3, "nonbipartite-odd needs n >= 5, got 3"),
+        ("k2xk2", 4, "base graph must be connected"),
+    ],
+    ids=["bipartite-odd", "bipartite-even", "nonbipartite-even", "nonbipartite-odd", "disconnected"],
+)
+def test_layer_decomposition_n_minimum(base, n, message):
+    G = {
+        "kbip23": complete_bipartite(2, 3),
+        "c5": cycle(5),
+        "k2xk2": direct_product(complete(2), complete(2)),
+    }[base]
+    with pytest.raises(InputError, match=message):
+        layer_decomposition(G, n)
 
 
 def test_random_bipartite_deterministic():

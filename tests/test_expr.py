@@ -1,7 +1,8 @@
 import pytest
 
-from superkappa import InputError, build_expression, complete_bipartite, cycle, parse_spec
-from superkappa.expr import build_spec
+from superkappa import CapacityError, InputError, build_expression, complete_bipartite, construct, cycle, parse_spec
+from superkappa.expr import MAX_EDGES, build_spec, check_size
+from superkappa.formats import MAX_VERTICES
 
 
 def test_single_leaf():
@@ -41,3 +42,39 @@ def test_odd_cycle_lengths():
 def test_parse_errors(bad):
     with pytest.raises(InputError):
         parse_spec(bad) and build_spec(parse_spec(bad))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "complete(100000)",
+        "cycle(300000)",
+        "cycle(1000) x cycle(1000) x cycle(1000)",
+        "complete(1) x complete(100000)",
+        "kbip(1,1) x kbip(1000,1001)",
+    ],
+)
+def test_oversized_expression_is_refused_before_building(monkeypatch, text):
+    def build(*args):
+        raise AssertionError(f"built a graph for {text}")
+
+    for name in ("cycle", "complete", "complete_bipartite", "direct_product"):
+        monkeypatch.setattr(construct, name, build)
+    with pytest.raises(CapacityError, match="258047-vertex or 1000000-edge limit"):
+        build_expression(text)
+
+
+def test_size_limits_are_inclusive():
+    check_size(MAX_VERTICES, MAX_EDGES)
+    for vertices, edges in ((MAX_VERTICES + 1, 0), (0, MAX_EDGES + 1)):
+        with pytest.raises(CapacityError):
+            check_size(vertices, edges)
+
+
+def test_file_leaf_is_sized_from_the_file(tmp_path):
+    path = tmp_path / "k4.json"
+    path.write_text('{"n": 4, "edges": [[0,1],[0,2],[0,3],[1,2],[1,3],[2,3]]}')
+    g, _ = build_expression(f"file({path}) x cycle(5)")
+    assert g.n == 20 and len(g.edges) == 2 * 6 * 5
+    with pytest.raises(CapacityError, match="400000 vertices and 1200000 edges"):
+        build_expression(f"file({path}) x cycle(100000)")
