@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import GenerationError, InputError
-from .graph import Bipartition, Graph
+from .graph import Graph
 
 RESAMPLE_BUDGET = 10_000
 
@@ -72,12 +72,13 @@ def double_cover(G):
 
 @dataclass
 class LayeredDecomposition:
-    """Labeled layer structure: X_i/Y_i vertex sets and H_i/H_i' edge blocks.
+    """Labeled layer structure: X_k/Y_k vertex sets and H_k/H_k' edge blocks.
 
-    Layer indices run 1..n_layers (stored 0-based in the lists). For the
-    non-bipartite cases layer_X[i]/layer_Y[i] are the two cycle-layer halves
-    of block H_{i+1}, and each block is a copy of G x K_2 rather than G.
-    H_prime may be one shorter than H (non-bipartite odd case).
+    Layer indices run 1..n_layers (stored 0-based in the lists). Block rule:
+    H_k is the edges between layer_X[k] and layer_Y[k], H_k' the other edges
+    at layer_Y[k] (a vertex at cycle layer i has neighbours only at layers
+    i +- 1). H_prime may be shorter than H (non-bipartite odd case).
+    Bipartite blocks copy G, non-bipartite ones G x K_2.
     """
 
     n_layers: int
@@ -86,15 +87,24 @@ class LayeredDecomposition:
     layer_Y: list = field(default_factory=list)
     H: list = field(default_factory=list)
     H_prime: list = field(default_factory=list)
-    # bipartite cases: which cycle layer of G x C_n holds X_k / Y_k
-    x_cycle_layer: list = field(default_factory=list)
-    y_cycle_layer: list = field(default_factory=list)
 
     def all_block_edges(self):
-        out = set()
-        for blk in list(self.H) + list(self.H_prime):
-            out |= set(blk)
-        return frozenset(out)
+        return frozenset().union(*self.H, *self.H_prime)
+
+
+def _decomposition(graph, case, layer_X, layer_Y, n_prime):
+    """graph's decomposition into these layers, its blocks by the block rule,
+    with H_k' for the first n_prime layers only."""
+    dec = LayeredDecomposition(len(layer_X), case, layer_X, layer_Y)
+    for k, (X, Y) in enumerate(zip(layer_X, layer_Y)):
+        h, hp = set(), set()
+        for y in Y:
+            for w in graph.neighborhood(y):
+                (h if w in X else hp).add((y, w) if y < w else (w, y))
+        dec.H.append(frozenset(h))
+        if k < n_prime:
+            dec.H_prime.append(frozenset(hp))
+    return dec
 
 
 def tilde(G, B, n):
@@ -108,8 +118,7 @@ def tilde(G, B, n):
         raise InputError(f"layered construction needs n >= 2, got {n}")
     if not G.is_connected():
         raise InputError("layered construction needs a connected base graph")
-    check = G.is_bipartite()
-    if check is None:
+    if G.is_bipartite() is None:
         raise InputError("layered construction needs a bipartite base graph")
     if not (set(B.X) | set(B.Y) == set(range(G.n)) and not set(B.X) & set(B.Y)):
         raise InputError("bipartition does not cover the vertex set")
@@ -122,140 +131,61 @@ def tilde(G, B, n):
     def vid(v, i):  # i is 1-based layer index
         return (i - 1) * nv + v
 
-    dec = LayeredDecomposition(n_layers=n, case="tilde")
-    for i in range(1, n + 1):
-        dec.layer_X.append(frozenset(vid(x, i) for x in B.X))
-        dec.layer_Y.append(frozenset(vid(y, i) for y in B.Y))
-
     edges = []
     for i in range(1, n + 1):
-        inext = i % n + 1
-        h_block, hp_block = set(), set()
         for u, v in G.edges:
             x, y = (u, v) if u in B.X else (v, u)
-            e1 = tuple(sorted((vid(x, i), vid(y, i))))
-            e2 = tuple(sorted((vid(x, inext), vid(y, i))))
-            h_block.add(e1)
-            hp_block.add(e2)
-            edges.extend((e1, e2))
-        dec.H.append(frozenset(h_block))
-        dec.H_prime.append(frozenset(hp_block))
-
+            edges += [(vid(x, i), vid(y, i)), (vid(x, i % n + 1), vid(y, i))]
     labels = [f"({G.label(v)},{i})" for i in range(1, n + 1) for v in range(nv)]
-    return Graph(n * nv, edges, labels=labels), dec
+    graph = Graph(n * nv, edges, labels=labels)
+    layer_X = [frozenset(vid(x, i) for x in B.X) for i in range(1, n + 1)]
+    layer_Y = [frozenset(vid(y, i) for y in B.Y) for i in range(1, n + 1)]
+    return graph, _decomposition(graph, "tilde", layer_X, layer_Y, n)
+
+
+_N_MINIMUM = {"bipartite-odd": 3, "bipartite-even": 4, "nonbipartite-even": 4, "nonbipartite-odd": 5}
+
+
+def decomposition_case(G, n):
+    """The proof case of G x C_n, from G's bipartiteness and n's parity."""
+    return f"{'bipartite' if G.is_bipartite() else 'nonbipartite'}-{'even' if n % 2 == 0 else 'odd'}"
 
 
 def layer_decomposition(G, n):
     """Relabel V(G x C_n) into the explicit layer blocks used in the proofs
     of the four super-connectivity sufficient conditions.
 
-    The case, kept in the result's `case`, is G's bipartiteness and n's
-    parity: "bipartite-odd", "bipartite-even", "nonbipartite-even" or
-    "nonbipartite-odd". Bipartite cases produce n layers with blocks copying
-    G; non-bipartite cases produce ~n/2 blocks copying G x K_2. Vertex ids
-    refer to the row-major flattening of direct_product(G, cycle(n)).
+    The case, kept in the result's `case`, is `decomposition_case(G, n)`.
+    Bipartite cases have n layers, X_k and Y_k the X and Y parts of the
+    cycle layers the proofs' index formulas assign to block k. Non-bipartite
+    cases have ~n/2 layers, consecutive cycle layers V_i, V_{i+1}, for odd n
+    the last wrapping onto V_n, V_1. Vertex ids are those of
+    direct_product(G, cycle(n)).
     """
     if not G.is_connected():
         raise InputError("base graph must be connected")
-    B = G.is_bipartite()
-    bipartite = B is not None
-    parity_case = f"{'bipartite' if bipartite else 'nonbipartite'}-{'even' if n % 2 == 0 else 'odd'}"
-    minimums = {
-        "bipartite-odd": 3,
-        "bipartite-even": 4,
-        "nonbipartite-even": 4,
-        "nonbipartite-odd": 5,
-    }
-    if n < minimums[parity_case]:
-        raise InputError(f"{parity_case} needs n >= {minimums[parity_case]}, got {n}")
+    case = decomposition_case(G, n)
+    if n < _N_MINIMUM[case]:
+        raise InputError(f"{case} needs n >= {_N_MINIMUM[case]}, got {n}")
 
     def vid(v, i):  # cycle layer i is 1-based
         return v * n + (i - 1)
 
-    prod = direct_product(G, cycle(n))
-
-    if bipartite:
-        return _bipartite_layers(G, B, n, parity_case, vid, prod)
-    return _nonbipartite_layers(G, n, parity_case, vid, prod)
-
-
-def _bipartite_layers(G, B, n, parity_case, vid, prod):
-    # index formulas from the constructive relabelings (1-based throughout)
-    xs = [set() for _ in range(n + 1)]
-    ys = [set() for _ in range(n + 1)]
-    x_layer = [0] * (n + 1)  # block index -> cycle layer holding its X part
-    y_layer = [0] * (n + 1)
-    for i in range(1, n + 1):
-        if parity_case == "bipartite-odd":
+    B = G.is_bipartite()
+    if B:
+        # index formulas from the constructive relabelings (1-based throughout),
+        # one for both parities: (n + i + 1) // 2 is (n + i) // 2 when n + i is even
+        layer_X, layer_Y = [None] * n, [None] * n
+        for i in range(1, n + 1):
             kx = (i + 1) // 2 if i % 2 == 1 else (n + i + 1) // 2
-            ky = (n + i) // 2 if i % 2 == 1 else i // 2
-        else:
-            kx = (i + 1) // 2 if i % 2 == 1 else (n + i) // 2
             ky = (n + i + 1) // 2 if i % 2 == 1 else i // 2
-        xs[kx] = {vid(x, i) for x in B.X}
-        ys[ky] = {vid(y, i) for y in B.Y}
-        x_layer[kx] = i
-        y_layer[ky] = i
-
-    dec = LayeredDecomposition(n_layers=n, case=parity_case)
-    dec.layer_X = [frozenset(xs[k]) for k in range(1, n + 1)]
-    dec.layer_Y = [frozenset(ys[k]) for k in range(1, n + 1)]
-    dec.x_cycle_layer = x_layer[1:]
-    dec.y_cycle_layer = y_layer[1:]
-
-    # group product edges by the (X-block, Y-block) pair they join
-    xi_of = {}
-    yi_of = {}
-    for k in range(1, n + 1):
-        for v in xs[k]:
-            xi_of[v] = k
-        for v in ys[k]:
-            yi_of[v] = k
-    pair_edges = {}
-    for u, v in prod.edges:
-        if u in xi_of:
-            a, b = xi_of[u], yi_of[v]
-        else:
-            a, b = xi_of[v], yi_of[u]
-        pair_edges.setdefault((a, b), set()).add(tuple(sorted((u, v))))
-
-    # diagonal pairs (k,k) are H_k; off-diagonal pairs, keyed by Y index, are H_k'
-    h = [frozenset()] * n
-    hp = [frozenset()] * n
-    for (a, b), blk in pair_edges.items():
-        if a == b:
-            h[a - 1] = frozenset(blk)
-        else:
-            hp[b - 1] = frozenset(blk)
-    dec.H = h
-    dec.H_prime = hp
-    return dec
-
-
-def _nonbipartite_layers(G, n, parity_case, vid, prod):
-    layers = [frozenset(vid(v, i) for v in range(G.n)) for i in range(1, n + 1)]
-
-    def block(i):  # edges of the induced subgraph on cycle layers i, i+1 (1-based, cyclic)
-        a, b = layers[i - 1], layers[i % n]
-        keep = a | b
-        return frozenset(e for e in prod.edges if e[0] in keep and e[1] in keep)
-
-    dec = LayeredDecomposition(n_layers=(n + 1) // 2, case=parity_case)
-    if parity_case == "nonbipartite-even":
-        for i in range(1, n + 1, 2):  # H_{(i+1)/2} on V_i u V_{i+1}
-            dec.layer_X.append(layers[i - 1])
-            dec.layer_Y.append(layers[i])
-            dec.H.append(block(i))
-        for i in range(2, n + 1, 2):  # H'_{i/2} on V_i u V_{i+1}
-            dec.H_prime.append(block(i))
+            layer_X[kx - 1] = frozenset(vid(x, i) for x in B.X)
+            layer_Y[ky - 1] = frozenset(vid(y, i) for y in B.Y)
     else:
-        for i in range(1, n + 1, 2):  # H_{(i+1)/2}, last one wraps onto V_n u V_1
-            dec.layer_X.append(layers[i - 1])
-            dec.layer_Y.append(layers[i % n])
-            dec.H.append(block(i))
-        for i in range(2, n, 2):  # H'_{i/2}
-            dec.H_prime.append(block(i))
-    return dec
+        layers = [frozenset(vid(v, i) for v in range(G.n)) for i in range(1, n + 1)]
+        layer_X = layers[::2]
+        layer_Y = [layers[(i + 1) % n] for i in range(0, n, 2)]
+    return _decomposition(direct_product(G, cycle(n)), case, layer_X, layer_Y, n if B else n // 2)
 
 
 # -- seeded random instances -------------------------------------------------

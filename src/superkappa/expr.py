@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 
 from . import construct
 from .errors import CapacityError, InputError
@@ -115,10 +116,9 @@ def build_leaf(leaf):
     raise InputError(f"unknown leaf kind {leaf.kind!r}")
 
 
-def build_spec(spec):
-    """Build the product once each leaf (file leaves loaded) and each partial
-    product is sized, with |V(G x H)| = |V(G)||V(H)|, |E(G x H)| = 2|E(G)||E(H)|."""
-    loaded = {leaf: load_graph_file(leaf.args[0]) for leaf in spec.leaves if leaf.kind == "file"}
+def check_spec_size(spec, loaded):
+    """Size each leaf (file leaves from their graphs in `loaded`) and each partial
+    product, |V(G x H)| = |V(G)||V(H)|, |E(G x H)| = 2|E(G)||E(H)|, before any is built."""
     size = None
     for leaf in spec.leaves:
         G = loaded.get(leaf)
@@ -126,11 +126,14 @@ def build_spec(spec):
         check_size(v, e)  # a leaf with no edges must not hide a large one after it
         size = (v, e) if size is None else (size[0] * v, 2 * size[1] * e)
         check_size(*size)
-    graph = None
-    for leaf in spec.leaves:
-        H = loaded[leaf] if leaf in loaded else build_leaf(leaf)
-        graph = H if graph is None else construct.direct_product(graph, H)
-    return graph
+
+
+def build_spec(spec):
+    """Build the product once it is sized, file leaves loaded first."""
+    loaded = {leaf: load_graph_file(leaf.args[0]) for leaf in spec.leaves if leaf.kind == "file"}
+    check_spec_size(spec, loaded)
+    leaves = [loaded[leaf] if leaf in loaded else build_leaf(leaf) for leaf in spec.leaves]
+    return reduce(construct.direct_product, leaves)
 
 
 def build_expression(text):

@@ -14,8 +14,8 @@ Graph descriptors: {"expr": <family expression>}, {"graph6": <g6 line>},
 {"random_bipartite": {m,n,p,seed,min_delta}}, or
 {"random_nonbipartite": {n,p,seed,min_delta}} (min_delta optional). Random
 descriptors are seed-pinned, so a manifest replays byte-for-byte.
-`load_manifest` checks every entry before any runs and raises InputError
-naming the first malformed one.
+`load_manifest` checks every entry before any runs, sizing each expression
+that reads no file, and raises InputError naming the first malformed one.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import time
 from . import __version__
 from . import connectivity as conn
 from .construct import random_connected_bipartite, random_connected_nonbipartite
-from .errors import InputError
-from .expr import build_expression
+from .errors import CapacityError, InputError
+from .expr import build_expression, check_spec_size, parse_spec
 from .formats import parse_graph6
 from .theorems import RULES, verify, verify_decomposition
 
@@ -99,6 +99,13 @@ def _entry_problem(entry):
         return f"{kind} descriptor needs a string"
     if fields is not None and not (isinstance(value, dict) and all(f in value for f in fields)):
         return f"{kind} descriptor needs fields {', '.join(fields)}"
+    if kind == "expr":
+        try:
+            spec = parse_spec(value)
+            if all(leaf.kind != "file" for leaf in spec.leaves):  # a file is sized once it is read
+                check_spec_size(spec, {})
+        except (InputError, CapacityError) as exc:
+            return str(exc)
     return None
 
 

@@ -41,7 +41,7 @@ from functools import cached_property
 from typing import Callable
 
 from . import connectivity as conn
-from .construct import cycle, direct_product, double_cover, layer_decomposition, tilde
+from .construct import cycle, decomposition_case, direct_product, double_cover, layer_decomposition, tilde
 from .errors import InputError
 from .formats import parse_graph6, write_graph6
 
@@ -270,22 +270,25 @@ def construction(theorem_id, G, n):
     return [sub for _, sub in _split(H)] if rule.construction == COMPONENTS else [H]
 
 
+def _maps_onto(phi, edges, target):
+    """Whether the vertex map phi sends `edges` one-to-one onto the edge set
+    `target` and their vertices one-to-one: the graphs they span are then isomorphic."""
+    touched = {x for e in edges for x in e}
+    image = {tuple(sorted((phi(u), phi(v)))) for u, v in edges}
+    return len(edges) == len(target) and image == target and len(set(map(phi, touched))) == len(touched)
+
+
 def _shift_is_isomorphism(H, n, A, B):
     """Weichsel's certificate that components A and B of G x C_n are
     isomorphic: the cycle shift (v,i) -> (v,i+1), vertex v*n+i in the
-    flattening of `direct_product`, maps A onto B and every edge of A to an
-    edge of B, and A and B have equally many edges. O(|V| + |E|)."""
+    flattening of `direct_product`, maps A onto B and A's edges onto B's; O(|V| + |E|)."""
 
     def shift(x):
         v, i = divmod(x, n)
         return v * n + (i + 1) % n
 
-    if {shift(x) for x in A} != B:
-        return False
-    edges_a = [e for e in H.edges if e[0] in A]
-    return len(edges_a) == sum(1 for e in H.edges if e[0] in B) and all(
-        tuple(sorted((shift(u), shift(v)))) in H.edges for u, v in edges_a
-    )
+    edges_a, edges_b = [e for e in H.edges if e[0] in A], {e for e in H.edges if e[0] in B}
+    return {shift(x) for x in A} == B and _maps_onto(shift, edges_a, edges_b)
 
 
 # -- verdicts -----------------------------------------------------------------
@@ -393,51 +396,38 @@ def verify(theorem_id, G, n=None, budget=conn.CUT_BUDGET, odd_cycle_lengths=None
 # -- decomposition checks ------------------------------------------------------
 
 
-def _relabeled(edges, n, left_layer):
-    """A block's edges under (v,i) -> v, or, given its left cycle layer,
-    under (v,i) -> (v, side) in G x K2."""
-
-    def image(x):
-        return x // n if left_layer is None else x // n * 2 + (0 if x in left_layer else 1)
-
-    return {tuple(sorted((image(u), image(v)))) for u, v in edges}
-
-
 def verify_decomposition(G, n, instance=None):
-    """Confirm the constructive relabeling of G x C_n: exact edge-set
-    reassembly and per-block identity with G (bipartite cases) or with
-    G x K2 (non-bipartite cases); for bipartite odd n, edge-level identity
-    with the cyclic layered construction."""
+    """Confirm the constructive relabeling of G x C_n: its blocks partition
+    E(G x C_n) and each maps onto G (bipartite cases) or onto G x K2, its left
+    cycle layer on side 0; for bipartite odd n, the layer relabeling maps the
+    cyclic layered graph onto G x C_n. A disconnected G fails the hypotheses."""
     start = time.perf_counter()
-    B = G.is_bipartite()
-    dec = layer_decomposition(G, n)
-    theorem_id = next(tid for tid, rule in RULES.items() if rule.decomposition == dec.case)
+    case = decomposition_case(G, n)
+    theorem_id = next(tid for tid, rule in RULES.items() if rule.decomposition == case)
     instance = _instance(G, n, instance)
-    instance["check"] = f"decomposition:{dec.case}"
+    instance["check"] = f"decomposition:{case}"
     clauses = [Clause("G is connected", G.is_connected())]
     done = _verdict_maker(theorem_id, instance, clauses, start)
+    if not hypotheses_hold(clauses):
+        return done(None, None, HYP_NOT_MET)
+    dec = layer_decomposition(G, n)
     prod = direct_product(G, cycle(n))
 
-    checks = {}
-    checks["reassembly"] = dec.all_block_edges() == prod.edges
-    if B:
-        blocks, base = [(blk, None) for blk in dec.H + dec.H_prime], G.edges
-    else:
-        blocks = list(zip(dec.H, dec.layer_X)) + list(zip(dec.H_prime, dec.layer_Y))
+    blocks = dec.H + dec.H_prime
+    checks = {"reassembly": sum(map(len, blocks)) == len(prod.edges) and dec.all_block_edges() == prod.edges}
+    if case.startswith("bipartite"):
+        base, maps = G.edges, [lambda x: x // n] * len(blocks)
+    else:  # the left layer: X_k for H_k, Y_k for H_k'
         base = double_cover(G).edges
-    checks["blocks_match_base"] = all(_relabeled(blk, n, left) == base for blk, left in blocks)
+        maps = [lambda x, left=left: x // n * 2 + (x not in left) for left in dec.layer_X + dec.layer_Y]
+    checks["blocks_match_base"] = all(_maps_onto(phi, blk, base) for phi, blk in zip(maps, blocks))
 
     notes = []
-    if dec.case == "bipartite-odd":
-        tg, tdec = tilde(G, B, n)
-        mapping = {}
-        for k in range(n):
-            for layer, cycle_layer in ((tdec.layer_X[k], dec.x_cycle_layer[k]), (tdec.layer_Y[k], dec.y_cycle_layer[k])):
-                for v in layer:
-                    mapping[v] = v % G.n * n + (cycle_layer - 1)
-        mapped = {tuple(sorted((mapping[u], mapping[v]))) for u, v in tg.edges}
-        checks["tilde_edge_identity"] = mapped == prod.edges
+    if case == "bipartite-odd":
+        tg, _ = tilde(G, G.is_bipartite(), n)
+        # tilde's vertex (v,k) is the vertex over v in block k of dec
+        at = {(x // n, k): x for k, parts in enumerate(zip(dec.layer_X, dec.layer_Y)) for part in parts for x in part}
+        checks["tilde_edge_identity"] = _maps_onto(lambda t: at[t % G.n, t // G.n], tg.edges, prod.edges)
         notes.append("layer relabeling maps the cyclic layered graph onto G x C_n")
 
-    ok = all(checks.values()) and hypotheses_hold(clauses)
-    return done({"decomposition_valid": True}, checks, CONFIRMED if ok else REFUTED, notes=notes)
+    return done({"decomposition_valid": True}, checks, CONFIRMED if all(checks.values()) else REFUTED, notes=notes)

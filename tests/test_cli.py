@@ -238,6 +238,34 @@ def test_suite_rejects_malformed_entry_before_running(tmp_path, bad_entry):
     assert res.stdout == ""  # no entry ran
 
 
+@pytest.mark.parametrize(
+    "expression,message",
+    [
+        ("complete(100000)", "manifest entry b: 100000 vertices and 4999950000 edges exceed"),
+        ("blob(3)", "manifest entry b: unknown family 'blob'"),
+    ],
+    ids=["oversized", "unparsable"],
+)
+def test_suite_checks_every_expression_before_running(tmp_path, expression, message):
+    manifest = tmp_path / "m.json"
+    expressions = ["kbip(2,3)", expression, "kbip(2,3)"]
+    entries = [{"id": i, "theorem": "T3.1", "graph": {"expr": e}, "n": 3} for i, e in zip("abc", expressions)]
+    manifest.write_text(json.dumps({"instances": entries}))
+    res = run_cli("suite", "--manifest", str(manifest))
+    assert res.returncode == 3
+    assert res.stdout == ""  # no entry ran
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and message in lines[0]
+
+
+def test_suite_decomposition_of_a_disconnected_base(tmp_path):
+    manifest = tmp_path / "m.json"
+    entry = {"id": "d", "check": "decomposition", "graph": {"graph6": "C`"}, "n": 4}  # two disjoint edges
+    manifest.write_text(json.dumps({"instances": [entry]}))
+    res = run_cli("suite", "--manifest", str(manifest))
+    assert (res.returncode, res.stdout, res.stderr) == (0, "d: T3.6 hypotheses-not-met\n", "")
+
+
 def test_suite_rejects_invalid_json(tmp_path):
     manifest = tmp_path / "m.json"
     manifest.write_text('{"instances": [')

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from superkappa import (
@@ -156,6 +158,26 @@ def test_layer_decomposition_n_minimum(base, n, message):
     }[base]
     with pytest.raises(InputError, match=message):
         layer_decomposition(G, n)
+
+
+@pytest.mark.parametrize(
+    "base,n",
+    [("kbip23", 3), ("kbip23", 4), ("c6", 5), ("c6", 6), ("c5", 6), ("c5", 7), ("petersen", 6), ("petersen", 7)],
+)
+def test_layer_decomposition_matches_networkx_oracle(base, n):
+    nx = pytest.importorskip("networkx")
+    G = {"kbip23": complete_bipartite(2, 3), "c6": cycle(6), "c5": cycle(5), "petersen": petersen()}[base]
+    g = nx.Graph(list(G.edges))
+    dec = layer_decomposition(G, n)
+    copy = g if dec.case.startswith("bipartite") else nx.tensor_product(g, nx.complete_graph(2))
+    product = nx.tensor_product(g, nx.cycle_graph(n))
+    blocks = dec.H + dec.H_prime
+    for block in blocks:
+        assert nx.is_isomorphic(nx.Graph(list(block)), copy)
+    for a, b in combinations(blocks, 2):
+        assert not a & b
+    # (u, i) is vertex u*n + i of direct_product(G, cycle(n))
+    assert set().union(*blocks) == {tuple(sorted((u * n + i, v * n + j))) for (u, i), (v, j) in product.edges}
 
 
 def test_random_bipartite_deterministic():

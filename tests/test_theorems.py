@@ -17,7 +17,17 @@ from superkappa import (
     verify,
     verify_decomposition,
 )
-from superkappa.theorems import CONFIRMED, HYP_NOT_MET, RULES, THEOREM_IDS, _shift_is_isomorphism, hypotheses_hold
+from superkappa import theorems
+from superkappa.theorems import (
+    CONFIRMED,
+    HYP_NOT_MET,
+    REFUTED,
+    RULES,
+    THEOREM_IDS,
+    _maps_onto,
+    _shift_is_isomorphism,
+    hypotheses_hold,
+)
 
 
 def clause_map(clauses):
@@ -158,6 +168,39 @@ def test_verify_decomposition_complete_base():
     assert v.verdict == CONFIRMED
 
 
+def test_verify_decomposition_disconnected_base():
+    v = verify_decomposition(Graph(4, [(0, 1), (2, 3)]), 4)
+    assert v.verdict == HYP_NOT_MET and v.actual is None
+    assert clause_map(v.hypotheses) == {"G is connected": False}
+    assert v.theorem_id == "T3.6" and v.instance["check"] == "decomposition:bipartite-even"
+
+
+@pytest.mark.parametrize("base,n", [("kbip23", 3), ("kbip23", 4), ("c5", 6), ("c5", 7)])
+@pytest.mark.parametrize("tamper", ["moved", "doubled"])
+def test_verify_decomposition_refutes_a_tampered_block(monkeypatch, base, n, tamper):
+    """One edge of H_1 moved into H'_1 leaves the blocks a partition of the
+    product's edges but breaks two blocks; one edge of H'_1 also put in H_1
+    breaks the partition."""
+    G = {"kbip23": complete_bipartite(2, 3), "c5": cycle(5)}[base]
+    honest = theorems.layer_decomposition
+
+    def tampered(G, n):
+        dec = honest(G, n)
+        if tamper == "moved":
+            edge = min(dec.H[0])
+            dec.H[0], dec.H_prime[0] = dec.H[0] - {edge}, dec.H_prime[0] | {edge}
+        else:
+            dec.H[0] = dec.H[0] | {min(dec.H_prime[0])}
+        return dec
+
+    assert verify_decomposition(G, n).verdict == CONFIRMED
+    monkeypatch.setattr(theorems, "layer_decomposition", tampered)
+    v = verify_decomposition(G, n)
+    assert v.verdict == REFUTED
+    assert v.actual["reassembly"] is (tamper == "moved")
+    assert v.actual["blocks_match_base"] is False
+
+
 def _joined(a, b, bridges):
     """a and b side by side, plus the edges (u, v) from u in a to v in b."""
     edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges] + [(u, v + a.n) for u, v in bridges]
@@ -277,6 +320,16 @@ def test_t32_components_above_64_vertices_are_certified_isomorphic():
     assert v.verdict == CONFIRMED
     assert v.actual == {"components": 2, "component_kappa": [6, 6], "isomorphic": True}
     assert v.notes == []
+
+
+def test_maps_onto_needs_a_bijection():
+    c4 = cycle(4).edges
+    assert _maps_onto(lambda x: (x + 1) % 4, c4, c4)
+    path = [(0, 1), (1, 2), (2, 3), (3, 4)]
+    # x % 4 sends the path's four edges onto C4's, but its ends onto one vertex
+    assert not _maps_onto(lambda x: x % 4, path, c4)
+    assert not _maps_onto(lambda x: x, path[:3], c4)  # too few edges
+    assert not _maps_onto(lambda x: 0, c4, c4)  # loops
 
 
 def test_shift_certificate_checks_vertices_and_edges():
