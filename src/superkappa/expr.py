@@ -128,9 +128,14 @@ def check_spec_size(spec, loaded):
         check_size(*size)
 
 
+def load_file_leaves(spec):
+    """The graph of each file leaf, read from its file (formats caps its size)."""
+    return {leaf: load_graph_file(leaf.args[0]) for leaf in spec.leaves if leaf.kind == "file"}
+
+
 def build_spec(spec):
     """Build the product once it is sized, file leaves loaded first."""
-    loaded = {leaf: load_graph_file(leaf.args[0]) for leaf in spec.leaves if leaf.kind == "file"}
+    loaded = load_file_leaves(spec)
     check_spec_size(spec, loaded)
     leaves = [loaded[leaf] if leaf in loaded else build_leaf(leaf) for leaf in spec.leaves]
     return reduce(construct.direct_product, leaves)

@@ -25,7 +25,7 @@ class Bipartition:
 class Graph:
     """Simple undirected graph: no loops, no parallel edges."""
 
-    __slots__ = ("n", "edges", "labels", "_adj", "_masks")
+    __slots__ = ("n", "edges", "labels", "_adj", "_masks", "invariants")
 
     def __init__(self, n, edges, labels=None):
         if n < 0:
@@ -48,6 +48,7 @@ class Graph:
         self.labels = tuple(labels) if labels is not None else None
         self._adj = tuple(frozenset(s) for s in adj)
         self._masks = None
+        self.invariants = None  # values of the base invariants `theorems` reads, by name, computed on first use
 
     # -- basic accessors -------------------------------------------------
 

@@ -15,7 +15,8 @@ Graph descriptors: {"expr": <family expression>}, {"graph6": <g6 line>},
 {"random_nonbipartite": {n,p,seed,min_delta}} (min_delta optional). Random
 descriptors are seed-pinned, so a manifest replays byte-for-byte.
 `load_manifest` checks every entry before any runs, sizing each expression
-that reads no file, and raises InputError naming the first malformed one.
+(its file leaves read first), and raises InputError naming the first
+malformed one.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ import time
 from . import __version__
 from . import connectivity as conn
 from .construct import random_connected_bipartite, random_connected_nonbipartite
-from .errors import CapacityError, InputError
-from .expr import build_expression, check_spec_size, parse_spec
+from .errors import CapacityError, FormatError, InputError
+from .expr import build_expression, check_spec_size, load_file_leaves, parse_spec
 from .formats import parse_graph6
 from .theorems import RULES, verify, verify_decomposition
 
@@ -102,9 +103,8 @@ def _entry_problem(entry):
     if kind == "expr":
         try:
             spec = parse_spec(value)
-            if all(leaf.kind != "file" for leaf in spec.leaves):  # a file is sized once it is read
-                check_spec_size(spec, {})
-        except (InputError, CapacityError) as exc:
+            check_spec_size(spec, load_file_leaves(spec))
+        except (InputError, FormatError, CapacityError, OSError) as exc:
             return str(exc)
     return None
 

@@ -29,8 +29,14 @@ To add a result, add its record: the CLI, the manifest check and, for a
 rule with a strict clause (a super-kappa sufficient condition), the
 tightness search pick it up. A
 new kind of clause, construction or comparison also needs its branch in
-`_clauses`, `_construct` or `verify`. Each call computes the invariants it
-needs (connected, bipartition, delta, kappa(G), kappa(GxK2)) at most once.
+`_clauses`, `_construct` or `verify`.
+
+Each thing certified equal is computed once. The invariants rules read
+(connected, bipartition, delta, kappa(G), kappa(GxK2)) are computed on first
+use and kept on the Graph object, so every rule and every n checked on one
+object share them. For the two-component results, once the cycle shift
+certifies the two components isomorphic (Weichsel 1962), kappa or
+super-kappa is decided on the first alone and reported for both.
 """
 
 from __future__ import annotations
@@ -148,10 +154,18 @@ class TheoremVerdict:
 
 
 class _Invariants:
-    """The base-graph invariants rules read, each computed on first use."""
+    """The base-graph invariants rules read, each computed on first use. The
+    values live on the graph, which is immutable, so every rule and every n
+    checked on one Graph object share them. G sits in a slot, outside those
+    values, so the graph and its values form no reference cycle."""
+
+    __slots__ = ("G", "__dict__")
 
     def __init__(self, G):
         self.G = G
+        if G.invariants is None:
+            G.invariants = {}
+        self.__dict__ = G.invariants  # where cached_property stores each value
 
     connected = cached_property(lambda self: self.G.is_connected())
     # None unless G is connected and bipartite
@@ -257,17 +271,23 @@ def _construct(rule, inv, n):
     return direct_product(inv.G, cycle(n))
 
 
-def _split(H):
-    """H's components as (vertex set, induced subgraph), by lowest member."""
-    return [(c, H.induced_subgraph(sorted(c))) for c in H.components()]
+def _settling(rule, H, n):
+    """The graphs whose invariants settle the conclusion about H, H's
+    component count, and whether the cycle shift certifies two components
+    isomorphic: H itself, or for the two-component results the first
+    component alone when certified and every component otherwise."""
+    if rule.construction != COMPONENTS:
+        return [H], 1, True
+    comps = H.components()
+    isomorphic = len(comps) == 2 and _shift_is_isomorphism(H, n, *comps)
+    return [H.induced_subgraph(c) for c in comps[: 1 if isomorphic else None]], len(comps), isomorphic
 
 
 def construction(theorem_id, G, n):
-    """The graphs the conclusion of a result is about: its construction,
-    or each component of G x C_n for the two-component results."""
+    """The graphs that settle the conclusion of a result: its construction,
+    or the components of G x C_n for the two-component results (see `_settling`)."""
     rule = RULES[theorem_id]
-    H = _construct(rule, _Invariants(G), n)
-    return [sub for _, sub in _split(H)] if rule.construction == COMPONENTS else [H]
+    return _settling(rule, _construct(rule, _Invariants(G), n), n)[0]
 
 
 def _maps_onto(phi, edges, target):
@@ -354,16 +374,15 @@ def verify(theorem_id, G, n=None, budget=conn.CUT_BUDGET, odd_cycle_lengths=None
         ok = actual == pred if rule.compare == EQUAL else pred[0] <= actual <= pred[1]
         return done(pred, actual, CONFIRMED if ok else REFUTED)
 
-    parts, actual, isomorphic = [H], {}, True
+    parts, count, isomorphic = _settling(rule, H, n)
+    copies = count // len(parts)  # a certified pair reports its first component's value twice
+    actual = {}
     if rule.construction == COMPONENTS:
-        split = _split(H)
-        actual["components"] = len(split)
-        if len(split) != 2:
+        actual["components"] = count
+        if count != 2:
             return done(pred, actual, REFUTED)
-        isomorphic = _shift_is_isomorphism(H, n, split[0][0], split[1][0])
-        parts = [sub for _, sub in split]
     if rule.compare == COMPONENT_KAPPA:
-        kappas = [conn.vertex_connectivity(sub) for sub in parts]
+        kappas = [conn.vertex_connectivity(sub) for sub in parts] * copies
         actual["component_kappa"] = kappas
         actual["isomorphic"] = isomorphic
         ok = kappas[0] == kappas[1] == pred["component_kappa"] and isomorphic
@@ -382,6 +401,7 @@ def verify(theorem_id, G, n=None, budget=conn.CUT_BUDGET, odd_cycle_lengths=None
         statuses.append(res.status)
         if res.status is False and witness is None:
             witness = _witness_from_cut(sub, res.witness)
+    statuses *= copies
     if rule.construction == COMPONENTS:
         actual["isomorphic"] = isomorphic
         actual["super_kappa"] = statuses
@@ -400,16 +420,22 @@ def verify_decomposition(G, n, instance=None):
     """Confirm the constructive relabeling of G x C_n: its blocks partition
     E(G x C_n) and each maps onto G (bipartite cases) or onto G x K2, its left
     cycle layer on side 0; for bipartite odd n, the layer relabeling maps the
-    cyclic layered graph onto G x C_n. A disconnected G fails the hypotheses."""
+    cyclic layered graph onto G x C_n. A disconnected G fails the hypotheses.
+
+    The verdict is named after its check, `decomposition:<case>`; a note names
+    the result whose proof uses the case. The check reads none of that
+    result's hypotheses, and its n minimum can lie below the result's n-rule,
+    so confirming it confirms no result."""
     start = time.perf_counter()
     case = decomposition_case(G, n)
-    theorem_id = next(tid for tid, rule in RULES.items() if rule.decomposition == case)
+    result = next(tid for tid, rule in RULES.items() if rule.decomposition == case)
     instance = _instance(G, n, instance)
     instance["check"] = f"decomposition:{case}"
     clauses = [Clause("G is connected", G.is_connected())]
-    done = _verdict_maker(theorem_id, instance, clauses, start)
+    done = _verdict_maker(instance["check"], instance, clauses, start)
+    notes = [f"the proof of {result} uses this decomposition"]
     if not hypotheses_hold(clauses):
-        return done(None, None, HYP_NOT_MET)
+        return done(None, None, HYP_NOT_MET, notes=notes)
     dec = layer_decomposition(G, n)
     prod = direct_product(G, cycle(n))
 
@@ -422,7 +448,6 @@ def verify_decomposition(G, n, instance=None):
         maps = [lambda x, left=left: x // n * 2 + (x not in left) for left in dec.layer_X + dec.layer_Y]
     checks["blocks_match_base"] = all(_maps_onto(phi, blk, base) for phi, blk in zip(maps, blocks))
 
-    notes = []
     if case == "bipartite-odd":
         tg, _ = tilde(G, G.is_bipartite(), n)
         # tilde's vertex (v,k) is the vertex over v in block k of dec

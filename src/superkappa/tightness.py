@@ -6,6 +6,11 @@ connectivity (stopping at the first minimum cut that is no minimum-degree
 vertex's neighborhood, the witness), and records which boundary
 instances break the conclusion (witnesses) and which do not
 (non-witnesses; the conditions are sufficient, not necessary).
+
+A search keeps one Graph object per distinct base graph, so the invariants
+cached on it (kappa(G), kappa(GxK2), ...) serve every n of `n_range`, and a
+T3.6 probe decides one of the two components of G x C_n that the cycle
+shift certifies isomorphic (`theorems.construction`).
 """
 
 from __future__ import annotations
@@ -110,12 +115,12 @@ def tightness_search(target, max_part_size, n_range, seed, budget):
         raise InputError("budget must be positive")
     start = time.perf_counter()
     report = TightnessReport(target=target)
-    seen = set()
+    graphs, seen = {}, set()  # one Graph per distinct base graph: its invariants serve every n
     for G, n, provenance in _boundary_candidates(target, max_part_size, n_range, seed):
-        key = (G.n, G.edges, n)
-        if key in seen:
+        G = graphs.setdefault(G, G)
+        if (G, n) in seen:
             continue
-        seen.add(key)
+        seen.add((G, n))
         if not class_and_n_rule_hold(target, G, n):
             continue
         clauses = check_hypotheses(target, G, n=n)

@@ -243,11 +243,15 @@ def test_suite_rejects_malformed_entry_before_running(tmp_path, bad_entry):
     [
         ("complete(100000)", "manifest entry b: 100000 vertices and 4999950000 edges exceed"),
         ("blob(3)", "manifest entry b: unknown family 'blob'"),
+        ("complete(100000) x file({g6})", "manifest entry b: 100000 vertices and 4999950000 edges exceed"),
+        ("cycle(3) x file({missing})", "manifest entry b: [Errno 2] No such file or directory"),
     ],
-    ids=["oversized", "unparsable"],
+    ids=["oversized", "unparsable", "oversized-with-file-leaf", "missing-file"],
 )
 def test_suite_checks_every_expression_before_running(tmp_path, expression, message):
     manifest = tmp_path / "m.json"
+    (tmp_path / "g.g6").write_text("Dhc\n")  # C5
+    expression = expression.format(g6=tmp_path / "g.g6", missing=tmp_path / "missing.g6")
     expressions = ["kbip(2,3)", expression, "kbip(2,3)"]
     entries = [{"id": i, "theorem": "T3.1", "graph": {"expr": e}, "n": 3} for i, e in zip("abc", expressions)]
     manifest.write_text(json.dumps({"instances": entries}))
@@ -263,7 +267,7 @@ def test_suite_decomposition_of_a_disconnected_base(tmp_path):
     entry = {"id": "d", "check": "decomposition", "graph": {"graph6": "C`"}, "n": 4}  # two disjoint edges
     manifest.write_text(json.dumps({"instances": [entry]}))
     res = run_cli("suite", "--manifest", str(manifest))
-    assert (res.returncode, res.stdout, res.stderr) == (0, "d: T3.6 hypotheses-not-met\n", "")
+    assert (res.returncode, res.stdout, res.stderr) == (0, "d: decomposition:bipartite-even hypotheses-not-met\n", "")
 
 
 def test_suite_rejects_invalid_json(tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations, islice
 
@@ -278,6 +280,37 @@ def test_separator_cut_stream_order(G, cuts):
     # the order decides which witness a refutation reports
     _, stream = _minimum_cuts(G)
     assert [sorted(S) for S in stream] == cuts
+
+
+def _cut_stream_corpus():
+    """318 connected non-complete graphs: seeded random graphs, C_a x C_b, tilde(K_m,k, n)."""
+    for i in range(400):
+        rng = random.Random(i)
+        n, p = rng.randint(3, 11), rng.choice((0.3, 0.5, 0.7))
+        G = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        if G.is_connected() and not G.is_complete():
+            yield G
+    for a in range(3, 8):
+        for b in range(a, 8):
+            if a % 2 or b % 2:  # two even cycles give two components
+                yield direct_product(cycle(a), cycle(b))
+    for m in (2, 3):
+        for k in range(m, 5):
+            K = complete_bipartite(m, k)
+            for n in range(3, 7):
+                yield tilde(K, K.is_bipartite(), n)[0]
+
+
+def test_minimum_cut_stream_digest():
+    # the whole ordered stream, byte for byte: a new flow engine or enumeration must keep it
+    digest, graphs, cuts = hashlib.sha256(), 0, 0
+    for G in _cut_stream_corpus():
+        kappa, stream = _minimum_cuts(G)
+        line = [kappa, [sorted(S) for S in stream]]
+        digest.update((json.dumps(line) + "\n").encode())
+        graphs, cuts = graphs + 1, cuts + len(line[1])
+    assert (graphs, cuts) == (318, 1204)
+    assert digest.hexdigest() == "32f39cc9eff0423a76e293a56a28b8090231f9b24199bea5c29a49fac28ae879"
 
 
 @pytest.mark.parametrize(

@@ -150,6 +150,33 @@ def test_witness_replays():
     assert replay_witness(witness)
 
 
+@pytest.mark.parametrize("theorem_id,n,decider", [("T3.2", 4, "vertex_connectivity"), ("T3.6", 6, "is_super_kappa")])
+@pytest.mark.parametrize("certified", [True, False], ids=["certified", "shift-fails"])
+def test_two_components_are_decided_once_when_certified(monkeypatch, theorem_id, n, decider, certified):
+    """C6 x C_n: the cycle shift certifies its two components isomorphic, so one
+    is decided and its value reported for both; without the certificate both
+    are decided and the verdict is refuted."""
+    G, decided = cycle(6), []
+    original = getattr(connectivity, decider)
+
+    def spy(H, *args, **kwargs):
+        decided.append(H)
+        return original(H, *args, **kwargs)
+
+    monkeypatch.setattr(connectivity, decider, spy)
+    if not certified:
+        monkeypatch.setattr(theorems, "_shift_is_isomorphism", lambda H, n, A, B: False)
+    v = verify(theorem_id, G, n=n)
+    components = [H for H in decided if H.n == G.n * n // 2]
+    assert len(components) == (1 if certified else 2)
+    if not certified:
+        assert set(components[0].labels).isdisjoint(components[1].labels)  # the two components
+    assert v.verdict == (CONFIRMED if certified else REFUTED)
+    assert v.actual["components"] == 2 and v.actual["isomorphic"] is certified
+    values = v.actual["component_kappa" if theorem_id == "T3.2" else "super_kappa"]
+    assert len(values) == 2 and values[0] == values[1]
+
+
 @pytest.mark.parametrize(
     "base,n",
     [("kbip23", 3), ("kbip23", 4), ("c5", 6), ("c5", 7)],
@@ -172,7 +199,8 @@ def test_verify_decomposition_disconnected_base():
     v = verify_decomposition(Graph(4, [(0, 1), (2, 3)]), 4)
     assert v.verdict == HYP_NOT_MET and v.actual is None
     assert clause_map(v.hypotheses) == {"G is connected": False}
-    assert v.theorem_id == "T3.6" and v.instance["check"] == "decomposition:bipartite-even"
+    assert v.theorem_id == v.instance["check"] == "decomposition:bipartite-even"
+    assert v.notes == ["the proof of T3.6 uses this decomposition"]
 
 
 @pytest.mark.parametrize("base,n", [("kbip23", 3), ("kbip23", 4), ("c5", 6), ("c5", 7)])

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from superkappa import InputError, replay_witness, tightness_search
+from superkappa import InputError, connectivity, replay_witness, tightness_search
 from superkappa.connectivity import classify_cut
 from superkappa.formats import parse_graph6
 
@@ -42,3 +44,25 @@ def test_records_include_non_witnesses():
     report = tightness_search("L2.2", 3, range(3, 5), 1, 40)
     holds = [r for r in report.records if r.conclusion_holds is True]
     assert holds, "boundary instances where the conclusion still holds are data too"
+
+
+def test_benchmark_searches_compute_each_invariant_once(monkeypatch):
+    """The five seed-0 searches of the benchmark's tightness-boundary workload
+    (max part 4, budget 400, search seeds 1..5). Each base graph's kappa serves
+    every n, and a T3.6 probe decides one of its two certified-isomorphic
+    components: 233 kappa and 55 super-kappa calls before, 175 and 49 now."""
+    calls = Counter()
+    for name in ("vertex_connectivity", "is_super_kappa"):
+        def counted(*args, _name=name, _original=getattr(connectivity, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(connectivity, name, counted)
+    searches = (("L2.2", 3, 5), ("T3.5", 3, 7), ("T3.6", 6, 8), ("T3.7", 6, 8), ("T3.8", 7, 9))
+    probes = [
+        tightness_search(target, 4, range(lo, hi + 1), seed, 400).instances_probed
+        for seed, (target, lo, hi) in enumerate(searches, start=1)
+    ]
+    assert probes == [18, 18, 12, 1, 0]
+    assert calls["vertex_connectivity"] <= 175
+    assert calls["is_super_kappa"] <= 49
