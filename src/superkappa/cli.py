@@ -3,7 +3,9 @@
 Subcommands: gen, kappa, super-kappa, verify, suite, search-tightness.
 Exit codes: 0 success/confirmed, 1 refuted or witness found,
 2 indeterminate (budget), 3 input error (usage errors and oversized inputs
-included), 4 internal error. Errors of kind 3 and 4 print one stderr line.
+included), 4 internal error. Errors of kind 3 and 4 print one stderr line; a
+suite whose entries hit internal errors reports each as an `error` verdict,
+prints one stderr line per such entry and exits 4.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import time
 from . import __version__
 from . import connectivity as conn
 from .construct import tilde
-from .errors import CapacityError, FormatError, GenerationError, InputError, NoCutError
+from .errors import INPUT_ERRORS, InputError
 from .expr import build_expression, check_size
 from .formats import load_graph_file, write_edgelist_json, write_graph6
 from .suite import (
@@ -26,7 +28,7 @@ from .suite import (
     run_manifest,
     write_run_report,
 )
-from .theorems import CONFIRMED, HYP_NOT_MET, INDETERMINATE, REFUTED, THEOREM_IDS, verify
+from .theorems import ERROR, INDETERMINATE, REFUTED, THEOREM_IDS, verify
 from .tightness import TARGETS, tightness_search
 
 EXIT_OK = 0
@@ -55,7 +57,7 @@ def _build_from_expression(text):
 
 def _emit(args, results, input_paths, wall_ms):
     if getattr(args, "out", None):
-        report = make_run_report(sys.argv[1:], input_paths, results, wall_ms)
+        report = make_run_report(args.argv, input_paths, results, wall_ms)
         write_run_report(args.out, report)
 
 
@@ -134,7 +136,10 @@ def cmd_suite(args):
     worst = EXIT_OK
     for entry, verdict in zip(doc["instances"], results):
         print(f"{entry.get('id', '?')}: {verdict.theorem_id} {verdict.verdict}")
-        if verdict.verdict == REFUTED:
+        if verdict.verdict == ERROR:
+            print(f"internal error in entry {entry.get('id', '?')}: {verdict.notes[0]}", file=sys.stderr)
+            worst = EXIT_INTERNAL
+        elif verdict.verdict == REFUTED:
             worst = max(worst, EXIT_WITNESS)
         elif verdict.verdict == INDETERMINATE:
             worst = max(worst, EXIT_INDETERMINATE)
@@ -220,14 +225,16 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv  # the RunReport's command
     try:
         if getattr(args, "budget", 0) < 0:
             raise InputError(f"--budget must be non-negative, got {args.budget}")
         if getattr(args, "jobs", 1) < 1:
             raise InputError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
-    except (InputError, FormatError, NoCutError, GenerationError, CapacityError, OSError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # a fault of the program, not of its input

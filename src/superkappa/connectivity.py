@@ -4,11 +4,11 @@ max-connectivity / super-connectivity predicates.
 One flow engine serves all of them: unit-capacity augmenting-path flow on
 the vertex-split digraph, with unit vertex arcs for kappa and unit edge
 arcs for kappa'. Minimum cuts come from one method, Lawler-partitioning
-minimum s-t separators, rooted at the kappa scan's own flows and
-warm-started from each parent's maximum flow; at most CUT_BUDGET of them
-are examined. Cuts are classified by bit-BFS over adjacency masks, which
-also drives the brute-force subset scan that tests use as an independent
-oracle.
+minimum s-t separators, rooted at the kappa scan's own flows; each Lawler
+node is one closure over its root's residual network, with no flow of its
+own. At most CUT_BUDGET of the cuts are examined. Cuts are classified by
+bit-BFS over adjacency masks, which also drives the brute-force subset scan
+that tests use as an independent oracle.
 """
 
 from __future__ import annotations
@@ -81,7 +81,8 @@ class ConnectivityReport:
 
 
 class _SplitFlow:
-    """Unit-capacity flow on the vertex-split digraph, for kappa and kappa'.
+    """Unit-capacity flow on the vertex-split digraph, for kappa and kappa',
+    and the residual closures that read minimum vertex cuts off a flow.
 
     Vertex v splits into nodes 2v (in) and 2v+1 (out) joined by an arc of
     capacity `vertex_cap`; every edge uv becomes arcs out(u)->in(v) and
@@ -106,24 +107,13 @@ class _SplitFlow:
             cap[(b, a)] = 0
         self.cap = cap
         self.adj = adj
-        self.n = n
-        self._last = self.reach = None
-
-    def copy(self):
-        """The same network and flow; the adjacency never changes, so it is shared."""
-        other = object.__new__(_SplitFlow)
-        other.cap, other.adj, other.n = dict(self.cap), self.adj, self.n
-        other._last, other.reach = self._last, self.reach
-        return other
 
     def max_flow(self, s, t, limit):
         """Augment from out(s) to in(t), stopping early once `limit` more
-        units are found; returns how many were found. A search that finds
-        no augmenting path leaves the source side it explored in `reach`."""
+        units are found; returns how many were found."""
         src, sink = 2 * s + 1, 2 * t
         cap = self.cap
         adj = self.adj
-        self._last, self.reach = (src, sink), None
         flow = 0
         while flow < limit:
             parent = {src: None}
@@ -135,7 +125,6 @@ class _SplitFlow:
                         parent[b] = a
                         queue.append(b)
             if sink not in parent:
-                self.reach = parent
                 break
             b = sink
             while parent[b] is not None:
@@ -146,49 +135,31 @@ class _SplitFlow:
             flow += 1
         return flow
 
-    def remove(self, v):
-        """Delete v, which carries one unit of the last flow: cancel that
-        unit along positive-flow arcs from out(v) on to the sink and from
-        in(v) back to the source, then close v's arc."""
-        src, sink = self._last
-        cap = self.cap
-        adj = self.adj
-        a = 2 * v + 1
-        while True:  # at out(x): on along some out(x)->in(w), w != x
-            b = next(b for b in adj[a] if b != a - 1 and cap[(b, a)] > 0)
-            cap[(a, b)] += 1
-            cap[(b, a)] -= 1
-            if b == sink:
-                break
-            cap[(b, b + 1)] += 1
-            cap[(b + 1, b)] -= 1
-            a = b + 1
-        b = 2 * v
-        while True:  # at in(x): back along some out(u)->in(x), u != x
-            a = next(a for a in adj[b] if a != b + 1 and cap[(b, a)] > 0)
-            cap[(a, b)] += 1
-            cap[(b, a)] -= 1
-            if a == src:
-                break
-            cap[(a - 1, a)] += 1
-            cap[(a, a - 1)] -= 1
-            b = a - 1
-        cap[(2 * v, 2 * v + 1)] = cap[(2 * v + 1, 2 * v)] = 0
+    def closure_cut(self, s, t, forced_in, forced_out):
+        """The minimum s-t separator nearest the source that holds every
+        forced-in vertex and no forced-out one, or None if there is none.
 
-    def make_uncuttable(self, v):
-        """Raise v's arc above any flow, so that no minimum cut holds v."""
-        self.cap[(2 * v, 2 * v + 1)] += self.n
-
-    def min_cut_vertices(self):
-        """Split vertices saturated by the last flow, on the cut nearest the
-        source: the `reach` of the search that found no augmenting path (a
-        removed vertex carries no flow, so it is never one)."""
-        reach, cap = self.reach, self.cap
-        return frozenset(
-            v
-            for v in range(self.n)
-            if 2 * v in reach and 2 * v + 1 not in reach and cap[(2 * v + 1, 2 * v)] > 0
-        )
+        The flow must have value kappa < n; if it is not maximum, the
+        closure reaches in(t). The closure of out(s) and in(v), v forced
+        in, under the positive residual arcs and the arcs in(f)->out(f),
+        f forced out, must reach neither in(t) nor any such out(v). Its cut
+        is every vertex whose in-node it reaches and whose out-node it does
+        not."""
+        cap, adj = self.cap, self.adj
+        stop = {2 * t, *(2 * v + 1 for v in forced_in)}
+        opened = {2 * f for f in forced_out}
+        seen = {2 * s + 1, *(2 * v for v in forced_in)}
+        stack = list(seen)
+        while stack:
+            a = stack.pop()
+            opens = a + 1 if a in opened else None
+            for b in adj[a]:
+                if b not in seen and (cap[(a, b)] > 0 or b == opens):
+                    if b in stop:
+                        return None
+                    seen.add(b)
+                    stack.append(b)
+        return frozenset(a >> 1 for a in seen if not a & 1 and a + 1 not in seen)
 
 
 def _pair_scan_order(G):
@@ -274,10 +245,12 @@ def edge_connectivity(G):
         raise InputError("edge connectivity needs at least 2 vertices")
     if not G.is_connected():
         return 0
-    base = _SplitFlow(G, G.n, 1)
+    flow = _SplitFlow(G, G.n, 1)
+    zero_flow = flow.cap
     best = G.min_degree()
     for t in range(1, G.n):
-        best = min(best, base.copy().max_flow(0, t, best))
+        flow.cap = dict(zero_flow)
+        best = min(best, flow.max_flow(0, t, best))
     return best
 
 
@@ -326,43 +299,33 @@ class CutEnumeration:
 def _separator_cuts(G, roots):
     """Distinct minimum vertex cuts, pair by pair in scan order. A root
     (s, t, residual capacities) is a kappa-scan flow of value kappa, put on
-    one base network: one augmenting-path search finds a flow above kappa
-    (no minimum separator) or proves it maximum. Lawler's partitioning over
-    forced-in/forced-out vertices then yields each minimum s-t separator once.
+    one base network; Lawler's partitioning over forced-in/forced-out
+    vertices then yields each minimum s-t separator once.
 
     A node whose cut has free vertices f_0..f_k has children i = 0..k:
-    f_0..f_(i-1) forced in (removed), f_i forced out (uncuttable). Each
-    child is derived when popped from its parent's finished maximum flow:
-    removing i cut vertices leaves a flow of exactly the child's target
-    kappa - |forced_in|, so one augmenting-path search decides whether the
-    child has a minimum separator. Its cut is the nearest-source cut that
-    every maximum flow shares (Picard & Queyranne 1980).
+    f_0..f_(i-1) forced in, f_i forced out. Every minimum s-t cut is a node
+    set closed under the residual arcs of any one maximum flow (Picard &
+    Queyranne 1980), so a node needs no flow of its own: its cut is the
+    smallest such closure that obeys the forcing, `closure_cut` on the root's
+    residual network. A root whose closure reaches in(t) is a pair whose
+    connectivity exceeds kappa: the scan stopped its flow at kappa.
     """
     found = set()
-    base = _SplitFlow(G, 1, G.n + 1)
+    flow = _SplitFlow(G, 1, G.n + 1)
+    keys = list(flow.cap)
     for s, t, residual in roots:
-        root = base.copy()
-        root.cap = dict(zip(base.cap, residual))
-        if root.max_flow(s, t, 1):
-            continue
-        stack = [(root, frozenset(), None)]  # (parent, its forced_in, child (free, i))
+        flow.cap = dict(zip(keys, residual))
+        stack = [(frozenset(), frozenset())]  # (forced_in, forced_out)
         while stack:
-            flow, forced_in, child = stack.pop()
-            if child is not None:
-                free, i = child
-                flow = flow.copy()
-                for v in free[:i]:
-                    flow.remove(v)
-                flow.make_uncuttable(free[i])
-                if flow.max_flow(s, t, 1):
-                    continue
-                forced_in = forced_in | frozenset(free[:i])
-            cut = forced_in | flow.min_cut_vertices()
+            forced_in, forced_out = stack.pop()
+            cut = flow.closure_cut(s, t, forced_in, forced_out)
+            if cut is None:
+                continue
             if cut not in found:
                 found.add(cut)
                 yield cut
             free = sorted(cut - forced_in)
-            stack.extend((flow, forced_in, (free, i)) for i in range(len(free)))
+            stack.extend((forced_in | frozenset(free[:i]), forced_out | {free[i]}) for i in range(len(free)))
 
 
 def _minimum_cuts(G):

@@ -25,3 +25,7 @@ class NoCutError(RuntimeError):
 
 class GenerationError(RuntimeError):
     """Random instance generation exhausted its resampling budget."""
+
+
+# what the CLI reports as malformed input (exit 3) rather than a fault of the program
+INPUT_ERRORS = (InputError, FormatError, NoCutError, GenerationError, CapacityError, OSError)

@@ -27,10 +27,10 @@ import time
 from . import __version__
 from . import connectivity as conn
 from .construct import random_connected_bipartite, random_connected_nonbipartite
-from .errors import CapacityError, FormatError, InputError
+from .errors import INPUT_ERRORS, InputError
 from .expr import build_expression, check_spec_size, load_file_leaves, parse_spec
 from .formats import parse_graph6
-from .theorems import RULES, verify, verify_decomposition
+from .theorems import ERROR, RULES, TheoremVerdict, verify, verify_decomposition
 
 RNG_NOTE = "python-random-mt19937"
 # required fields of each graph descriptor kind; None: the value is a string
@@ -78,6 +78,23 @@ def run_instance(entry):
     )
 
 
+def _run_or_error(entry):
+    """run_instance, with a fault of the program turned into this entry's
+    `error` verdict, its note `<Type>: <message>`; input errors propagate."""
+    start = time.perf_counter()
+    try:
+        return run_instance(entry)
+    except INPUT_ERRORS:
+        raise
+    except Exception as exc:
+        ms = int((time.perf_counter() - start) * 1000)
+        instance = {"id": entry.get("id"), **entry["graph"]}
+        if entry.get("n") is not None:
+            instance["n"] = entry["n"]
+        note = f"{type(exc).__name__}: {' '.join(str(exc).splitlines())}"
+        return TheoremVerdict(entry.get("theorem", "decomposition"), instance, [], None, None, ERROR, ms, notes=[note])
+
+
 def _entry_problem(entry):
     """Why a manifest entry cannot run, or None."""
     if not isinstance(entry, dict):
@@ -104,7 +121,7 @@ def _entry_problem(entry):
         try:
             spec = parse_spec(value)
             check_spec_size(spec, load_file_leaves(spec))
-        except (InputError, FormatError, CapacityError, OSError) as exc:
+        except INPUT_ERRORS as exc:
             return str(exc)
     return None
 
@@ -131,16 +148,18 @@ def load_manifest(path):
 
 
 def run_manifest(doc, jobs=1):
-    """Run every instance; results keep manifest order regardless of jobs."""
+    """Run every instance; results keep manifest order regardless of jobs.
+    An entry the program fails on gets an `error` verdict and the others
+    still run; an input error stops the run."""
     entries = doc["instances"]
     if jobs > 1:
         # imported here: it loads multiprocessing, which only pools need
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_instance, entries))
+            results = list(pool.map(_run_or_error, entries))
     else:
-        results = [run_instance(e) for e in entries]
+        results = [_run_or_error(e) for e in entries]
     return results
 
 

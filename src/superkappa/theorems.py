@@ -59,6 +59,7 @@ CONFIRMED = "confirmed"
 REFUTED = "refuted"
 HYP_NOT_MET = "hypotheses-not-met"
 INDETERMINATE = "indeterminate"
+ERROR = "error"  # a suite entry the program failed on; see suite.run_manifest
 
 
 @dataclass(frozen=True)

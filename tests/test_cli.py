@@ -301,3 +301,57 @@ def test_load_manifest_names_the_bad_entry(tmp_path, entry, message):
     path.write_text(json.dumps({"instances": [entry]}))
     with pytest.raises(InputError, match=re.escape(message)):
         load_manifest(str(path))
+
+
+def test_run_report_records_the_callers_argv(tmp_path, monkeypatch):
+    from superkappa import cli
+
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"instances": [{"id": "a", "theorem": "T3.9", "graph": {"expr": "cycle(3)"}}]}))
+    out = tmp_path / "r.json"
+    argv = ["suite", "--manifest", str(manifest), "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", ["host-program", "extra-arg-of-host"])
+    assert cli.main(argv) == cli.EXIT_OK
+    assert json.loads(out.read_text())["command"] == argv
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_internal_error_in_one_entry_is_that_entrys_verdict(tmp_path, monkeypatch, capsys, jobs):
+    from superkappa import cli, suite
+
+    verify = suite.verify
+
+    def broken_on_b(theorem_id, G, **kwargs):
+        if kwargs["instance"]["id"] == "b":
+            raise RuntimeError("unexpected\nstate")
+        return verify(theorem_id, G, **kwargs)
+
+    entries = [{"id": i, "theorem": "T3.9", "graph": {"expr": "cycle(3)"}} for i in "abc"]
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"instances": entries}))
+    out = tmp_path / "r.json"
+    monkeypatch.setattr(suite, "verify", broken_on_b)
+    code = cli.main(["suite", "--manifest", str(manifest), "--jobs", jobs, "--out", str(out)])
+    assert code == cli.EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["a: T3.9 confirmed", "b: T3.9 error", "c: T3.9 confirmed"]
+    assert captured.err.splitlines() == ["internal error in entry b: RuntimeError: unexpected state"]
+    results = json.loads(out.read_text())["results"]
+    assert [r["verdict"] for r in results] == ["confirmed", "error", "confirmed"]
+    assert results[1]["notes"] == ["RuntimeError: unexpected state"]
+    assert results[1]["instance"] == {"id": "b", "expr": "cycle(3)"}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_input_error_in_one_entry_still_exits_3(tmp_path, monkeypatch, capsys, jobs):
+    from superkappa import cli, suite
+    from superkappa.errors import InputError
+
+    def bad_input(theorem_id, G, **kwargs):
+        raise InputError("bad vertex")
+
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"instances": [{"id": "a", "theorem": "T3.9", "graph": {"expr": "cycle(3)"}}]}))
+    monkeypatch.setattr(suite, "verify", bad_input)
+    assert cli.main(["suite", "--manifest", str(manifest), "--jobs", jobs]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.splitlines() == ["error: bad vertex"]

@@ -169,6 +169,37 @@ def test_separator_enumeration_matches_exhaustive():
         assert {c.vertices for c in enum.cuts} == oracle
 
 
+def _separates(G, S, s, t):
+    """Brute force: t is out of reach of s in G - S."""
+    seen, stack = {s}, [s]
+    while stack:
+        for w in G.neighborhood(stack.pop()) - S - seen:
+            seen.add(w)
+            stack.append(w)
+    return t not in seen
+
+
+def test_each_root_yields_exactly_its_minimum_separators():
+    # the union-level oracle cannot see one pair that misses a separator
+    rng, roots_checked = random.Random(41), 0
+    for _ in range(120):
+        n = rng.randint(4, 9)
+        G = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < rng.choice((0.4, 0.6))])
+        if not G.is_connected() or G.is_complete():
+            continue
+        scan = [(s, t, list(flow.cap.values()), value) for s, t, flow, value in connectivity._kappa_scan(G)]
+        kappa = min(value for *_, value in scan)
+        for s, t, residual, value in scan:
+            if value != kappa:
+                continue
+            got = list(connectivity._separator_cuts(G, [(s, t, residual)]))
+            others = set(range(n)) - {s, t}
+            oracle = {frozenset(S) for S in combinations(sorted(others), kappa) if _separates(G, set(S), s, t)}
+            assert len(got) == len(set(got)) and set(got) == oracle, (sorted(G.edges), s, t)
+            roots_checked += bool(oracle)
+    assert roots_checked > 100
+
+
 def test_isolating_min_cut_is_a_neighborhood():
     for G in seeded_corpus(seed=17, count=40, max_n=8):
         if G.is_complete():
@@ -329,20 +360,21 @@ def test_minimum_vertex_cut_is_the_first_stream_cut(G, cut):
 
 
 @pytest.mark.parametrize(
-    "G,builds,searches",
+    "G,builds,searches,closures",
     [
-        (direct_product(cycle(3), cycle(6)), 20, 236),
-        (direct_product(cycle(3), cycle(7)), 23, 275),
-        (cycle(8), 7, 15),
-        (direct_product(complete(2), complete(3)), 5, 12),
-        (tilde(complete_bipartite(2, 3), complete_bipartite(2, 3).is_bipartite(), 3)[0], 17, 139),
+        (direct_product(cycle(3), cycle(6)), 20, 77, 159),
+        (direct_product(cycle(3), cycle(7)), 23, 89, 186),
+        (cycle(8), 7, 13, 2),
+        (direct_product(complete(2), complete(3)), 5, 9, 3),
+        (tilde(complete_bipartite(2, 3), complete_bipartite(2, 3).is_bipartite(), 3)[0], 17, 65, 74),
     ],
     ids=["C3xC6", "C3xC7", "C8", "K2xK3", "tilde(kbip(2,3),3)"],
 )
-def test_super_kappa_work_counts(monkeypatch, G, builds, searches):
+def test_super_kappa_work_counts(monkeypatch, G, builds, searches, closures):
     # deterministic work, so a change that redoes flows shows up here
-    counts = {"builds": 0, "searches": 0}
-    init, max_flow = connectivity._SplitFlow.__init__, connectivity._SplitFlow.max_flow
+    counts = {"builds": 0, "searches": 0, "closures": 0}
+    flow = connectivity._SplitFlow
+    init, max_flow, closure_cut = flow.__init__, flow.max_flow, flow.closure_cut
 
     def counting_init(self, *args):
         counts["builds"] += 1
@@ -351,13 +383,18 @@ def test_super_kappa_work_counts(monkeypatch, G, builds, searches):
     def counting_max_flow(self, s, t, limit):
         found = max_flow(self, s, t, limit)
         # one search per unit found, plus the one that found no path, if run
-        counts["searches"] += found + (self.reach is not None)
+        counts["searches"] += found + (found < limit)
         return found
 
-    monkeypatch.setattr(connectivity._SplitFlow, "__init__", counting_init)
-    monkeypatch.setattr(connectivity._SplitFlow, "max_flow", counting_max_flow)
+    def counting_closure_cut(self, *args):
+        counts["closures"] += 1  # one per Lawler node
+        return closure_cut(self, *args)
+
+    monkeypatch.setattr(flow, "__init__", counting_init)
+    monkeypatch.setattr(flow, "max_flow", counting_max_flow)
+    monkeypatch.setattr(flow, "closure_cut", counting_closure_cut)
     is_super_kappa(G)
-    assert counts == {"builds": builds, "searches": searches}
+    assert counts == {"builds": builds, "searches": searches, "closures": closures}
 
 
 def test_connectivity_report_runs_one_kappa_scan(monkeypatch):
