@@ -87,6 +87,7 @@ class LayeredDecomposition:
     layer_Y: list = field(default_factory=list)
     H: list = field(default_factory=list)
     H_prime: list = field(default_factory=list)
+    graph: Graph | None = None  # the graph decomposed: G x C_n, or the cyclic layered graph
 
     def all_block_edges(self):
         return frozenset().union(*self.H, *self.H_prime)
@@ -95,7 +96,7 @@ class LayeredDecomposition:
 def _decomposition(graph, case, layer_X, layer_Y, n_prime):
     """graph's decomposition into these layers, its blocks by the block rule,
     with H_k' for the first n_prime layers only."""
-    dec = LayeredDecomposition(len(layer_X), case, layer_X, layer_Y)
+    dec = LayeredDecomposition(len(layer_X), case, layer_X, layer_Y, graph=graph)
     for k, (X, Y) in enumerate(zip(layer_X, layer_Y)):
         h, hp = set(), set()
         for y in Y:

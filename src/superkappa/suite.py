@@ -15,8 +15,8 @@ Graph descriptors: {"expr": <family expression>}, {"graph6": <g6 line>},
 {"random_nonbipartite": {n,p,seed,min_delta}} (min_delta optional). Random
 descriptors are seed-pinned, so a manifest replays byte-for-byte.
 `load_manifest` checks every entry before any runs, sizing each expression
-(its file leaves read first), and raises InputError naming the first
-malformed one.
+(its file leaves read first) and each random draw, and raises InputError
+naming the first malformed one.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from . import __version__
 from . import connectivity as conn
 from .construct import random_connected_bipartite, random_connected_nonbipartite
 from .errors import INPUT_ERRORS, InputError
-from .expr import build_expression, check_spec_size, load_file_leaves, parse_spec
-from .formats import parse_graph6
+from .expr import build_expression, check_size, check_spec_size, load_file_leaves, parse_spec
+from .formats import _is_int, parse_graph6
 from .theorems import ERROR, RULES, TheoremVerdict, verify, verify_decomposition
 
 RNG_NOTE = "python-random-mt19937"
@@ -117,17 +117,23 @@ def _entry_problem(entry):
         return f"{kind} descriptor needs a string"
     if fields is not None and not (isinstance(value, dict) and all(f in value for f in fields)):
         return f"{kind} descriptor needs fields {', '.join(fields)}"
-    if kind == "expr":
-        try:
+    if fields is not None:  # a seeded random graph
+        ints = [f for f in (*fields, "min_delta") if f != "p" and f in value]
+        p = value["p"]
+        if not all(_is_int(value[f]) for f in ints) or isinstance(p, bool) or not isinstance(p, (int, float)):
+            return f"{kind} fields {', '.join(ints)} must be integers and p a number"
+        m, n = value.get("m", 1), value["n"]
+        if min(m, n) < 1 or not 0 < p <= 1:
+            return f"{kind} needs sizes of at least 1 and p in (0,1]"
+    try:
+        if kind == "expr":
             spec = parse_spec(value)
             check_spec_size(spec, load_file_leaves(spec))
-        except INPUT_ERRORS as exc:
-            return str(exc)
+        elif fields is not None:  # sized by the vertex pairs its generator draws
+            check_size(*((m + n, m * n) if kind == "random_bipartite" else (n, n * (n - 1) // 2)))
+    except INPUT_ERRORS as exc:
+        return str(exc)
     return None
-
-
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_manifest(path):

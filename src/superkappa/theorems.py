@@ -29,7 +29,7 @@ To add a result, add its record: the CLI, the manifest check and, for a
 rule with a strict clause (a super-kappa sufficient condition), the
 tightness search pick it up. A
 new kind of clause, construction or comparison also needs its branch in
-`_clauses`, `_construct` or `verify`.
+`_clauses`, `_construct` or `conclude`.
 
 Each thing certified equal is computed once. The invariants rules read
 (connected, bipartition, delta, kappa(G), kappa(GxK2)) are computed on first
@@ -284,13 +284,6 @@ def _settling(rule, H, n):
     return [H.induced_subgraph(c) for c in comps[: 1 if isomorphic else None]], len(comps), isomorphic
 
 
-def construction(theorem_id, G, n):
-    """The graphs that settle the conclusion of a result: its construction,
-    or the components of G x C_n for the two-component results (see `_settling`)."""
-    rule = RULES[theorem_id]
-    return _settling(rule, _construct(rule, _Invariants(G), n), n)[0]
-
-
 def _maps_onto(phi, edges, target):
     """Whether the vertex map phi sends `edges` one-to-one onto the edge set
     `target` and their vertices one-to-one: the graphs they span are then isomorphic."""
@@ -354,19 +347,30 @@ def _verdict_maker(theorem_id, instance, clauses, start):
 
 
 def verify(theorem_id, G, n=None, budget=conn.CUT_BUDGET, odd_cycle_lengths=None, instance=None):
-    """Check hypotheses, build the construction, compute ground truth with
-    the connectivity module, and compare against the prediction.
+    """The hypothesis gate: evaluate every clause and, where all hold, `conclude`."""
+    rule, inv = _start(theorem_id, G)
+    start = time.perf_counter()
+    clauses = _clauses(rule, inv, n, odd_cycle_lengths)
+    if not hypotheses_hold(clauses):
+        return _verdict_maker(theorem_id, _instance(G, n, instance), clauses, start)(None, None, HYP_NOT_MET)
+    return conclude(theorem_id, G, n, budget, odd_cycle_lengths, instance, clauses, start)
+
+
+def conclude(theorem_id, G, n=None, budget=conn.CUT_BUDGET, odd_cycle_lengths=None, instance=None, clauses=(), start=None):
+    """The conclusion of a result on G and n, its hypotheses unread: build the
+    construction, settle two components with the cycle-shift certificate,
+    compute kappa or decide super-kappa with the connectivity module, compare
+    against the prediction and build the witness. `verify` calls it once the
+    hypotheses hold, passing their `clauses` and its `start`; the tightness
+    search calls it on instances that miss one clause.
 
     For the super-connectivity results, `actual["minimum_cuts"]` counts the
     minimum cuts examined: all of them on a confirmation, and those up to
     and including the witness on a refutation.
     """
     rule, inv = _start(theorem_id, G)
-    start = time.perf_counter()
-    clauses = _clauses(rule, inv, n, odd_cycle_lengths)
-    done = _verdict_maker(theorem_id, _instance(G, n, instance), clauses, start)
-    if not hypotheses_hold(clauses):
-        return done(None, None, HYP_NOT_MET)
+    start = time.perf_counter() if start is None else start
+    done = _verdict_maker(theorem_id, _instance(G, n, instance), list(clauses), start)
     pred = rule.predict(inv, n, odd_cycle_lengths)
     H = _construct(rule, inv, n)
 
@@ -438,7 +442,7 @@ def verify_decomposition(G, n, instance=None):
     if not hypotheses_hold(clauses):
         return done(None, None, HYP_NOT_MET, notes=notes)
     dec = layer_decomposition(G, n)
-    prod = direct_product(G, cycle(n))
+    prod = dec.graph
 
     blocks = dec.H + dec.H_prime
     checks = {"reassembly": sum(map(len, blocks)) == len(prod.edges) and dec.all_block_edges() == prod.edges}

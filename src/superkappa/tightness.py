@@ -1,16 +1,17 @@
 """Boundary probing for the super-connectivity sufficient conditions.
 
 Samples small instances that fail exactly one hypothesis clause of a
-target rule, builds the corresponding construction, decides super
-connectivity (stopping at the first minimum cut that is no minimum-degree
-vertex's neighborhood, the witness), and records which boundary
-instances break the conclusion (witnesses) and which do not
-(non-witnesses; the conditions are sufficient, not necessary).
+target rule, decides the rule's conclusion on each with `theorems.conclude`,
+the code `verify` runs once the hypotheses hold (super connectivity decided
+up to the first minimum cut that is no minimum-degree vertex's
+neighborhood, the witness), and records which boundary instances break the
+conclusion (witnesses) and which do not (non-witnesses; the conditions are
+sufficient, not necessary).
 
 A search keeps one Graph object per distinct base graph, so the invariants
 cached on it (kappa(G), kappa(GxK2), ...) serve every n of `n_range`, and a
 T3.6 probe decides one of the two components of G x C_n that the cycle
-shift certifies isomorphic (`theorems.construction`).
+shift certifies isomorphic.
 """
 
 from __future__ import annotations
@@ -18,12 +19,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from . import connectivity as conn
 from .construct import random_connected_bipartite, random_connected_nonbipartite
 from .construct import direct_product  # noqa: F401  (kept: perfbench/test_perfbench.py checks its tracing)
 from .errors import GenerationError, InputError
-from .formats import write_graph6
-from .theorems import BIPARTITE, RULES, check_hypotheses, class_and_n_rule_hold, construction
+from .theorems import BIPARTITE, CONFIRMED, REFUTED, RULES, check_hypotheses, class_and_n_rule_hold, conclude
 
 # the super-connectivity sufficient conditions: the rules with a strict clause
 TARGETS = tuple(tid for tid, rule in RULES.items() if rule.strict)
@@ -31,7 +30,6 @@ TARGETS = tuple(tid for tid, rule in RULES.items() if rule.strict)
 
 @dataclass
 class BoundaryRecord:
-    target: str
     instance: dict
     failed_clause: str
     conclusion_holds: bool | None  # None: enumeration incomplete
@@ -131,31 +129,8 @@ def tightness_search(target, max_part_size, n_range, seed, budget):
             report.complete = False
             break
         report.instances_probed += 1
-        holds = True
-        witness = None
-        for H in construction(target, G, n):
-            res = conn.is_super_kappa(H)
-            if res.status is None:
-                holds = None
-                break
-            if res.status is False:
-                holds = False
-                witness = {
-                    "graph6": write_graph6(H).strip(),
-                    "cut": sorted(res.witness.vertices),
-                }
-                break
-        instance = dict(provenance)
-        instance["n"] = n
-        instance["graph6"] = write_graph6(G).strip()
-        report.records.append(
-            BoundaryRecord(
-                target=target,
-                instance=instance,
-                failed_clause=failed[0].text,
-                conclusion_holds=holds,
-                witness=witness,
-            )
-        )
+        v = conclude(target, G, n, instance={**provenance, "n": n})
+        holds = {CONFIRMED: True, REFUTED: False}.get(v.verdict)  # None: indeterminate
+        report.records.append(BoundaryRecord(v.instance, failed[0].text, holds, v.witness))
     report.runtime_ms = int((time.perf_counter() - start) * 1000)
     return report

@@ -223,8 +223,11 @@ def test_search_tightness_cli():
         {"id": "no-theorem", "graph": {"expr": "cycle(5)"}, "n": 6},
         {"id": "no-p", "theorem": "T3.5", "graph": {"random_bipartite": {"m": 2, "n": 3, "seed": 1}}, "n": 3},
         {"id": "minus-one", "theorem": "T3.7", "graph": {"expr": "cycle(5)"}, "n": 6, "budget": -1},
+        {"id": "text-n", "theorem": "T3.7", "graph": {"random_nonbipartite": {"n": "7", "p": 0.5, "seed": 1}}, "n": 6},
+        # refused by its size alone: drawing it would take ~5e9 random numbers
+        {"id": "huge", "theorem": "T3.7", "graph": {"random_nonbipartite": {"n": 100000, "p": 1e-9, "seed": 1}}, "n": 6},
     ],
-    ids=["missing-theorem", "random-bipartite-without-p", "negative-budget"],
+    ids=["missing-theorem", "random-bipartite-without-p", "negative-budget", "random-text-size", "random-oversized"],
 )
 def test_suite_rejects_malformed_entry_before_running(tmp_path, bad_entry):
     manifest = tmp_path / "m.json"
@@ -291,6 +294,34 @@ def test_suite_rejects_invalid_json(tmp_path):
         ({"theorem": "T3.7", "graph": {"random_nonbipartite": {"n": 5}}}, "manifest entry #0: random_nonbipartite"),
         ({"id": "e", "theorem": "T3.7", "graph": {"expr": "cycle(5)"}, "n": 6, "budget": -1}, "'budget' must be a non-negative"),
         ({"id": "e", "theorem": "T3.7", "graph": {"expr": "cycle(5)"}, "n": 6, "budget": None}, "'budget' must be a non-negative"),
+        (
+            {"id": "e", "theorem": "T3.7", "graph": {"random_nonbipartite": {"n": "7", "p": 0.5, "seed": 1}}},
+            "manifest entry e: random_nonbipartite fields n, seed must be integers and p a number",
+        ),
+        (
+            {"id": "e", "theorem": "T3.5", "graph": {"random_bipartite": {"m": 2, "n": 3, "p": "0.5", "seed": 1}}},
+            "manifest entry e: random_bipartite fields m, n, seed must be integers and p a number",
+        ),
+        (
+            {"id": "e", "theorem": "T3.5", "graph": {"random_bipartite": {"m": 2, "n": 3, "p": 0.5, "seed": 1, "min_delta": 1.5}}},
+            "fields m, n, seed, min_delta must be integers",
+        ),
+        (
+            {"id": "e", "theorem": "T3.5", "graph": {"random_bipartite": {"m": 0, "n": 3, "p": 0.5, "seed": 1}}},
+            "manifest entry e: random_bipartite needs sizes of at least 1 and p in (0,1]",
+        ),
+        (
+            {"id": "e", "theorem": "T3.7", "graph": {"random_nonbipartite": {"n": 7, "p": 1.5, "seed": 1}}},
+            "manifest entry e: random_nonbipartite needs sizes of at least 1 and p in (0,1]",
+        ),
+        (
+            {"id": "e", "theorem": "T3.7", "graph": {"random_nonbipartite": {"n": 100000, "p": 1e-9, "seed": 1}}},
+            "manifest entry e: 100000 vertices and 4999950000 edges exceed",
+        ),
+        (
+            {"id": "e", "theorem": "T3.5", "graph": {"random_bipartite": {"m": 2000, "n": 2000, "p": 1e-9, "seed": 1}}},
+            "manifest entry e: 4000 vertices and 4000000 edges exceed",
+        ),
     ],
 )
 def test_load_manifest_names_the_bad_entry(tmp_path, entry, message):

@@ -1,10 +1,17 @@
+import hashlib
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from superkappa import InputError, connectivity, replay_witness, tightness_search
 from superkappa.connectivity import classify_cut
 from superkappa.formats import parse_graph6
+
+# the benchmark's tightness-boundary searches: (target, lowest n, highest n), search seeds 1..5
+BENCHMARK_SEARCHES = (("L2.2", 3, 5), ("T3.5", 3, 7), ("T3.6", 6, 8), ("T3.7", 6, 8), ("T3.8", 7, 9))
+MANIFEST = Path(__file__).resolve().parent.parent / "manifests" / "tightness.json"
 
 
 def test_target_validation():
@@ -58,11 +65,36 @@ def test_benchmark_searches_compute_each_invariant_once(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(connectivity, name, counted)
-    searches = (("L2.2", 3, 5), ("T3.5", 3, 7), ("T3.6", 6, 8), ("T3.7", 6, 8), ("T3.8", 7, 9))
     probes = [
         tightness_search(target, 4, range(lo, hi + 1), seed, 400).instances_probed
-        for seed, (target, lo, hi) in enumerate(searches, start=1)
+        for seed, (target, lo, hi) in enumerate(BENCHMARK_SEARCHES, start=1)
     ]
     assert probes == [18, 18, 12, 1, 0]
     assert calls["vertex_connectivity"] <= 175
     assert calls["is_super_kappa"] <= 49
+
+
+def test_boundary_record_stream_digest():
+    """Every record of the benchmark's five searches and of the five in
+    manifests/tightness.json, byte for byte, with runtime_ms left out and each
+    witness reduced to its graph6 and cut: a change to how probes are decided
+    must keep it. Every witness also states its cut's size and replays."""
+    searches = [(t, 4, range(lo, hi + 1), seed, 400) for seed, (t, lo, hi) in enumerate(BENCHMARK_SEARCHES, start=1)]
+    searches += [
+        (s["target"], s["max_part_size"], range(s["n_range"][0], s["n_range"][1] + 1), s["seed"], s["budget"])
+        for s in json.loads(MANIFEST.read_text())["searches"]
+    ]
+    digest, records, witnesses = hashlib.sha256(), 0, 0
+    for args in searches:
+        report = tightness_search(*args).to_json()
+        del report["runtime_ms"]
+        for rec in report["records"]:
+            w = rec["witness"]
+            if w is not None:
+                assert w["cut_size"] == len(w["cut"]) and replay_witness(w)
+                rec["witness"] = {"graph6": w["graph6"], "cut": w["cut"]}
+                witnesses += 1
+        digest.update((json.dumps(report) + "\n").encode())
+        records += len(report["records"])
+    assert (records, witnesses) == (65, 38)
+    assert digest.hexdigest() == "fc5cdde9f24c0b88d61ec8c1be6af5c6559ebfce1e3e76778f718c4333bb2b40"
