@@ -1,14 +1,15 @@
 """Exact vertex/edge connectivity, minimum vertex cuts, and the
 max-connectivity / super-connectivity predicates.
 
-One flow engine serves all of them: unit-capacity augmenting-path flow on
-the vertex-split digraph, with unit vertex arcs for kappa and unit edge
-arcs for kappa'. Minimum cuts come from one method, Lawler-partitioning
-minimum s-t separators, rooted at the kappa scan's own flows; each Lawler
-node is one closure over its root's residual network, with no flow of its
-own. At most CUT_BUDGET of the cuts are examined. Cuts are classified by
-bit-BFS over adjacency masks, which also drives the brute-force subset scan
-that tests use as an independent oracle.
+One flow engine serves kappa and kappa': unit-capacity augmenting-path
+flow on the vertex-split digraph, with unit vertex arcs for kappa and unit
+edge arcs for kappa'. Minimum cuts come from one method, Lawler-partitioning
+minimum s-t separators, rooted at the kappa scan's own flows, each kept as
+a vertex-level flow state; each Lawler node is one bit-BFS closure over its
+root's residual arcs and the adjacency masks, with no flow of its own. At
+most CUT_BUDGET of the cuts are examined. Cuts are classified by bit-BFS
+too, which also drives the brute-force subset scan that tests use as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -30,12 +31,7 @@ class VertexCut:
     is_neighborhood_of_min_degree_vertex: bool
 
     def to_json(self):
-        return {
-            "vertices": sorted(self.vertices),
-            "size": self.size,
-            "isolates_vertex": self.isolates_vertex,
-            "is_neighborhood_of_min_degree_vertex": self.is_neighborhood_of_min_degree_vertex,
-        }
+        return {**vars(self), "vertices": sorted(self.vertices)}
 
 
 @dataclass
@@ -64,25 +60,14 @@ class ConnectivityReport:
     vacuous_super_kappa: bool = False
 
     def to_json(self):
-        return {
-            "kappa": self.kappa,
-            "kappa_edge": self.kappa_edge,
-            "delta": self.delta,
-            "is_max_kappa": self.is_max_kappa,
-            "is_super_kappa": self.is_super_kappa,
-            "witness_cut": self.witness_cut.to_json() if self.witness_cut else None,
-            "method": self.method,
-            "enumeration_complete": self.enumeration_complete,
-            "vacuous_super_kappa": self.vacuous_super_kappa,
-        }
+        return {**vars(self), "witness_cut": self.witness_cut.to_json() if self.witness_cut else None}
 
 
 # -- unit-capacity flow on the vertex-split digraph -------------------------
 
 
 class _SplitFlow:
-    """Unit-capacity flow on the vertex-split digraph, for kappa and kappa',
-    and the residual closures that read minimum vertex cuts off a flow.
+    """Unit-capacity flow on the vertex-split digraph, for kappa and kappa'.
 
     Vertex v splits into nodes 2v (in) and 2v+1 (out) joined by an arc of
     capacity `vertex_cap`; every edge uv becomes arcs out(u)->in(v) and
@@ -134,32 +119,6 @@ class _SplitFlow:
                 b = a
             flow += 1
         return flow
-
-    def closure_cut(self, s, t, forced_in, forced_out):
-        """The minimum s-t separator nearest the source that holds every
-        forced-in vertex and no forced-out one, or None if there is none.
-
-        The flow must have value kappa < n; if it is not maximum, the
-        closure reaches in(t). The closure of out(s) and in(v), v forced
-        in, under the positive residual arcs and the arcs in(f)->out(f),
-        f forced out, must reach neither in(t) nor any such out(v). Its cut
-        is every vertex whose in-node it reaches and whose out-node it does
-        not."""
-        cap, adj = self.cap, self.adj
-        stop = {2 * t, *(2 * v + 1 for v in forced_in)}
-        opened = {2 * f for f in forced_out}
-        seen = {2 * s + 1, *(2 * v for v in forced_in)}
-        stack = list(seen)
-        while stack:
-            a = stack.pop()
-            opens = a + 1 if a in opened else None
-            for b in adj[a]:
-                if b not in seen and (cap[(a, b)] > 0 or b == opens):
-                    if b in stop:
-                        return None
-                    seen.add(b)
-                    stack.append(b)
-        return frozenset(a >> 1 for a in seen if not a & 1 and a + 1 not in seen)
 
 
 def _pair_scan_order(G):
@@ -223,18 +182,21 @@ def _exhaustive_cuts(G, k):
             yield frozenset(S)
 
 
+def _union(table, m):
+    """OR of table[v] over the vertices v of mask m: one bit-BFS step."""
+    out = 0
+    while m:
+        b = m & -m
+        out |= table[b.bit_length() - 1]
+        m ^= b
+    return out
+
+
 def _component(masks, rem):
     """Bitmask of the lowest vertex's component in the subgraph `rem` induces."""
-    comp = rem & -rem
-    frontier = comp
+    comp = frontier = rem & -rem
     while frontier:
-        nbrs = 0
-        m = frontier
-        while m:
-            b = m & -m
-            nbrs |= masks[b.bit_length() - 1]
-            m ^= b
-        frontier = nbrs & rem & ~comp
+        frontier = _union(masks, frontier) & rem & ~comp
         comp |= frontier
     return comp
 
@@ -296,36 +258,74 @@ class CutEnumeration:
     complete: bool
 
 
+def _flow_state(G, flow):
+    """A finished kappa-scan flow at vertex level: the mask of the vertices v
+    whose arc in(v)->out(v) it saturates, and per v the mask of the u whose
+    reverse arc in(v)->out(u), in(v)'s only residual arc, carries v's unit.
+    Read off the arcs, not followed from s, so flow cycles are kept."""
+    cap, adj, through, pred = flow.cap, flow.adj, 0, {}
+    for v in range(G.n):
+        a = 2 * v
+        if not cap[(a, a + 1)]:
+            through |= 1 << v
+            for b in adj[a]:
+                if cap[(a, b)]:
+                    pred[v] = 1 << (b >> 1)
+                    break
+    return through, pred
+
+
+def _closure(masks, through, pred, s, t, forced_in, forced_out):
+    """The minimum s-t separator nearest the source that holds every forced-in
+    vertex and no forced-out one, as a mask, or None if there is none.
+
+    A bit-BFS of the residual network from out(s) and each forced-in in(v):
+    out(u) reaches in(w) for each neighbor w, and in(u) if u carries flow;
+    in(v) reaches out(pred[v]) if v carries flow, and out(v) if not or if v
+    is forced out. Reaching in(t) or a forced-in out(v) means no cut; else
+    the cut is every vertex whose in-node is reached and out-node is not."""
+    opens = ~through | forced_out
+    ins = new_in = forced_in
+    outs = new_out = 1 << s
+    while new_in or new_out:
+        reach_in = _union(masks, new_out) | new_out & through
+        reach_out = new_in & opens | _union(pred, new_in & through)
+        new_in, new_out = reach_in & ~ins, reach_out & ~outs
+        ins, outs = ins | new_in, outs | new_out
+        if ins >> t & 1 or outs & forced_in:
+            return None
+    return ins & ~outs
+
+
 def _separator_cuts(G, roots):
-    """Distinct minimum vertex cuts, pair by pair in scan order. A root
-    (s, t, residual capacities) is a kappa-scan flow of value kappa, put on
-    one base network; Lawler's partitioning over forced-in/forced-out
-    vertices then yields each minimum s-t separator once.
+    """Distinct minimum vertex cuts, pair by pair in scan order. A root is
+    (s, t, *_flow_state) of a kappa-scan flow of value kappa; Lawler's
+    partitioning then yields each minimum s-t separator once.
 
     A node whose cut has free vertices f_0..f_k has children i = 0..k:
     f_0..f_(i-1) forced in, f_i forced out. Every minimum s-t cut is a node
     set closed under the residual arcs of any one maximum flow (Picard &
     Queyranne 1980), so a node needs no flow of its own: its cut is the
-    smallest such closure that obeys the forcing, `closure_cut` on the root's
-    residual network. A root whose closure reaches in(t) is a pair whose
-    connectivity exceeds kappa: the scan stopped its flow at kappa.
+    smallest such closure that obeys the forcing, `_closure` over the root's
+    flow state and the adjacency masks. A root whose closure reaches in(t) is
+    a pair whose connectivity exceeds kappa: the scan stopped its flow at kappa.
     """
-    found = set()
-    flow = _SplitFlow(G, 1, G.n + 1)
-    keys = list(flow.cap)
-    for s, t, residual in roots:
-        flow.cap = dict(zip(keys, residual))
-        stack = [(frozenset(), frozenset())]  # (forced_in, forced_out)
+    found, masks = set(), G.adjacency_masks()
+    for s, t, through, pred in roots:
+        stack = [(0, 0)]  # (forced_in, forced_out) masks
         while stack:
             forced_in, forced_out = stack.pop()
-            cut = flow.closure_cut(s, t, forced_in, forced_out)
+            cut = _closure(masks, through, pred, s, t, forced_in, forced_out)
             if cut is None:
                 continue
             if cut not in found:
                 found.add(cut)
-                yield cut
-            free = sorted(cut - forced_in)
-            stack.extend((forced_in | frozenset(free[:i]), forced_out | {free[i]}) for i in range(len(free)))
+                yield frozenset(v for v in range(G.n) if cut >> v & 1)
+            free = cut & ~forced_in
+            while free:  # child i, f_i the lowest vertex left
+                f = free & -free
+                stack.append((forced_in, forced_out | f))
+                forced_in, free = forced_in | f, free ^ f
 
 
 def _minimum_cuts(G):
@@ -336,7 +336,7 @@ def _minimum_cuts(G):
         if value < kappa:
             kappa, roots = value, []
         if value == kappa:
-            roots.append((s, t, list(flow.cap.values())))
+            roots.append((s, t, *_flow_state(G, flow)))
     return kappa, _separator_cuts(G, roots)
 
 

@@ -192,18 +192,27 @@ def layer_decomposition(G, n):
 # -- seeded random instances -------------------------------------------------
 
 
+def _attempts(pairs):
+    """Resamples allowed to a draw over `pairs` vertex pairs: RESAMPLE_BUDGET,
+    fewer when their pair draws together would exceed the edge cap, but at
+    least one. Draws of at most 100 pairs keep the whole budget."""
+    from .expr import MAX_EDGES  # expr imports this module
+
+    return max(1, min(RESAMPLE_BUDGET, MAX_EDGES // max(pairs, 1)))
+
+
 def random_connected_bipartite(m, n, p, seed, min_delta=1):
     """Connected bipartite G(m+n, p) with minimum degree >= min_delta.
 
     Parts are {0..m-1} and {m..m+n-1}. Deterministic for a fixed seed;
-    resamples up to the shared attempt budget.
+    resamples up to `_attempts(m * n)` times.
     """
     if m < 1 or n < 1:
         raise InputError(f"part sizes must be >= 1, got {m},{n}")
     if not (0 < p <= 1):
         raise InputError(f"edge probability must be in (0,1], got {p}")
-    rng = random.Random(seed)
-    for _ in range(RESAMPLE_BUDGET):
+    rng, attempts = random.Random(seed), _attempts(m * n)
+    for _ in range(attempts):
         edges = [
             (i, m + j)
             for i in range(m)
@@ -216,18 +225,19 @@ def random_connected_bipartite(m, n, p, seed, min_delta=1):
             return G, B
     raise GenerationError(
         f"no connected bipartite instance with delta>={min_delta} "
-        f"for m={m}, n={n}, p={p}, seed={seed} in {RESAMPLE_BUDGET} attempts"
+        f"for m={m}, n={n}, p={p}, seed={seed} in {attempts} attempts"
     )
 
 
 def random_connected_nonbipartite(n, p, seed, min_delta=1):
-    """Connected non-bipartite G(n, p) with minimum degree >= min_delta."""
+    """Connected non-bipartite G(n, p) with minimum degree >= min_delta,
+    resampled up to `_attempts(n(n-1)/2)` times."""
     if n < 1:
         raise InputError(f"vertex count must be >= 1, got {n}")
     if not (0 < p <= 1):
         raise InputError(f"edge probability must be in (0,1], got {p}")
-    rng = random.Random(seed)
-    for _ in range(RESAMPLE_BUDGET):
+    rng, attempts = random.Random(seed), _attempts(n * (n - 1) // 2)
+    for _ in range(attempts):
         edges = [
             (i, j)
             for i in range(n)
@@ -239,5 +249,5 @@ def random_connected_nonbipartite(n, p, seed, min_delta=1):
             return G
     raise GenerationError(
         f"no connected non-bipartite instance with delta>={min_delta} "
-        f"for n={n}, p={p}, seed={seed} in {RESAMPLE_BUDGET} attempts"
+        f"for n={n}, p={p}, seed={seed} in {attempts} attempts"
     )

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 from . import connectivity as conn
@@ -122,10 +122,26 @@ RULES = {
 THEOREM_IDS = tuple(RULES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
+    """One hypothesis clause, with the JSON object every verdict holding it
+    shares: a verdict's `to_json` copies no clause."""
+
     text: str
     holds: bool
+    json: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "json", {"clause": self.text, "holds": self.holds})
+
+    def __reduce__(self):  # pickled as its fields; `json` is rebuilt
+        return Clause, (self.text, self.holds)
+
+
+@cache
+def _fixed_clause(text, holds):
+    """A clause whose text its rule fixes: one object per text and value."""
+    return Clause(text, holds)
 
 
 @dataclass
@@ -144,7 +160,7 @@ class TheoremVerdict:
         return {
             "theorem_id": self.theorem_id,
             "instance": self.instance,
-            "hypotheses": [{"clause": c.text, "holds": c.holds} for c in self.hypotheses],
+            "hypotheses": [c.json for c in self.hypotheses],
             "predicted": self.predicted,
             "actual": self.actual,
             "verdict": self.verdict,
@@ -195,17 +211,17 @@ def _start(theorem_id, G):
 def _class_and_n_clauses(rule, inv, n):
     clauses = []
     if rule.graph_class == BIPARTITE:
-        clauses.append(Clause("G is bipartite", inv.bipartition is not None))
+        clauses.append(_fixed_clause("G is bipartite", inv.bipartition is not None))
     elif rule.graph_class == NONBIPARTITE:
-        clauses.append(Clause("G is non-bipartite", inv.nonbipartite))
+        clauses.append(_fixed_clause("G is non-bipartite", inv.nonbipartite))
     if rule.n_min is not None:
         holds = n is not None and n >= rule.n_min and rule.parity in (None, _parity(n))
-        clauses.append(Clause(f"n >= {rule.n_min}" + (f" {rule.parity}" if rule.parity else ""), holds))
+        clauses.append(_fixed_clause(f"n >= {rule.n_min}" + (f" {rule.parity}" if rule.parity else ""), holds))
     return clauses
 
 
 def _clauses(rule, inv, n, odd_cycle_lengths):
-    clauses = [Clause("G is connected", inv.connected)]
+    clauses = [_fixed_clause("G is connected", inv.connected)]
     clauses += _class_and_n_clauses(rule, inv, n)
     if rule.part_sizes:
         B, limit = inv.bipartition, inv.delta + 1
@@ -216,7 +232,7 @@ def _clauses(rule, inv, n, odd_cycle_lengths):
         invariant, minus, factor = rule.strict
         if invariant == "kappa_dc" and not inv.nonbipartite:
             # kappa(GxK2) is read only on a connected non-bipartite G
-            clauses.append(Clause("kappa(GxK2) strict lower bound", False))
+            clauses.append(_fixed_clause("kappa(GxK2) strict lower bound", False))
         elif n is not None:
             name = "kappa(G)" if invariant == "kappa" else "kappa(GxK2)"
             over, value = f"(n-{minus})" if minus else "n", getattr(inv, invariant)
@@ -226,7 +242,7 @@ def _clauses(rule, inv, n, odd_cycle_lengths):
             ))
     if rule.odd_cycles:
         ok = bool(odd_cycle_lengths) and all(l >= 3 and l % 2 == 1 for l in odd_cycle_lengths)
-        clauses.append(Clause("G is a direct product of k >= 1 odd cycles", ok))
+        clauses.append(_fixed_clause("G is a direct product of k >= 1 odd cycles", ok))
     return clauses
 
 
@@ -436,7 +452,7 @@ def verify_decomposition(G, n, instance=None):
     result = next(tid for tid, rule in RULES.items() if rule.decomposition == case)
     instance = _instance(G, n, instance)
     instance["check"] = f"decomposition:{case}"
-    clauses = [Clause("G is connected", G.is_connected())]
+    clauses = [_fixed_clause("G is connected", G.is_connected())]
     done = _verdict_maker(instance["check"], instance, clauses, start)
     notes = [f"the proof of {result} uses this decomposition"]
     if not hypotheses_hold(clauses):

@@ -334,6 +334,18 @@ def test_load_manifest_names_the_bad_entry(tmp_path, entry, message):
         load_manifest(str(path))
 
 
+def test_a_draw_that_cannot_succeed_exits_3_at_once(tmp_path):
+    # 999,691 vertex pairs pass the load check; one attempt's draws fill the edge cap
+    graph = {"random_nonbipartite": {"n": 1414, "p": 1e-9, "seed": 1}}
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"instances": [{"id": "e", "theorem": "T3.7", "n": 6, "graph": graph}]}))
+    res = run_cli("suite", "--manifest", str(manifest))
+    assert res.returncode == 3
+    assert res.stderr.splitlines() == [
+        "error: no connected non-bipartite instance with delta>=1 for n=1414, p=1e-09, seed=1 in 1 attempts"
+    ]
+
+
 def test_run_report_records_the_callers_argv(tmp_path, monkeypatch):
     from superkappa import cli
 

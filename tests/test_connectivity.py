@@ -187,12 +187,12 @@ def test_each_root_yields_exactly_its_minimum_separators():
         G = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < rng.choice((0.4, 0.6))])
         if not G.is_connected() or G.is_complete():
             continue
-        scan = [(s, t, list(flow.cap.values()), value) for s, t, flow, value in connectivity._kappa_scan(G)]
+        scan = [(s, t, connectivity._flow_state(G, flow), value) for s, t, flow, value in connectivity._kappa_scan(G)]
         kappa = min(value for *_, value in scan)
-        for s, t, residual, value in scan:
+        for s, t, state, value in scan:
             if value != kappa:
                 continue
-            got = list(connectivity._separator_cuts(G, [(s, t, residual)]))
+            got = list(connectivity._separator_cuts(G, [(s, t, *state)]))
             others = set(range(n)) - {s, t}
             oracle = {frozenset(S) for S in combinations(sorted(others), kappa) if _separates(G, set(S), s, t)}
             assert len(got) == len(set(got)) and set(got) == oracle, (sorted(G.edges), s, t)
@@ -362,11 +362,11 @@ def test_minimum_vertex_cut_is_the_first_stream_cut(G, cut):
 @pytest.mark.parametrize(
     "G,builds,searches,closures",
     [
-        (direct_product(cycle(3), cycle(6)), 20, 77, 159),
-        (direct_product(cycle(3), cycle(7)), 23, 89, 186),
-        (cycle(8), 7, 13, 2),
-        (direct_product(complete(2), complete(3)), 5, 9, 3),
-        (tilde(complete_bipartite(2, 3), complete_bipartite(2, 3).is_bipartite(), 3)[0], 17, 65, 74),
+        (direct_product(cycle(3), cycle(6)), 19, 77, 159),
+        (direct_product(cycle(3), cycle(7)), 22, 89, 186),
+        (cycle(8), 6, 13, 2),
+        (direct_product(complete(2), complete(3)), 4, 9, 3),
+        (tilde(complete_bipartite(2, 3), complete_bipartite(2, 3).is_bipartite(), 3)[0], 16, 65, 74),
     ],
     ids=["C3xC6", "C3xC7", "C8", "K2xK3", "tilde(kbip(2,3),3)"],
 )
@@ -374,7 +374,7 @@ def test_super_kappa_work_counts(monkeypatch, G, builds, searches, closures):
     # deterministic work, so a change that redoes flows shows up here
     counts = {"builds": 0, "searches": 0, "closures": 0}
     flow = connectivity._SplitFlow
-    init, max_flow, closure_cut = flow.__init__, flow.max_flow, flow.closure_cut
+    init, max_flow, closure = flow.__init__, flow.max_flow, connectivity._closure
 
     def counting_init(self, *args):
         counts["builds"] += 1
@@ -386,13 +386,13 @@ def test_super_kappa_work_counts(monkeypatch, G, builds, searches, closures):
         counts["searches"] += found + (found < limit)
         return found
 
-    def counting_closure_cut(self, *args):
+    def counting_closure(*args):
         counts["closures"] += 1  # one per Lawler node
-        return closure_cut(self, *args)
+        return closure(*args)
 
     monkeypatch.setattr(flow, "__init__", counting_init)
     monkeypatch.setattr(flow, "max_flow", counting_max_flow)
-    monkeypatch.setattr(flow, "closure_cut", counting_closure_cut)
+    monkeypatch.setattr(connectivity, "_closure", counting_closure)
     is_super_kappa(G)
     assert counts == {"builds": builds, "searches": searches, "closures": closures}
 

@@ -194,6 +194,16 @@ def test_random_bipartite_impossible():
         random_connected_bipartite(1, 1, 0.1, 1, min_delta=2)
 
 
+def test_resampling_keeps_its_pair_draws_within_the_edge_cap():
+    # every attempt draws each vertex pair once; small draws keep the whole budget
+    with pytest.raises(GenerationError, match="in 10000 attempts"):
+        random_connected_nonbipartite(4, 0.5, 1, min_delta=4)
+    with pytest.raises(GenerationError, match="in 3 attempts"):
+        random_connected_nonbipartite(800, 1e-9, 1)  # 319,600 pairs
+    with pytest.raises(GenerationError, match="in 2 attempts"):
+        random_connected_bipartite(600, 600, 1e-9, 1)  # 360,000 pairs
+
+
 def test_random_nonbipartite():
     assert random_connected_nonbipartite(5, 1.0, 0) == complete(5)
     assert random_connected_nonbipartite(3, 1.0, 0) == complete(3)

@@ -1,3 +1,4 @@
+import pickle
 from collections import Counter
 
 import pytest
@@ -366,3 +367,66 @@ def test_shift_certificate_checks_vertices_and_edges():
     assert _shift_is_isomorphism(Graph(4, [(0, 3), (1, 2)]), 2, A, B)
     assert not _shift_is_isomorphism(Graph(4, [(0, 3)]), 2, A, B)  # B lacks A's edge
     assert not _shift_is_isomorphism(Graph(4, [(0, 3), (1, 2)]), 2, A, A)  # A is not the shift of A
+
+
+def _two_four_cycles():
+    """Two 4-cycles sharing vertex 0: bipartite, parts of 3 and 4, kappa 1, delta 2."""
+    return Graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 0)])
+
+
+def test_rule_fixed_clauses_are_shared_between_verdicts():
+    a, b = verify("T3.7", cycle(5), n=6), verify("T3.7", cycle(7), n=8)
+    assert [c.text for c in a.hypotheses[:3]] == ["G is connected", "G is non-bipartite", "n >= 6 even"]
+    assert all(x is y for x, y in zip(a.hypotheses[:3], b.hypotheses[:3]))
+    assert a.hypotheses[3] != b.hypotheses[3]  # its text carries the instance's values
+    assert a.to_json()["hypotheses"][0] is b.to_json()["hypotheses"][0]
+
+
+def test_verdict_json_is_unchanged():
+    def plain(v):
+        return {**v.to_json(), "runtime_ms": 0}
+
+    assert plain(verify("T3.5", _two_four_cycles(), n=3)) == {
+        "theorem_id": "T3.5",
+        "instance": {"graph6": "Fl_KG", "n": 3},
+        "hypotheses": [
+            {"clause": "G is connected", "holds": True},
+            {"clause": "G is bipartite", "holds": True},
+            {"clause": "n >= 3 odd", "holds": True},
+            {"clause": "|X| >= delta+1 (3 vs 3)", "holds": True},
+            {"clause": "|Y| >= delta+1 (4 vs 3)", "holds": True},
+            {"clause": "kappa(G) > (2/n) delta(G)  [3*1 > 2*2]", "holds": False},
+        ],
+        "predicted": None,
+        "actual": None,
+        "verdict": "hypotheses-not-met",
+        "runtime_ms": 0,
+        "witness": None,
+        "notes": [],
+    }
+    assert plain(verify("T3.7", cycle(5), n=6)) == {
+        "theorem_id": "T3.7",
+        "instance": {"graph6": "Dhc", "n": 6},
+        "hypotheses": [
+            {"clause": "G is connected", "holds": True},
+            {"clause": "G is non-bipartite", "holds": True},
+            {"clause": "n >= 6 even", "holds": True},
+            {"clause": "kappa(GxK2) > (4/n) delta(G)  [6*2 > 4*2]", "holds": True},
+        ],
+        "predicted": {"super_kappa": True},
+        "actual": {"super_kappa": True, "minimum_cuts": 30},
+        "verdict": "confirmed",
+        "runtime_ms": 0,
+        "witness": None,
+        "notes": [],
+    }
+
+
+def test_verdicts_survive_pickling():
+    # a pool ships every verdict back to its parent by pickle
+    G = _two_four_cycles()
+    for v in (verify("T3.7", cycle(5), n=6), verify("T3.5", G, n=3), theorems.conclude("T3.5", G, 3)):
+        back = pickle.loads(pickle.dumps(v))
+        assert back.hypotheses == v.hypotheses
+        assert back.to_json() == v.to_json()
+    assert back.verdict == REFUTED and back.witness["cut"] == [0, 1, 2]
