@@ -2,16 +2,18 @@
 
 Subcommands: gen, kappa, super-kappa, verify, suite, search-tightness.
 Exit codes: 0 success/confirmed, 1 refuted or witness found,
-2 indeterminate (budget), 3 input error (usage errors and oversized inputs
-included), 4 internal error. Errors of kind 3 and 4 print one stderr line; a
-suite whose entries hit internal errors reports each as an `error` verdict,
-prints one stderr line per such entry and exits 4.
+2 indeterminate (budget), 3 input error (usage errors, oversized inputs and
+input files that cannot be read or decoded included), 4 a fault of the
+program or output it could not write. Errors of kind 3 and 4 print one stderr
+line, a closed stdout none; a suite whose entries hit internal errors reports
+each as an `error` verdict, prints one stderr line per such entry and exits 4.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -19,16 +21,11 @@ import time
 from . import __version__
 from . import connectivity as conn
 from .construct import tilde
-from .errors import INPUT_ERRORS, InputError
+from .errors import InputError
 from .expr import build_expression, check_size
 from .formats import load_graph_file, write_edgelist_json, write_graph6
-from .suite import (
-    load_manifest,
-    make_run_report,
-    run_manifest,
-    write_run_report,
-)
-from .theorems import ERROR, INDETERMINATE, REFUTED, THEOREM_IDS, verify
+from .suite import load_manifest, make_run_report, run_manifest, write_run_report
+from .theorems import CONFIRMED, ERROR, INDETERMINATE, REFUTED, THEOREM_IDS, verify
 from .tightness import TARGETS, tightness_search
 
 EXIT_OK = 0
@@ -36,6 +33,8 @@ EXIT_WITNESS = 1
 EXIT_INDETERMINATE = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
+# a run exits with the worst code among its outcomes; any other outcome is 0
+EXIT_CODES = {REFUTED: EXIT_WITNESS, INDETERMINATE: EXIT_INDETERMINATE, ERROR: EXIT_INTERNAL}
 
 _TILDE_RE = re.compile(r"^\s*tilde\s*\(\s*(.+)\s*,\s*(\d+)\s*\)\s*$")
 
@@ -55,37 +54,26 @@ def _build_from_expression(text):
     return graph
 
 
-def _emit(args, results, input_paths, wall_ms):
-    if getattr(args, "out", None):
-        report = make_run_report(args.argv, input_paths, results, wall_ms)
-        write_run_report(args.out, report)
+def _json(doc):
+    return json.dumps(doc, indent=2) + "\n"
 
 
 def cmd_gen(args):
     graph = _build_from_expression(args.expression)
     text = write_graph6(graph) if args.format == "g6" else write_edgelist_json(graph)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return text, None, [], []  # no RunReport: --out takes the graph
 
 
 def cmd_kappa(args):
-    start = time.perf_counter()
     graph = load_graph_file(args.graph)
-    report = conn.connectivity_report(graph, budget=args.budget)
-    print(json.dumps(report.to_json(), indent=2))
-    _emit(args, [report.to_json()], [args.graph], int((time.perf_counter() - start) * 1000))
-    return EXIT_OK
+    doc = conn.connectivity_report(graph, budget=args.budget).to_json()
+    return _json(doc), [doc], [args.graph], []
 
 
 def cmd_super_kappa(args):
-    start = time.perf_counter()
     graph = load_graph_file(args.graph)
     result = conn.is_super_kappa(graph, budget=args.budget)
-    payload = {
+    doc = {
         "is_super_kappa": result.status,
         "vacuous": result.vacuous,
         "method": result.method,
@@ -93,75 +81,43 @@ def cmd_super_kappa(args):
         "minimum_cuts_examined": result.cuts_examined,
         "witness": result.witness.to_json() if result.witness else None,
     }
-    print(json.dumps(payload, indent=2))
-    _emit(args, [payload], [args.graph], int((time.perf_counter() - start) * 1000))
-    if result.status is None:
-        return EXIT_INDETERMINATE
-    return EXIT_OK if result.status else EXIT_WITNESS
+    outcome = {True: CONFIRMED, False: REFUTED, None: INDETERMINATE}[result.status]
+    return _json(doc), [doc], [args.graph], [outcome]
 
 
 def cmd_verify(args):
-    start = time.perf_counter()
-    lengths = None
     if args.expr:
         graph, spec = build_expression(args.expr)
-        lengths = spec.odd_cycle_lengths()
-        descriptor = {"expr": args.expr}
-        inputs = []
+        lengths, descriptor, inputs = spec.odd_cycle_lengths(), {"expr": args.expr}, []
     else:
         graph = load_graph_file(args.graph)
-        descriptor = {"file": args.graph}
-        inputs = [args.graph]
-    verdict = verify(
-        args.theorem,
-        graph,
-        n=args.n,
-        budget=args.budget,
-        odd_cycle_lengths=lengths,
-        instance=descriptor,
-    )
-    print(json.dumps(verdict.to_json(), indent=2))
-    _emit(args, [verdict], inputs, int((time.perf_counter() - start) * 1000))
-    if verdict.verdict == REFUTED:
-        return EXIT_WITNESS
-    if verdict.verdict == INDETERMINATE:
-        return EXIT_INDETERMINATE
-    return EXIT_OK
+        lengths, descriptor, inputs = None, {"file": args.graph}, [args.graph]
+    verdict = verify(args.theorem, graph, n=args.n, budget=args.budget, odd_cycle_lengths=lengths, instance=descriptor)
+    doc = verdict.to_json()
+    return _json(doc), [doc], inputs, [verdict.verdict]
 
 
 def cmd_suite(args):
-    start = time.perf_counter()
     doc = load_manifest(args.manifest)
     results = run_manifest(doc, jobs=args.jobs)
-    worst = EXIT_OK
+    lines = []
     for entry, verdict in zip(doc["instances"], results):
-        print(f"{entry.get('id', '?')}: {verdict.theorem_id} {verdict.verdict}")
+        lines.append(f"{entry.get('id', '?')}: {verdict.theorem_id} {verdict.verdict}\n")
         if verdict.verdict == ERROR:
             print(f"internal error in entry {entry.get('id', '?')}: {verdict.notes[0]}", file=sys.stderr)
-            worst = EXIT_INTERNAL
-        elif verdict.verdict == REFUTED:
-            worst = max(worst, EXIT_WITNESS)
-        elif verdict.verdict == INDETERMINATE:
-            worst = max(worst, EXIT_INDETERMINATE)
-    _emit(args, results, [args.manifest], int((time.perf_counter() - start) * 1000))
-    return worst
+    return "".join(lines), [v.to_json() for v in results], [args.manifest], [v.verdict for v in results]
 
 
 def cmd_search_tightness(args):
-    start = time.perf_counter()
     try:
         lo, hi = args.n_range.split("..")
         n_range = range(int(lo), int(hi) + 1)
     except ValueError as exc:
         raise InputError(f"bad n-range {args.n_range!r}; expected A..B") from exc
-    report = tightness_search(
-        args.target, args.max_part_size, n_range, args.seed, args.budget
-    )
-    print(json.dumps(report.to_json(), indent=2))
-    _emit(args, [report.to_json()], [], int((time.perf_counter() - start) * 1000))
-    if not report.complete:
-        return EXIT_INDETERMINATE
-    return EXIT_WITNESS if report.witnesses else EXIT_OK
+    report = tightness_search(args.target, args.max_part_size, n_range, args.seed, args.budget)
+    doc = report.to_json()
+    outcome = INDETERMINATE if not report.complete else REFUTED if report.witnesses else CONFIRMED
+    return _json(doc), [doc], [], [outcome]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -225,21 +181,42 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command. Its printed document goes to stdout, or to --out for
+    gen; other commands write a RunReport to --out. The exit code is the
+    worst of the command's outcomes, or the kind of error that stopped it."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    args.argv = argv  # the RunReport's command
+    start = time.perf_counter()
     try:
         if getattr(args, "budget", 0) < 0:
             raise InputError(f"--budget must be non-negative, got {args.budget}")
         if getattr(args, "jobs", 1) < 1:
             raise InputError(f"--jobs must be at least 1, got {args.jobs}")
-        return args.func(args)
-    except INPUT_ERRORS as exc:
+        text, results, inputs, outcomes = args.func(args)
+        if args.out and results is not None:
+            report = make_run_report(argv, inputs, results, int((time.perf_counter() - start) * 1000))
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # a fault of the program, not of its input
         print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).splitlines())}", file=sys.stderr)
         return EXIT_INTERNAL
+    try:
+        if args.out and results is None:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # a closed stdout fails here, not at exit
+            if args.out:
+                write_run_report(args.out, report)
+    except OSError as exc:  # output the run could not write
+        if isinstance(exc, BrokenPipeError):  # stdout was closed: say nothing more there
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        else:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    return max((EXIT_CODES.get(outcome, EXIT_OK) for outcome in outcomes), default=EXIT_OK)
 
 
 if __name__ == "__main__":

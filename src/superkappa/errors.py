@@ -1,11 +1,16 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+Every error the input can cause is an InputError; the CLI reports it as
+malformed input (exit 3), anything else as a fault of the program.
+"""
 
 
 class InputError(ValueError):
-    """Invalid argument: bad vertex index, wrong graph class, bad parameter."""
+    """Invalid input: bad vertex index, wrong graph class, bad parameter, or
+    an input file that cannot be read or decoded."""
 
 
-class FormatError(ValueError):
+class FormatError(InputError):
     """Malformed serialized graph data."""
 
     def __init__(self, message, offset=None):
@@ -15,17 +20,13 @@ class FormatError(ValueError):
         self.offset = offset
 
 
-class CapacityError(RuntimeError):
+class CapacityError(InputError):
     """Input exceeds a hard size cap (e.g. isomorphism search)."""
 
 
-class NoCutError(RuntimeError):
+class NoCutError(InputError):
     """Requested a vertex cut of a graph that has none (complete graph)."""
 
 
-class GenerationError(RuntimeError):
+class GenerationError(InputError):
     """Random instance generation exhausted its resampling budget."""
-
-
-# what the CLI reports as malformed input (exit 3) rather than a fault of the program
-INPUT_ERRORS = (InputError, FormatError, NoCutError, GenerationError, CapacityError, OSError)

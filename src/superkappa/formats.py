@@ -150,10 +150,18 @@ def parse_edgelist_json(text):
     return Graph(n, edges, labels=labels)
 
 
+def read_input(path, mode="r"):
+    """The contents of an input file; one that cannot be read or decoded is an InputError."""
+    try:
+        with open(path, mode) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(str(exc)) from exc
+
+
 def load_graph_file(path):
     """Read a graph file, sniffing graph6 vs JSON edge list."""
-    with open(path) as fh:
-        text = fh.read()
+    text = read_input(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return parse_edgelist_json(text)

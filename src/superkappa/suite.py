@@ -27,9 +27,9 @@ import time
 from . import __version__
 from . import connectivity as conn
 from .construct import random_connected_bipartite, random_connected_nonbipartite
-from .errors import INPUT_ERRORS, InputError
+from .errors import InputError
 from .expr import build_expression, check_size, check_spec_size, load_file_leaves, parse_spec
-from .formats import _is_int, parse_graph6
+from .formats import _is_int, parse_graph6, read_input
 from .theorems import ERROR, RULES, TheoremVerdict, verify, verify_decomposition
 
 RNG_NOTE = "python-random-mt19937"
@@ -84,7 +84,7 @@ def _run_or_error(entry):
     start = time.perf_counter()
     try:
         return run_instance(entry)
-    except INPUT_ERRORS:
+    except InputError:
         raise
     except Exception as exc:
         ms = int((time.perf_counter() - start) * 1000)
@@ -131,18 +131,17 @@ def _entry_problem(entry):
             check_spec_size(spec, load_file_leaves(spec))
         elif fields is not None:  # sized by the vertex pairs its generator draws
             check_size(*((m + n, m * n) if kind == "random_bipartite" else (n, n * (n - 1) // 2)))
-    except INPUT_ERRORS as exc:
+    except InputError as exc:
         return str(exc)
     return None
 
 
 def load_manifest(path):
     """Read a manifest and check every entry before any of them runs."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"manifest {path} is not valid JSON: {exc}") from exc
+    try:
+        doc = json.loads(read_input(path))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"manifest {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("instances"), list):
         raise InputError("manifest needs an 'instances' list")
     for i, entry in enumerate(doc["instances"]):
@@ -172,11 +171,7 @@ def run_manifest(doc, jobs=1):
 def sha256_file(path):
     import hashlib  # imported here: it loads OpenSSL, which only RunReports need
 
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return hashlib.sha256(read_input(path, "rb")).hexdigest()
 
 
 def make_run_report(argv, input_paths, results, wall_ms):
@@ -188,7 +183,7 @@ def make_run_report(argv, input_paths, results, wall_ms):
         "inputs": {p: sha256_file(p) for p in input_paths},
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "wall_ms": wall_ms,
-        "results": [r.to_json() if hasattr(r, "to_json") else r for r in results],
+        "results": results,
     }
 
 

@@ -60,6 +60,7 @@ REFUTED = "refuted"
 HYP_NOT_MET = "hypotheses-not-met"
 INDETERMINATE = "indeterminate"
 ERROR = "error"  # a suite entry the program failed on; see suite.run_manifest
+SUPER_KAPPA = {"super_kappa": True}  # what every super-kappa rule predicts; its verdicts share this object
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class Rule:
     strict: tuple | None = None
     odd_cycles: bool = False
     construction: str = PRODUCT
-    predict: Callable = lambda inv, n, lengths: {"super_kappa": True}
+    predict: Callable = lambda inv, n, lengths: SUPER_KAPPA
     compare: str = SUPER
     composes: str | None = None
     decomposition: str | None = None

@@ -398,3 +398,73 @@ def test_input_error_in_one_entry_still_exits_3(tmp_path, monkeypatch, capsys, j
     monkeypatch.setattr(suite, "verify", bad_input)
     assert cli.main(["suite", "--manifest", str(manifest), "--jobs", jobs]) == cli.EXIT_INPUT
     assert capsys.readouterr().err.splitlines() == ["error: bad vertex"]
+
+
+def test_every_error_the_input_can_cause_is_an_input_error():
+    from superkappa.errors import CapacityError, FormatError, GenerationError, InputError, NoCutError
+
+    assert all(issubclass(e, InputError) for e in (FormatError, CapacityError, NoCutError, GenerationError))
+
+
+def _one_stderr_line(res, code):
+    assert res.returncode == code
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1
+    return lines[0]
+
+
+BINARY = b"\xff\xfe\x00\x9c binary"  # not UTF-8
+
+
+def test_a_binary_graph_file_is_malformed_input(tmp_path):
+    path = tmp_path / "g.bin"
+    path.write_bytes(BINARY)
+    line = _one_stderr_line(run_cli("kappa", str(path)), 3)
+    assert line.startswith("error:") and "decode" in line
+
+
+def test_a_manifest_that_is_not_utf8_is_malformed_input(tmp_path):
+    manifest = tmp_path / "m.json"
+    manifest.write_bytes(BINARY + b'{"instances": []}')
+    res = run_cli("suite", "--manifest", str(manifest))
+    assert _one_stderr_line(res, 3).startswith("error:")
+    assert res.stdout == ""
+
+
+def test_a_file_leaf_that_is_binary_is_malformed_input(tmp_path):
+    (tmp_path / "g.bin").write_bytes(BINARY)
+    entries = [
+        {"id": "a", "theorem": "T3.9", "graph": {"expr": "cycle(3)"}},
+        {"id": "b", "theorem": "T3.9", "graph": {"expr": f"cycle(3) x file({tmp_path / 'g.bin'})"}},
+    ]
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"instances": entries}))
+    res = run_cli("suite", "--manifest", str(manifest))
+    assert "manifest entry b:" in _one_stderr_line(res, 3)
+    assert res.stdout == ""
+
+
+def test_a_closed_stdout_is_a_fault_without_a_traceback():
+    # several times a pipe's buffer, so the writes fail even if some began before the close
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "superkappa.cli", "gen", "cycle(3) x cycle(700)"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 4
+    assert "Traceback" not in err and "Errno 32" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["gen", "cycle(5)"], ["verify", "--theorem", "T3.7", "--expr", "cycle(5)", "--n", "6"]],
+    ids=["gen", "verify"],
+)
+def test_an_unwritable_out_is_a_fault_not_malformed_input(tmp_path, args):
+    res = run_cli(*args, "--out", str(tmp_path / "missing-dir" / "out"))
+    line = _one_stderr_line(res, 4)
+    assert line.startswith("error:") and "missing-dir" in line and "input" not in line

@@ -430,3 +430,10 @@ def test_verdicts_survive_pickling():
         assert back.hypotheses == v.hypotheses
         assert back.to_json() == v.to_json()
     assert back.verdict == REFUTED and back.witness["cut"] == [0, 1, 2]
+
+
+def test_super_kappa_predictions_are_one_shared_object():
+    a, b = verify("L2.2", cycle(6), n=3), verify("L2.2", cycle(8), n=3)
+    assert a.verdict == b.verdict == CONFIRMED
+    assert a.predicted == {"super_kappa": True}
+    assert a.predicted is b.predicted
