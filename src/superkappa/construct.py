@@ -1,6 +1,7 @@
 """Graph families and constructions: base families, direct products,
 the cyclic layered graph built from a bipartite base, double covers,
-proof-style layer decompositions of G x C_n, and seeded random instances.
+proof-style layer decompositions of G x C_n, and seeded random instances,
+every one of them drawn by one loop, `_draw`.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import GenerationError, InputError
+from .formats import MAX_EDGES
 from .graph import Graph
 
 RESAMPLE_BUDGET = 10_000
@@ -196,9 +198,21 @@ def _attempts(pairs):
     """Resamples allowed to a draw over `pairs` vertex pairs: RESAMPLE_BUDGET,
     fewer when their pair draws together would exceed the edge cap, but at
     least one. Draws of at most 100 pairs keep the whole budget."""
-    from .expr import MAX_EDGES  # expr imports this module
-
     return max(1, min(RESAMPLE_BUDGET, MAX_EDGES // max(pairs, 1)))
+
+
+def _draw(order, pairs, count, p, seed, accept, wanted):
+    """The first graph on `order` vertices that `accept` takes, of up to
+    `_attempts(count)` drawn with `random.Random(seed)`: each keeps every one
+    of the `count` vertex pairs `pairs()` yields, in order, with probability p."""
+    if not (0 < p <= 1):
+        raise InputError(f"edge probability must be in (0,1], got {p}")
+    rng, attempts = random.Random(seed), _attempts(count)
+    for _ in range(attempts):
+        G = Graph(order, [e for e in pairs() if rng.random() < p])
+        if accept(G):
+            return G
+    raise GenerationError(f"no connected {wanted}, p={p}, seed={seed} in {attempts} attempts")
 
 
 def random_connected_bipartite(m, n, p, seed, min_delta=1):
@@ -209,24 +223,12 @@ def random_connected_bipartite(m, n, p, seed, min_delta=1):
     """
     if m < 1 or n < 1:
         raise InputError(f"part sizes must be >= 1, got {m},{n}")
-    if not (0 < p <= 1):
-        raise InputError(f"edge probability must be in (0,1], got {p}")
-    rng, attempts = random.Random(seed), _attempts(m * n)
-    for _ in range(attempts):
-        edges = [
-            (i, m + j)
-            for i in range(m)
-            for j in range(n)
-            if rng.random() < p
-        ]
-        G = Graph(m + n, edges)
-        if G.is_connected() and G.min_degree() >= min_delta:
-            B = G.is_bipartite()
-            return G, B
-    raise GenerationError(
-        f"no connected bipartite instance with delta>={min_delta} "
-        f"for m={m}, n={n}, p={p}, seed={seed} in {attempts} attempts"
+    G = _draw(
+        m + n, lambda: ((i, m + j) for i in range(m) for j in range(n)), m * n, p, seed,
+        lambda G: G.is_connected() and G.min_degree() >= min_delta,
+        f"bipartite instance with delta>={min_delta} for m={m}, n={n}",
     )
+    return G, G.is_bipartite()
 
 
 def random_connected_nonbipartite(n, p, seed, min_delta=1):
@@ -234,20 +236,8 @@ def random_connected_nonbipartite(n, p, seed, min_delta=1):
     resampled up to `_attempts(n(n-1)/2)` times."""
     if n < 1:
         raise InputError(f"vertex count must be >= 1, got {n}")
-    if not (0 < p <= 1):
-        raise InputError(f"edge probability must be in (0,1], got {p}")
-    rng, attempts = random.Random(seed), _attempts(n * (n - 1) // 2)
-    for _ in range(attempts):
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < p
-        ]
-        G = Graph(n, edges)
-        if G.is_connected() and G.is_bipartite() is None and G.min_degree() >= min_delta:
-            return G
-    raise GenerationError(
-        f"no connected non-bipartite instance with delta>={min_delta} "
-        f"for n={n}, p={p}, seed={seed} in {attempts} attempts"
+    return _draw(
+        n, lambda: ((i, j) for i in range(n) for j in range(i + 1, n)), n * (n - 1) // 2, p, seed,
+        lambda G: G.is_connected() and G.is_bipartite() is None and G.min_degree() >= min_delta,
+        f"non-bipartite instance with delta>={min_delta} for n={n}",
     )

@@ -14,18 +14,25 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
+from typing import Callable, NamedTuple
 
 from . import construct
 from .errors import CapacityError, InputError
-from .formats import MAX_VERTICES, load_graph_file
+from .formats import MAX_EDGES, MAX_VERTICES, load_graph_file
 
-MAX_EDGES = 10**6
-# (|V|, |E|) of a leaf, from its arguments
-_LEAF_SIZES = {
-    "cycle": lambda n: (n, n),
-    "complete": lambda n: (n, n * (n - 1) // 2),
-    "kbip": lambda m, n: (m + n, m * n),
+
+class _Family(NamedTuple):
+    arity: int  # of integer arguments
+    build: Callable
+    size: Callable  # (|V|, |E|) from the arguments
+
+
+_FAMILIES = {
+    "cycle": _Family(1, construct.cycle, lambda n: (n, n)),
+    "complete": _Family(1, construct.complete, lambda n: (n, n * (n - 1) // 2)),
+    "kbip": _Family(2, construct.complete_bipartite, lambda m, n: (m + n, m * n)),
 }
+_ARGUMENTS = {1: "one integer argument", 2: "two integer arguments"}
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)\s*\((?P<args>[^()]*)\)|(?P<op>x)\b)",
@@ -34,7 +41,7 @@ _TOKEN = re.compile(
 
 @dataclass(frozen=True)
 class FamilyLeaf:
-    kind: str  # "cycle" | "complete" | "kbip" | "file"
+    kind: str  # a key of _FAMILIES, or "file"
     args: tuple
 
     def describe(self):
@@ -78,14 +85,11 @@ def parse_spec(text):
             raise InputError(f"missing 'x' before {m.group('name')!r}")
         name = m.group("name")
         raw_args = [a.strip() for a in m.group("args").split(",")] if m.group("args").strip() else []
-        if name in ("cycle", "complete"):
-            if len(raw_args) != 1 or not raw_args[0].isdigit():
-                raise InputError(f"{name} takes one integer argument")
-            leaves.append(FamilyLeaf(name, (int(raw_args[0]),)))
-        elif name == "kbip":
-            if len(raw_args) != 2 or not all(a.isdigit() for a in raw_args):
-                raise InputError("kbip takes two integer arguments")
-            leaves.append(FamilyLeaf(name, tuple(int(a) for a in raw_args)))
+        if name in _FAMILIES:
+            arity = _FAMILIES[name].arity
+            if len(raw_args) != arity or not all(a.isdigit() for a in raw_args):
+                raise InputError(f"{name} takes {_ARGUMENTS[arity]}")
+            leaves.append(FamilyLeaf(name, tuple(map(int, raw_args))))
         elif name == "file":
             if len(raw_args) != 1:
                 raise InputError("file takes one path argument")
@@ -106,23 +110,13 @@ def check_size(vertices, edges):
         )
 
 
-def build_leaf(leaf):
-    if leaf.kind == "cycle":
-        return construct.cycle(*leaf.args)
-    if leaf.kind == "complete":
-        return construct.complete(*leaf.args)
-    if leaf.kind == "kbip":
-        return construct.complete_bipartite(*leaf.args)
-    raise InputError(f"unknown leaf kind {leaf.kind!r}")
-
-
 def check_spec_size(spec, loaded):
     """Size each leaf (file leaves from their graphs in `loaded`) and each partial
     product, |V(G x H)| = |V(G)||V(H)|, |E(G x H)| = 2|E(G)||E(H)|, before any is built."""
     size = None
     for leaf in spec.leaves:
         G = loaded.get(leaf)
-        v, e = (G.n, len(G.edges)) if G is not None else _LEAF_SIZES[leaf.kind](*leaf.args)
+        v, e = (G.n, len(G.edges)) if G is not None else _FAMILIES[leaf.kind].size(*leaf.args)
         check_size(v, e)  # a leaf with no edges must not hide a large one after it
         size = (v, e) if size is None else (size[0] * v, 2 * size[1] * e)
         check_size(*size)
@@ -137,7 +131,7 @@ def build_spec(spec):
     """Build the product once it is sized, file leaves loaded first."""
     loaded = load_file_leaves(spec)
     check_spec_size(spec, loaded)
-    leaves = [loaded[leaf] if leaf in loaded else build_leaf(leaf) for leaf in spec.leaves]
+    leaves = [loaded[leaf] if leaf in loaded else _FAMILIES[leaf.kind].build(*leaf.args) for leaf in spec.leaves]
     return reduce(construct.direct_product, leaves)
 
 

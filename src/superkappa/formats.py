@@ -8,6 +8,7 @@ trailing newline, long-form size prefix only above 62 vertices.
 
 from __future__ import annotations
 
+import base64
 import json
 
 from .errors import CapacityError, FormatError, InputError
@@ -17,6 +18,11 @@ _HEADER = ">>graph6<<"
 # graph6's 18-bit size prefix, less the sizes whose first 6-bit group would
 # read as the 36-bit form's marker; JSON edge lists share the limit
 MAX_VERTICES = 258047
+MAX_EDGES = 10**6  # expressions and random draws are refused above it before they are built
+# base64 writes 6-bit group v as the v-th character of its alphabet; graph6 as chr(v + 63)
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
 
 
 def write_graph6(G):
@@ -30,14 +36,14 @@ def write_graph6(G):
         bits18 = f"{n:018b}"
         out.append(chr(126))
         out.extend(chr(int(bits18[i : i + 6], 2) + 63) for i in range(0, 18, 6))
-    bits = []
-    for col in range(1, n):
-        for row in range(col):
-            bits.append("1" if (row, col) in G.edges else "0")
-    while len(bits) % 6:
-        bits.append("0")
-    for i in range(0, len(bits), 6):
-        out.append(chr(int("".join(bits[i : i + 6]), 2) + 63))
+    masks = G.adjacency_masks()
+    # column col is rows 0..col-1, row 0 first: the low col bits of its mask, reversed
+    bits = "".join(format(masks[col] & ((1 << col) - 1), f"0{col}b")[::-1] for col in range(1, n))
+    groups = -(-len(bits) // 6)
+    bits += "0" * (-len(bits) % 24)  # whole 6-bit groups, and whole bytes for base64
+    if bits:
+        data = base64.b64encode(int(bits, 2).to_bytes(len(bits) // 8, "big"))
+        out.append(data[:groups].translate(_BASE64_TO_GRAPH6).decode("ascii"))
     return "".join(out) + "\n"
 
 
@@ -155,8 +161,10 @@ def read_input(path, mode="r"):
     try:
         with open(path, mode) as fh:
             return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:  # its text names the path
         raise InputError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot decode {path}: {exc}") from exc
 
 
 def load_graph_file(path):

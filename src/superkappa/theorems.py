@@ -194,10 +194,6 @@ class _Invariants:
     kappa_dc = cached_property(lambda self: conn.vertex_connectivity(double_cover(self.G)))
 
 
-def _parity(n):
-    return "even" if n % 2 == 0 else "odd"
-
-
 def _start(theorem_id, G):
     if theorem_id not in RULES:
         raise InputError(f"unknown theorem id {theorem_id!r}")
@@ -209,21 +205,20 @@ def _start(theorem_id, G):
 # -- hypotheses ---------------------------------------------------------------
 
 
-def _class_and_n_clauses(rule, inv, n):
-    clauses = []
+def n_rule_holds(rule, n):
+    """Whether n meets the n-rule "n >= n_min [odd|even]" of a rule that takes n."""
+    return n is not None and n >= rule.n_min and rule.parity in (None, ("even", "odd")[n % 2])
+
+
+def _clauses(rule, inv, n, odd_cycle_lengths):
+    clauses = [_fixed_clause("G is connected", inv.connected)]
     if rule.graph_class == BIPARTITE:
         clauses.append(_fixed_clause("G is bipartite", inv.bipartition is not None))
     elif rule.graph_class == NONBIPARTITE:
         clauses.append(_fixed_clause("G is non-bipartite", inv.nonbipartite))
     if rule.n_min is not None:
-        holds = n is not None and n >= rule.n_min and rule.parity in (None, _parity(n))
-        clauses.append(_fixed_clause(f"n >= {rule.n_min}" + (f" {rule.parity}" if rule.parity else ""), holds))
-    return clauses
-
-
-def _clauses(rule, inv, n, odd_cycle_lengths):
-    clauses = [_fixed_clause("G is connected", inv.connected)]
-    clauses += _class_and_n_clauses(rule, inv, n)
+        text = f"n >= {rule.n_min}" + (f" {rule.parity}" if rule.parity else "")
+        clauses.append(_fixed_clause(text, n_rule_holds(rule, n)))
     if rule.part_sizes:
         B, limit = inv.bipartition, inv.delta + 1
         for part in ("X", "Y"):
@@ -252,11 +247,6 @@ def check_hypotheses(theorem_id, G, n=None, odd_cycle_lengths=None):
     inequalities are compared by integer cross-multiplication."""
     rule, inv = _start(theorem_id, G)
     return _clauses(rule, inv, n, odd_cycle_lengths)
-
-
-def class_and_n_rule_hold(theorem_id, G, n):
-    """The cheap clauses of a rule: G's graph class and the n-rule."""
-    return all(c.holds for c in _class_and_n_clauses(RULES[theorem_id], _Invariants(G), n))
 
 
 def hypotheses_hold(clauses):

@@ -1,7 +1,9 @@
 """Boundary probing for the super-connectivity sufficient conditions.
 
 Samples small instances that fail exactly one hypothesis clause of a
-target rule, decides the rule's conclusion on each with `theorems.conclude`,
+target rule: connected graphs of the rule's class, drawn only at the n of
+`n_range` that meet its n-rule, so the clause missed is a part-size or a
+strict one. It decides the rule's conclusion on each with `theorems.conclude`,
 the code `verify` runs once the hypotheses hold (super connectivity decided
 up to the first minimum cut that is no minimum-degree vertex's
 neighborhood, the witness), and records which boundary instances break the
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 from .construct import random_connected_bipartite, random_connected_nonbipartite
 from .construct import direct_product  # noqa: F401  (kept: perfbench/test_perfbench.py checks its tracing)
 from .errors import GenerationError, InputError
-from .theorems import BIPARTITE, CONFIRMED, REFUTED, RULES, check_hypotheses, class_and_n_rule_hold, conclude
+from .theorems import BIPARTITE, CONFIRMED, REFUTED, RULES, check_hypotheses, conclude, n_rule_holds
 
 # the super-connectivity sufficient conditions: the rules with a strict clause
 TARGETS = tuple(tid for tid, rule in RULES.items() if rule.strict)
@@ -114,13 +116,13 @@ def tightness_search(target, max_part_size, n_range, seed, budget):
     start = time.perf_counter()
     report = TightnessReport(target=target)
     graphs, seen = {}, set()  # one Graph per distinct base graph: its invariants serve every n
-    for G, n, provenance in _boundary_candidates(target, max_part_size, n_range, seed):
+    # the generators draw connected graphs of the target's class, so only the n-rule needs a screen
+    ns = [n for n in n_range if n_rule_holds(RULES[target], n)]
+    for G, n, provenance in _boundary_candidates(target, max_part_size, ns, seed):
         G = graphs.setdefault(G, G)
         if (G, n) in seen:
             continue
         seen.add((G, n))
-        if not class_and_n_rule_hold(target, G, n):
-            continue
         clauses = check_hypotheses(target, G, n=n)
         failed = [c for c in clauses if not c.holds]
         if len(failed) != 1:

@@ -468,3 +468,16 @@ def test_an_unwritable_out_is_a_fault_not_malformed_input(tmp_path, args):
     res = run_cli(*args, "--out", str(tmp_path / "missing-dir" / "out"))
     line = _one_stderr_line(res, 4)
     assert line.startswith("error:") and "missing-dir" in line and "input" not in line
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["suite", "--manifest", "{path}"], ["verify", "--theorem", "T3.9", "--expr", "cycle(3) x file({path})"]],
+    ids=["manifest", "file-leaf"],
+)
+def test_an_input_that_is_not_utf8_is_named_in_its_error(tmp_path, args):
+    path = tmp_path / "input.bin"
+    path.write_bytes(BINARY)
+    res = run_cli(*(a.format(path=path) for a in args))
+    assert str(path) in _one_stderr_line(res, 3)
+    assert res.stdout == ""

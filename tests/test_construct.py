@@ -211,3 +211,14 @@ def test_random_nonbipartite():
     g2 = random_connected_nonbipartite(8, 0.5, 7, min_delta=3)
     assert g1.edges == g2.edges
     assert g1.is_bipartite() is None and g1.min_degree() >= 3
+
+
+@pytest.mark.parametrize("p", [0, -0.5, 1.5])
+@pytest.mark.parametrize(
+    "draw",
+    [lambda p: random_connected_bipartite(2, 2, p, 1), lambda p: random_connected_nonbipartite(4, p, 1)],
+    ids=["bipartite", "nonbipartite"],
+)
+def test_edge_probability_outside_the_unit_interval_is_refused(draw, p):
+    with pytest.raises(InputError, match=rf"^edge probability must be in \(0,1\], got {p}$"):
+        draw(p)

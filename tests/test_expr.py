@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from superkappa import CapacityError, InputError, build_expression, complete_bipartite, construct, cycle, parse_spec
@@ -78,3 +80,16 @@ def test_file_leaf_is_sized_from_the_file(tmp_path):
     assert g.n == 20 and len(g.edges) == 2 * 6 * 5
     with pytest.raises(CapacityError, match="400000 vertices and 1200000 edges"):
         build_expression(f"file({path}) x cycle(100000)")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("cycle(1,2)", "cycle takes one integer argument"),
+        ("complete()", "complete takes one integer argument"),
+        ("kbip(2)", "kbip takes two integer arguments"),
+    ],
+)
+def test_arity_errors_name_the_family(text, message):
+    with pytest.raises(InputError, match=rf"^{re.escape(message)}$"):
+        parse_spec(text)

@@ -111,3 +111,11 @@ def test_round_trips_on_corpus():
         assert parse_graph6(write_graph6(G)) == G
         assert parse_edgelist_json(write_edgelist_json(G)) == G
         assert write_graph6(parse_graph6(write_graph6(G))) == write_graph6(G)
+
+
+@pytest.mark.parametrize("n", [63, 64, 100, 300])
+def test_long_form_graph6_matches_networkx(n):
+    nx = pytest.importorskip("networkx")
+    g = nx.gnp_random_graph(n, 0.3, seed=n)
+    expected = nx.to_graph6_bytes(g, header=False).decode("ascii")
+    assert write_graph6(Graph(n, list(g.edges))) == expected

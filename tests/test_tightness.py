@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from superkappa import InputError, connectivity, replay_witness, tightness_search
+from superkappa import InputError, connectivity, replay_witness, tightness, tightness_search
 from superkappa.connectivity import classify_cut
 from superkappa.formats import parse_graph6
+from superkappa.theorems import BIPARTITE, RULES
 
 # the benchmark's tightness-boundary searches: (target, lowest n, highest n), search seeds 1..5
 BENCHMARK_SEARCHES = (("L2.2", 3, 5), ("T3.5", 3, 7), ("T3.6", 6, 8), ("T3.7", 6, 8), ("T3.8", 7, 9))
@@ -98,3 +99,24 @@ def test_boundary_record_stream_digest():
         records += len(report["records"])
     assert (records, witnesses) == (65, 38)
     assert digest.hexdigest() == "fc5cdde9f24c0b88d61ec8c1be6af5c6559ebfce1e3e76778f718c4333bb2b40"
+
+
+def test_no_graph_is_drawn_at_an_n_the_rule_excludes(monkeypatch):
+    # T3.5 takes odd n >= 3: n = 4 leaves nothing to draw
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew a graph at an excluded n")
+
+    monkeypatch.setattr(tightness, "random_connected_bipartite", refuse)
+    monkeypatch.setattr(tightness, "random_connected_nonbipartite", refuse)
+    report = tightness_search("T3.5", 3, range(4, 5), 1, 10)
+    assert report.instances_probed == 0 and report.complete
+
+
+@pytest.mark.parametrize("target,lo,hi", BENCHMARK_SEARCHES)
+def test_every_candidate_is_connected_and_of_the_target_class(target, lo, hi):
+    # what lets the search screen candidates by the n-rule alone
+    bipartite = RULES[target].graph_class == BIPARTITE
+    candidates = list(tightness._boundary_candidates(target, 4, range(lo, hi + 1), 1))
+    assert candidates
+    for G, _, _ in candidates:
+        assert G.is_connected() and (G.is_bipartite() is not None) == bipartite
