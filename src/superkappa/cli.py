@@ -22,7 +22,7 @@ from . import __version__
 from . import connectivity as conn
 from .construct import tilde
 from .errors import InputError
-from .expr import build_expression, check_size
+from .expr import build_expression
 from .formats import load_graph_file, write_edgelist_json, write_graph6
 from .suite import load_manifest, make_run_report, run_manifest, write_run_report
 from .theorems import CONFIRMED, ERROR, INDETERMINATE, REFUTED, THEOREM_IDS, verify
@@ -45,12 +45,10 @@ def _build_from_expression(text):
         graph, _ = build_expression(text)
         return graph
     base, _ = build_expression(m.group(1))
-    n = int(m.group(2))
-    check_size(n * base.n, 2 * n * len(base.edges))  # n copies of V(G); blocks H_i and H_i' copy E(G)
     bip = base.is_bipartite()
     if bip is None:
         raise InputError("tilde(...) needs a bipartite base expression")
-    graph, _ = tilde(base, bip, n)
+    graph, _ = tilde(base, bip, int(m.group(2)))
     return graph
 
 

@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import GenerationError, InputError
-from .formats import MAX_EDGES
+from .formats import MAX_EDGES, check_size
 from .graph import Graph
 
 RESAMPLE_BUDGET = 10_000
@@ -20,6 +20,7 @@ RESAMPLE_BUDGET = 10_000
 
 
 def cycle(n):
+    check_size(n, n)
     if n < 3:
         raise InputError(f"cycle needs n >= 3, got {n}")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
@@ -52,6 +53,7 @@ def direct_product(G, H):
 
     Vertex (u,v) is flattened row-major to u*|V(H)| + v.
     """
+    check_size(G.n * H.n, 2 * len(G.edges) * len(H.edges))
     if G.n == 0 or H.n == 0:
         raise InputError("direct product of an empty graph")
     nh = H.n
@@ -117,6 +119,7 @@ def tilde(G, B, n):
     of G (x in X, y in Y) and each i: edge (x,i)(y,i) in block H_i and edge
     (x,i+1)(y,i) in block H_i', indices cyclic modulo n.
     """
+    check_size(n * G.n, 2 * n * len(G.edges))  # n copies of V(G); blocks H_i and H_i' copy E(G)
     if n < 2:
         raise InputError(f"layered construction needs n >= 2, got {n}")
     if not G.is_connected():
@@ -170,6 +173,7 @@ def layer_decomposition(G, n):
     case = decomposition_case(G, n)
     if n < _N_MINIMUM[case]:
         raise InputError(f"{case} needs n >= {_N_MINIMUM[case]}, got {n}")
+    prod = direct_product(G, cycle(n))  # sized before any layer is
 
     def vid(v, i):  # cycle layer i is 1-based
         return v * n + (i - 1)
@@ -188,7 +192,7 @@ def layer_decomposition(G, n):
         layers = [frozenset(vid(v, i) for v in range(G.n)) for i in range(1, n + 1)]
         layer_X = layers[::2]
         layer_Y = [layers[(i + 1) % n] for i in range(0, n, 2)]
-    return _decomposition(direct_product(G, cycle(n)), case, layer_X, layer_Y, n if B else n // 2)
+    return _decomposition(prod, case, layer_X, layer_Y, n if B else n // 2)
 
 
 # -- seeded random instances -------------------------------------------------

@@ -17,8 +17,8 @@ from functools import reduce
 from typing import Callable, NamedTuple
 
 from . import construct
-from .errors import CapacityError, InputError
-from .formats import MAX_EDGES, MAX_VERTICES, load_graph_file
+from .errors import InputError
+from .formats import MAX_EDGES, check_size, load_graph_file  # noqa: F401  (MAX_EDGES, check_size: re-exported)
 
 
 class _Family(NamedTuple):
@@ -100,14 +100,6 @@ def parse_spec(text):
     if expect_leaf:
         raise InputError("expression ends with a dangling 'x'" if leaves else "empty expression")
     return ProductSpec(leaves=tuple(leaves))
-
-
-def check_size(vertices, edges):
-    """Refuse a graph of this many vertices and edges before it is built."""
-    if vertices > MAX_VERTICES or edges > MAX_EDGES:
-        raise CapacityError(
-            f"{vertices} vertices and {edges} edges exceed the {MAX_VERTICES}-vertex or {MAX_EDGES}-edge limit"
-        )
 
 
 def check_spec_size(spec, loaded):

@@ -18,11 +18,19 @@ _HEADER = ">>graph6<<"
 # graph6's 18-bit size prefix, less the sizes whose first 6-bit group would
 # read as the 36-bit form's marker; JSON edge lists share the limit
 MAX_VERTICES = 258047
-MAX_EDGES = 10**6  # expressions and random draws are refused above it before they are built
+MAX_EDGES = 10**6  # expressions, constructions and random draws are refused above it before they are built
 # base64 writes 6-bit group v as the v-th character of its alphabet; graph6 as chr(v + 63)
 _BASE64_TO_GRAPH6 = bytes.maketrans(
     b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
 )
+
+
+def check_size(vertices, edges):
+    """Refuse a graph of this many vertices and edges before it is built."""
+    if vertices > MAX_VERTICES or edges > MAX_EDGES:
+        raise CapacityError(
+            f"{vertices} vertices and {edges} edges exceed the {MAX_VERTICES}-vertex or {MAX_EDGES}-edge limit"
+        )
 
 
 def write_graph6(G):

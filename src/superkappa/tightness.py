@@ -3,11 +3,13 @@
 Samples small instances that fail exactly one hypothesis clause of a
 target rule: connected graphs of the rule's class, drawn only at the n of
 `n_range` that meet its n-rule, so the clause missed is a part-size or a
-strict one. It decides the rule's conclusion on each with `theorems.conclude`,
-the code `verify` runs once the hypotheses hold (super connectivity decided
-up to the first minimum cut that is no minimum-degree vertex's
-neighborhood, the witness), and records which boundary instances break the
-conclusion (witnesses) and which do not (non-witnesses; the conditions are
+strict one. Each is drawn from the seeded random graph descriptor its
+record carries, as a manifest entry is, so every record replays. It
+decides the rule's conclusion on each with `theorems.conclude`, the code
+`verify` runs once the hypotheses hold (super connectivity decided up to
+the first minimum cut that is no minimum-degree vertex's neighborhood,
+the witness), and records which boundary instances break the conclusion
+(witnesses) and which do not (non-witnesses; the conditions are
 sufficient, not necessary).
 
 A search keeps one Graph object per distinct base graph, so the invariants
@@ -21,9 +23,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .construct import random_connected_bipartite, random_connected_nonbipartite
 from .construct import direct_product  # noqa: F401  (kept: perfbench/test_perfbench.py checks its tracing)
 from .errors import GenerationError, InputError
+from .formats import check_size
+from .suite import resolve_graph
 from .theorems import BIPARTITE, CONFIRMED, REFUTED, RULES, check_hypotheses, conclude, n_rule_holds
 
 # the super-connectivity sufficient conditions: the rules with a strict clause
@@ -69,38 +72,30 @@ class TightnessReport:
 
 
 def _boundary_candidates(target, max_part_size, n_range, seed):
-    """Yield (graph, n, provenance) candidates to screen."""
+    """Yield (graph, n, descriptor) at each n of `n_range`: the graph drawn
+    from its random graph descriptor by `suite.resolve_graph`, as a manifest
+    entry's is. Bipartite draws have parts of at most `max_part_size`
+    vertices and delta >= 1, non-bipartite ones at most twice that many
+    vertices and delta >= 2; a draw that fails yields nothing. The largest
+    draw is sized, as a manifest's is, before any is made."""
+    mps = max_part_size
     if RULES[target].graph_class == BIPARTITE:
-        sizes = [
-            (m, k)
-            for m in range(1, max_part_size + 1)
-            for k in range(m, max_part_size + 1)
-        ]
-        probs = (0.5, 0.7, 1.0)
-        for n in n_range:
-            for m, k in sizes:
-                for i, p in enumerate(probs):
-                    s = seed + 1009 * i + 31 * (m * 64 + k) + n
-                    try:
-                        G, _ = random_connected_bipartite(m, k, p, s, min_delta=1)
-                    except GenerationError:
-                        continue
-                    yield G, n, {
-                        "random_bipartite": {"m": m, "n": k, "p": p, "seed": s}
-                    }
+        kind, step, probs, min_delta = "random_bipartite", 1009, (0.5, 0.7, 1.0), 1
+        check_size(2 * mps, mps * mps)
+        shapes = [({"m": m, "n": k}, 31 * (m * 64 + k)) for m in range(1, mps + 1) for k in range(m, mps + 1)]
     else:
-        probs = (0.4, 0.6, 0.8)
-        for n in n_range:
-            for nv in range(3, 2 * max_part_size + 1):
-                for i, p in enumerate(probs):
-                    s = seed + 1013 * i + 17 * nv + n
-                    try:
-                        G = random_connected_nonbipartite(nv, p, s, min_delta=2)
-                    except GenerationError:
-                        continue
-                    yield G, n, {
-                        "random_nonbipartite": {"n": nv, "p": p, "seed": s}
-                    }
+        kind, step, probs, min_delta = "random_nonbipartite", 1013, (0.4, 0.6, 0.8), 2
+        check_size(2 * mps, mps * (2 * mps - 1))
+        shapes = [({"n": nv}, 17 * nv) for nv in range(3, 2 * mps + 1)]
+    for n in n_range:
+        for shape, offset in shapes:
+            for i, p in enumerate(probs):
+                descriptor = {kind: {**shape, "p": p, "seed": seed + step * i + offset + n, "min_delta": min_delta}}
+                try:
+                    G, _ = resolve_graph(descriptor)
+                except GenerationError:
+                    continue
+                yield G, n, descriptor
 
 
 def tightness_search(target, max_part_size, n_range, seed, budget):
@@ -117,8 +112,8 @@ def tightness_search(target, max_part_size, n_range, seed, budget):
     report = TightnessReport(target=target)
     graphs, seen = {}, set()  # one Graph per distinct base graph: its invariants serve every n
     # the generators draw connected graphs of the target's class, so only the n-rule needs a screen
-    ns = [n for n in n_range if n_rule_holds(RULES[target], n)]
-    for G, n, provenance in _boundary_candidates(target, max_part_size, ns, seed):
+    ns = (n for n in n_range if n_rule_holds(RULES[target], n))
+    for G, n, descriptor in _boundary_candidates(target, max_part_size, ns, seed):
         G = graphs.setdefault(G, G)
         if (G, n) in seen:
             continue
@@ -131,7 +126,7 @@ def tightness_search(target, max_part_size, n_range, seed, budget):
             report.complete = False
             break
         report.instances_probed += 1
-        v = conclude(target, G, n, instance={**provenance, "n": n})
+        v = conclude(target, G, n, instance={**descriptor, "n": n})
         holds = {CONFIRMED: True, REFUTED: False}.get(v.verdict)  # None: indeterminate
         report.records.append(BoundaryRecord(v.instance, failed[0].text, holds, v.witness))
     report.runtime_ms = int((time.perf_counter() - start) * 1000)

@@ -1,5 +1,6 @@
 import json
 import re
+import resource
 import subprocess
 import sys
 
@@ -114,6 +115,58 @@ def test_oversized_expression_is_refused_before_allocation(expression):
     assert "Traceback" not in res.stderr
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and "258047-vertex or 1000000-edge limit" in lines[0]
+    assert res.stdout == ""
+
+
+MEMORY_CAP = 1_500_000_000  # bytes of address space: ample for these commands, far below an oversized build
+
+
+def run_cli_capped(*args, timeout=60):
+    """run_cli in a child capped at MEMORY_CAP and `timeout` seconds, so a
+    command that starts building something oversized fails its test cleanly."""
+    return subprocess.run(
+        [sys.executable, "-m", "superkappa.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP)),
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--theorem", "T3.1", "--expr", "kbip(2,3)", "--n", "100000001"],
+        ["search-tightness", "--target", "T3.8", "--max-part-size", "1000", "--n-range", "7..7", "--seed", "1", "--budget", "1"],
+    ],
+    ids=["product-with-a-long-cycle", "draws-of-2000-vertices"],
+)
+def test_an_oversized_construction_or_draw_is_refused_before_it_is_built(args):
+    line = _one_stderr_line(run_cli_capped(*args), 3)
+    assert line.startswith("error:") and "258047-vertex or 1000000-edge limit" in line
+
+
+def test_a_search_filters_a_long_n_range_lazily():
+    res = run_cli_capped(
+        "search-tightness", "--target", "L2.2", "--max-part-size", "3",
+        "--n-range", "3..1000000000000", "--seed", "1", "--budget", "5",
+    )
+    assert res.returncode == 2 and res.stderr == ""  # the budget stops it: indeterminate, no error
+    doc = json.loads(res.stdout)
+    assert doc["instances_probed"] == 5 and not doc["complete"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_suite_entry_over_the_limits_is_malformed_input(tmp_path, jobs):
+    entries = [
+        {"id": "small", "theorem": "T3.9", "graph": {"expr": "cycle(3)"}},
+        {"id": "long", "check": "decomposition", "graph": {"expr": "kbip(2,3)"}, "n": 100000001},
+    ]
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"instances": entries}))
+    res = run_cli_capped("suite", "--manifest", str(manifest), "--jobs", jobs)
+    line = _one_stderr_line(res, 3)
+    assert line.startswith("error:") and "258047-vertex or 1000000-edge limit" in line
     assert res.stdout == ""
 
 

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from superkappa import InputError, connectivity, replay_witness, tightness, tightness_search
+from superkappa import InputError, connectivity, replay_witness, suite, tightness, tightness_search
 from superkappa.connectivity import classify_cut
-from superkappa.formats import parse_graph6
+from superkappa.formats import parse_graph6, write_graph6
 from superkappa.theorems import BIPARTITE, RULES
 
 # the benchmark's tightness-boundary searches: (target, lowest n, highest n), search seeds 1..5
@@ -75,18 +75,23 @@ def test_benchmark_searches_compute_each_invariant_once(monkeypatch):
     assert calls["is_super_kappa"] <= 49
 
 
+def _record_searches():
+    """tightness_search arguments of the benchmark's five searches and of the
+    five in manifests/tightness.json."""
+    searches = [(t, 4, range(lo, hi + 1), seed, 400) for seed, (t, lo, hi) in enumerate(BENCHMARK_SEARCHES, start=1)]
+    return searches + [
+        (s["target"], s["max_part_size"], range(s["n_range"][0], s["n_range"][1] + 1), s["seed"], s["budget"])
+        for s in json.loads(MANIFEST.read_text())["searches"]
+    ]
+
+
 def test_boundary_record_stream_digest():
     """Every record of the benchmark's five searches and of the five in
     manifests/tightness.json, byte for byte, with runtime_ms left out and each
     witness reduced to its graph6 and cut: a change to how probes are decided
     must keep it. Every witness also states its cut's size and replays."""
-    searches = [(t, 4, range(lo, hi + 1), seed, 400) for seed, (t, lo, hi) in enumerate(BENCHMARK_SEARCHES, start=1)]
-    searches += [
-        (s["target"], s["max_part_size"], range(s["n_range"][0], s["n_range"][1] + 1), s["seed"], s["budget"])
-        for s in json.loads(MANIFEST.read_text())["searches"]
-    ]
     digest, records, witnesses = hashlib.sha256(), 0, 0
-    for args in searches:
+    for args in _record_searches():
         report = tightness_search(*args).to_json()
         del report["runtime_ms"]
         for rec in report["records"]:
@@ -98,7 +103,21 @@ def test_boundary_record_stream_digest():
         digest.update((json.dumps(report) + "\n").encode())
         records += len(report["records"])
     assert (records, witnesses) == (65, 38)
-    assert digest.hexdigest() == "fc5cdde9f24c0b88d61ec8c1be6af5c6559ebfce1e3e76778f718c4333bb2b40"
+    assert digest.hexdigest() == "7c2754e28aa0b64dcebecbc8f31241f5d1ae125ee5bcd95d268af2b135ad7fbf"
+
+
+def test_every_record_replays_through_its_descriptor():
+    """A record's random graph descriptor, run as a manifest entry's graph,
+    draws the very graph the record's graph6 names."""
+    descriptors = []
+    for args in _record_searches():
+        for rec in tightness_search(*args).records:
+            descriptor = {k: v for k, v in rec.instance.items() if k.startswith("random_")}
+            graph, _ = suite.resolve_graph(descriptor)
+            assert write_graph6(graph).strip() == rec.instance["graph6"], rec.instance
+            descriptors += descriptor.items()
+    min_deltas = {(kind, value["min_delta"]) for kind, value in descriptors}
+    assert min_deltas == {("random_bipartite", 1), ("random_nonbipartite", 2)}
 
 
 def test_no_graph_is_drawn_at_an_n_the_rule_excludes(monkeypatch):
@@ -106,8 +125,8 @@ def test_no_graph_is_drawn_at_an_n_the_rule_excludes(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("drew a graph at an excluded n")
 
-    monkeypatch.setattr(tightness, "random_connected_bipartite", refuse)
-    monkeypatch.setattr(tightness, "random_connected_nonbipartite", refuse)
+    monkeypatch.setattr(suite, "random_connected_bipartite", refuse)
+    monkeypatch.setattr(suite, "random_connected_nonbipartite", refuse)
     report = tightness_search("T3.5", 3, range(4, 5), 1, 10)
     assert report.instances_probed == 0 and report.complete
 
