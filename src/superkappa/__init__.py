@@ -11,9 +11,7 @@ from .connectivity import (
     all_minimum_vertex_cuts,
     connectivity_report,
     edge_connectivity,
-    is_max_kappa,
     is_super_kappa,
-    minimum_vertex_cut,
     vertex_connectivity,
     vertex_connectivity_exhaustive,
 )
@@ -25,7 +23,6 @@ from .construct import (
     direct_product,
     double_cover,
     layer_decomposition,
-    petersen,
     random_connected_bipartite,
     random_connected_nonbipartite,
     tilde,

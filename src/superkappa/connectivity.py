@@ -242,16 +242,6 @@ def classify_cut(G, S):
     )
 
 
-def minimum_vertex_cut(G):
-    """One minimum cut: the first that the separator stream yields, the cut
-    nearest s of the first optimal (s,t) pair in scan order."""
-    if not G.is_connected():
-        raise InputError("minimum cut of a disconnected graph")
-    if G.is_complete():
-        raise NoCutError("complete graphs have no vertex cut")
-    return classify_cut(G, next(_minimum_cuts(G)[1]))
-
-
 @dataclass
 class CutEnumeration:
     cuts: list
@@ -389,12 +379,6 @@ def _super_kappa(G, budget):
         enumeration_complete=complete,
         cuts_examined=examined,
     )
-
-
-def is_max_kappa(G):
-    if not G.is_connected():
-        raise InputError("max connectivity of a disconnected graph")
-    return vertex_connectivity(G) == G.min_degree()
 
 
 def connectivity_report(G, budget=CUT_BUDGET):

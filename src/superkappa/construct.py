@@ -38,13 +38,6 @@ def complete_bipartite(m, n):
     return Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
 
 
-def petersen():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph(10, outer + spokes + inner)
-
-
 # -- products ---------------------------------------------------------------
 
 

@@ -44,18 +44,12 @@ class FamilyLeaf:
     kind: str  # a key of _FAMILIES, or "file"
     args: tuple
 
-    def describe(self):
-        return f"{self.kind}({','.join(str(a) for a in self.args)})"
-
 
 @dataclass(frozen=True)
 class ProductSpec:
     """Left-associative direct-product expression over family leaves."""
 
     leaves: tuple  # of FamilyLeaf
-
-    def describe(self):
-        return " x ".join(leaf.describe() for leaf in self.leaves)
 
     def odd_cycle_lengths(self):
         """Cycle lengths when every leaf is an odd cycle, else None."""
@@ -103,8 +97,8 @@ def parse_spec(text):
 
 
 def check_spec_size(spec, loaded):
-    """Size each leaf (file leaves from their graphs in `loaded`) and each partial
-    product, |V(G x H)| = |V(G)||V(H)|, |E(G x H)| = 2|E(G)||E(H)|, before any is built."""
+    """The product's (|V|, |E|), each leaf (file leaves from `loaded`) and partial product
+    sized, |V(G x H)| = |V(G)||V(H)|, |E(G x H)| = 2|E(G)||E(H)|, before any is built."""
     size = None
     for leaf in spec.leaves:
         G = loaded.get(leaf)
@@ -112,6 +106,7 @@ def check_spec_size(spec, loaded):
         check_size(v, e)  # a leaf with no edges must not hide a large one after it
         size = (v, e) if size is None else (size[0] * v, 2 * size[1] * e)
         check_size(*size)
+    return size
 
 
 def load_file_leaves(spec):

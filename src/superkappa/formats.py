@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import json
+import re
 
 from .errors import CapacityError, FormatError, InputError
 from .graph import Graph
@@ -20,17 +21,18 @@ _HEADER = ">>graph6<<"
 MAX_VERTICES = 258047
 MAX_EDGES = 10**6  # expressions, constructions and random draws are refused above it before they are built
 # base64 writes 6-bit group v as the v-th character of its alphabet; graph6 as chr(v + 63)
-_BASE64_TO_GRAPH6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
-)
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_BASE64_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_GRAPH6_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
+_NOT_GRAPH6 = re.compile(r"[^?-~]")  # a data character outside chr(63)..chr(126)
 
 
-def check_size(vertices, edges):
-    """Refuse a graph of this many vertices and edges before it is built."""
-    if vertices > MAX_VERTICES or edges > MAX_EDGES:
-        raise CapacityError(
-            f"{vertices} vertices and {edges} edges exceed the {MAX_VERTICES}-vertex or {MAX_EDGES}-edge limit"
-        )
+def check_size(vertices, edges, unit="edges"):
+    """Refuse a graph of this many vertices and edges before it is built: `unit`
+    names what `edges` counts, and None sizes the vertices alone."""
+    if vertices > MAX_VERTICES or (edges or 0) > MAX_EDGES:
+        counted = f"{vertices} vertices" + ("" if edges is None else f" and {edges} {unit}")
+        raise CapacityError(f"{counted} exceed the {MAX_VERTICES}-vertex or {MAX_EDGES}-edge limit")
 
 
 def write_graph6(G):
@@ -61,25 +63,17 @@ def parse_graph6(text):
         data = data[len(_HEADER) :]
     if not data:
         raise FormatError("empty graph6 string", offset=0)
-    pos = 0
-    first = ord(data[0])
-    if first == 126:
-        if len(data) >= 2 and ord(data[1]) == 126:
-            raise FormatError("graph6 sizes above 2^18 are not supported", offset=0)
-        if len(data) < 4:
-            raise FormatError("truncated long-form length prefix", offset=len(data))
-        n = 0
-        for i in range(1, 4):
-            c = ord(data[i]) - 63
-            if not (0 <= c <= 63):
-                raise FormatError(f"invalid length byte {data[i]!r}", offset=i)
-            n = (n << 6) | c
-        pos = 4
-    else:
-        n = first - 63
-        if not (0 <= n <= 62):
-            raise FormatError(f"invalid length byte {data[0]!r}", offset=0)
-        pos = 1
+    if data.startswith("~~"):
+        raise FormatError("graph6 sizes above 2^18 are not supported", offset=0)
+    pos = 4 if data[0] == "~" else 1  # the size is data[pos // 4 : pos]: three 6-bit groups after "~", or one
+    if len(data) < pos:
+        raise FormatError("truncated long-form length prefix", offset=len(data))
+    bad = _NOT_GRAPH6.search(data, pos // 4, pos)
+    if bad:
+        raise FormatError(f"invalid length byte {bad.group()!r}", offset=bad.start())
+    n = 0
+    for ch in data[pos // 4 : pos]:
+        n = n << 6 | ord(ch) - 63
     need = n * (n - 1) // 2
     need_bytes = (need + 5) // 6
     body = data[pos:]
@@ -90,22 +84,22 @@ def parse_graph6(text):
         )
     if len(body) > need_bytes:
         raise FormatError("trailing garbage after graph data", offset=pos + need_bytes)
-    bits = []
-    for i, ch in enumerate(body):
-        c = ord(ch) - 63
-        if not (0 <= c <= 63):
-            raise FormatError(f"invalid data byte {ch!r}", offset=pos + i)
-        bits.append(f"{c:06b}")
-    bitstring = "".join(bits)
-    if any(b == "1" for b in bitstring[need:]):
+    bad = _NOT_GRAPH6.search(body)
+    if bad:
+        raise FormatError(f"invalid data byte {bad.group()!r}", offset=pos + bad.start())
+    # the inverse of write_graph6's packing: base64, whole 4-character groups padded with zero groups
+    raw = base64.b64decode(body.encode("ascii").translate(_GRAPH6_TO_BASE64) + b"A" * (-len(body) % 4))
+    if int.from_bytes(raw[-4:], "big") & ((1 << (8 * len(raw) - need)) - 1):  # under 24 padding bits
         raise FormatError("nonzero padding bits", offset=pos + need_bytes - 1)
     edges = []
-    k = 0
-    for col in range(1, n):
-        for row in range(col):
-            if bitstring[k] == "1":
-                edges.append((row, col))
-            k += 1
+    for col in range(1, n):  # column col is bits k..k+col-1, row 0 first: one slice of whole bytes
+        k = col * (col - 1) // 2
+        lo, hi = k >> 3, (k + col + 7) >> 3
+        rows = int.from_bytes(raw[lo:hi], "big") >> (8 * hi - k - col) & ((1 << col) - 1)
+        while rows:  # the highest bit is the lowest row
+            b = rows.bit_length() - 1
+            edges.append((col - 1 - b, col))
+            rows ^= 1 << b
     return Graph(n, edges)
 
 

@@ -147,11 +147,6 @@ class Graph:
         labels = [self.label(v) for v in W]
         return Graph(len(W), edges, labels=labels)
 
-    def remove_vertices(self, S):
-        for v in S:
-            self._check_vertex(v)
-        return self.induced_subgraph(set(range(self.n)) - set(S))
-
     # -- comparisons -----------------------------------------------------
 
     def __eq__(self, other):

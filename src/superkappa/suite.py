@@ -14,9 +14,10 @@ Graph descriptors: {"expr": <family expression>}, {"graph6": <g6 line>},
 {"random_bipartite": {m,n,p,seed,min_delta}}, or
 {"random_nonbipartite": {n,p,seed,min_delta}} (min_delta optional). Random
 descriptors are seed-pinned, so a manifest replays byte-for-byte.
-`load_manifest` checks every entry before any runs, sizing each expression
-(its file leaves read first) and each random draw, and raises InputError
-naming the first malformed one.
+`load_manifest` checks every entry before any runs: it decodes each graph6
+descriptor and sizes each expression (its file leaves read first) and each
+random draw, refuses a graph with no vertices, and sizes the construction
+the entry's n asks for. It raises InputError naming the first malformed entry.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .construct import random_connected_bipartite, random_connected_nonbipartite
 from .errors import InputError
 from .expr import build_expression, check_size, check_spec_size, load_file_leaves, parse_spec
 from .formats import _is_int, parse_graph6, read_input
-from .theorems import ERROR, RULES, TheoremVerdict, verify, verify_decomposition
+from .theorems import ERROR, RULES, TheoremVerdict, n_rule_holds, verify, verify_decomposition
 
 RNG_NOTE = "python-random-mt19937"
 # required fields of each graph descriptor kind; None: the value is a string
@@ -40,6 +41,15 @@ _DESCRIPTOR_FIELDS = {
     "random_bipartite": ("m", "n", "p", "seed"),
     "random_nonbipartite": ("n", "p", "seed"),
 }
+
+
+def draw_size(kind, shape):
+    """|V| of a random draw of this kind and part sizes, refused before it is drawn
+    when its vertices or the vertex pairs it draws from exceed the limits."""
+    n = shape["n"]
+    vertices, pairs = (shape["m"] + n, shape["m"] * n) if kind == "random_bipartite" else (n, n * (n - 1) // 2)
+    check_size(vertices, pairs, "vertex pairs")
+    return vertices
 
 
 def resolve_graph(descriptor):
@@ -128,9 +138,18 @@ def _entry_problem(entry):
     try:
         if kind == "expr":
             spec = parse_spec(value)
-            check_spec_size(spec, load_file_leaves(spec))
-        elif fields is not None:  # sized by the vertex pairs its generator draws
-            check_size(*((m + n, m * n) if kind == "random_bipartite" else (n, n * (n - 1) // 2)))
+            vertices, edges = check_spec_size(spec, load_file_leaves(spec))
+        elif kind == "graph6":
+            G = parse_graph6(value)
+            vertices, edges = G.n, len(G.edges)
+        else:  # a random draw: its edges are not known before it is drawn
+            vertices, edges = draw_size(kind, value), None
+        if not vertices:
+            return "the graph has no vertices"
+        n, rule = entry.get("n"), RULES.get(entry.get("theorem"))
+        if entry.get("check") == "decomposition" or rule.n_min is not None and n_rule_holds(rule, n):
+            # G x C_n, or n copies of G: n|V| vertices and 2n|E| edges
+            check_size(n * vertices, None if edges is None else 2 * n * edges)
     except InputError as exc:
         return str(exc)
     return None

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 
 from .construct import direct_product  # noqa: F401  (kept: perfbench/test_perfbench.py checks its tracing)
 from .errors import GenerationError, InputError
-from .formats import check_size
-from .suite import resolve_graph
+from .suite import draw_size, resolve_graph
 from .theorems import BIPARTITE, CONFIRMED, REFUTED, RULES, check_hypotheses, conclude, n_rule_holds
 
 # the super-connectivity sufficient conditions: the rules with a strict clause
@@ -81,11 +80,11 @@ def _boundary_candidates(target, max_part_size, n_range, seed):
     mps = max_part_size
     if RULES[target].graph_class == BIPARTITE:
         kind, step, probs, min_delta = "random_bipartite", 1009, (0.5, 0.7, 1.0), 1
-        check_size(2 * mps, mps * mps)
+        draw_size(kind, {"m": mps, "n": mps})
         shapes = [({"m": m, "n": k}, 31 * (m * 64 + k)) for m in range(1, mps + 1) for k in range(m, mps + 1)]
     else:
         kind, step, probs, min_delta = "random_nonbipartite", 1013, (0.4, 0.6, 0.8), 2
-        check_size(2 * mps, mps * (2 * mps - 1))
+        draw_size(kind, {"n": 2 * mps})
         shapes = [({"n": nv}, 17 * nv) for nv in range(3, 2 * mps + 1)]
     for n in n_range:
         for shape, offset in shapes:

@@ -25,6 +25,15 @@ def k4():
     return complete(4)
 
 
+def petersen():
+    """The Petersen graph: outer 5-cycle 0..4, spokes i-(i+5), inner pentagram 5..9."""
+    return Graph(10, [
+        (0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
+        (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
+        (5, 7), (7, 9), (6, 9), (6, 8), (5, 8),
+    ])
+
+
 def random_graph(rng, max_n=8, connected_only=True):
     """Small seeded random graph for oracle corpora."""
     while True:

@@ -15,11 +15,11 @@ import pytest
 from superkappa import (
     complete,
     complete_bipartite,
+    connectivity_report,
     cycle,
     direct_product,
     double_cover,
     edge_connectivity,
-    is_max_kappa,
     is_super_kappa,
     random_connected_bipartite,
     replay_witness,
@@ -151,7 +151,7 @@ def test_criterion_09_corollaries_exhaustive():
 def test_criterion_10_negative_controls():
     for n in range(6, 11):
         G = cycle(n)
-        assert is_max_kappa(G)
+        assert connectivity_report(G).is_max_kappa
         res = is_super_kappa(G)
         assert res.status is False and res.witness is not None
         assert replay_witness(_witness_from_cut(G, res.witness))

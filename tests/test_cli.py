@@ -369,11 +369,11 @@ def test_suite_rejects_invalid_json(tmp_path):
         ),
         (
             {"id": "e", "theorem": "T3.7", "graph": {"random_nonbipartite": {"n": 100000, "p": 1e-9, "seed": 1}}},
-            "manifest entry e: 100000 vertices and 4999950000 edges exceed",
+            "manifest entry e: 100000 vertices and 4999950000 vertex pairs exceed",
         ),
         (
             {"id": "e", "theorem": "T3.5", "graph": {"random_bipartite": {"m": 2000, "n": 2000, "p": 1e-9, "seed": 1}}},
-            "manifest entry e: 4000 vertices and 4000000 edges exceed",
+            "manifest entry e: 4000 vertices and 4000000 vertex pairs exceed",
         ),
     ],
 )
@@ -385,6 +385,52 @@ def test_load_manifest_names_the_bad_entry(tmp_path, entry, message):
     path.write_text(json.dumps({"instances": [entry]}))
     with pytest.raises(InputError, match=re.escape(message)):
         load_manifest(str(path))
+
+
+@pytest.mark.parametrize(
+    "second,message",
+    [
+        (
+            {"check": "decomposition", "graph": {"expr": "kbip(2,3)"}, "n": 100000001},
+            "manifest entry b: 500000005 vertices and 1200000012 edges exceed the 258047-vertex or 1000000-edge limit",
+        ),
+        ({"theorem": "T3.7", "graph": {"graph6": "Dl"}, "n": 6}, "manifest entry b: need 2 data bytes for n=5, found 1 (at byte 2)"),
+        ({"theorem": "T3.7", "graph": {"graph6": "?"}, "n": 6}, "manifest entry b: the graph has no vertices"),
+    ],
+    ids=["construction-over-the-limits", "malformed-graph6", "graph6-without-vertices"],
+)
+def test_an_entry_is_refused_at_load_before_any_entry_runs(tmp_path, monkeypatch, capsys, second, message):
+    from superkappa import cli, suite
+    from superkappa.errors import InputError
+
+    ran = []
+    monkeypatch.setattr(suite, "run_instance", ran.append)
+    first = {"id": "a", "theorem": "T3.7", "graph": {"expr": "cycle(5)"}, "n": 6}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"instances": [first, {"id": "b", **second}]}))
+    with pytest.raises(InputError) as exc:
+        suite.load_manifest(str(path))
+    assert str(exc.value) == message
+    assert cli.main(["suite", "--manifest", str(path)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert ran == []
+
+
+def test_a_refused_random_draw_counts_vertex_pairs(tmp_path):
+    from superkappa import tightness_search
+    from superkappa.errors import CapacityError, InputError
+    from superkappa.suite import load_manifest
+
+    refusal = "2000 vertices and 1999000 vertex pairs exceed the 258047-vertex or 1000000-edge limit"
+    with pytest.raises(CapacityError) as exc:
+        tightness_search("T3.8", 1000, range(7, 8), 1, 1)
+    assert str(exc.value) == refusal
+    graph = {"random_nonbipartite": {"n": 2000, "p": 0.5, "seed": 1}}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"instances": [{"id": "e", "theorem": "T3.8", "graph": graph, "n": 7}]}))
+    with pytest.raises(InputError) as exc:
+        load_manifest(str(path))
+    assert str(exc.value) == f"manifest entry e: {refusal}"
 
 
 def test_a_draw_that_cannot_succeed_exits_3_at_once(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 
 from superkappa import (
     InputError,
-    NoCutError,
     all_minimum_vertex_cuts,
     complete,
     complete_bipartite,
@@ -15,10 +14,7 @@ from superkappa import (
     cycle,
     direct_product,
     edge_connectivity,
-    is_max_kappa,
     is_super_kappa,
-    minimum_vertex_cut,
-    petersen,
     replay_witness,
     tilde,
     vertex_connectivity,
@@ -29,7 +25,12 @@ from superkappa.connectivity import VertexCut, _exhaustive_cuts, _minimum_cuts, 
 from superkappa.graph import Graph
 from superkappa.theorems import _witness_from_cut
 
-from conftest import random_graph, seeded_corpus
+from conftest import petersen, random_graph, seeded_corpus
+
+
+def _first_cut(G):
+    """The first cut of the separator stream, the one a refutation witnesses when kappa < delta."""
+    return classify_cut(G, next(_minimum_cuts(G)[1]))
 
 
 def test_vertex_connectivity_examples():
@@ -56,7 +57,7 @@ def test_edge_connectivity_examples():
 
 
 def test_minimum_vertex_cut_c5(c5):
-    cut = minimum_vertex_cut(c5)
+    cut = _first_cut(c5)
     a, b = sorted(cut.vertices)
     assert (b - a) % 5 in (2, 3)
     assert cut.size == 2 and cut.isolates_vertex
@@ -64,18 +65,19 @@ def test_minimum_vertex_cut_c5(c5):
 
 
 def test_minimum_vertex_cut_k23(k23):
-    cut = minimum_vertex_cut(k23)
+    cut = _first_cut(k23)
     assert cut.vertices == {0, 1}
     assert cut.is_neighborhood_of_min_degree_vertex
 
 
 def test_minimum_vertex_cut_complete():
-    with pytest.raises(NoCutError):
-        minimum_vertex_cut(complete(4))
+    assert next(_minimum_cuts(complete(4))[1], None) is None
+    rep = connectivity_report(complete(4))
+    assert rep.witness_cut is None and rep.vacuous_super_kappa
 
 
 def test_minimum_cut_deterministic(c6):
-    assert minimum_vertex_cut(c6).vertices == minimum_vertex_cut(c6).vertices
+    assert _first_cut(c6).vertices == _first_cut(c6).vertices
 
 
 def test_all_minimum_cuts_c5(c5):
@@ -118,10 +120,10 @@ def test_super_kappa_indeterminate(c5):
 
 
 def test_max_kappa_examples(k23):
-    assert is_max_kappa(cycle(9))
+    assert connectivity_report(cycle(9)).is_max_kappa
     two_triangles = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-    assert not is_max_kappa(two_triangles)
-    assert is_max_kappa(k23)
+    assert not connectivity_report(two_triangles).is_max_kappa
+    assert connectivity_report(k23).is_max_kappa
 
 
 def test_report_invariants(c6):
@@ -154,7 +156,7 @@ def test_connectivity_matches_networkx_oracle():
         assert edge_connectivity(G) == nx.edge_connectivity(H), sorted(G.edges)
         assert kappa == nx.node_connectivity(H), sorted(G.edges)
         if G.is_connected() and not G.is_complete():
-            cut = minimum_vertex_cut(G)
+            cut = _first_cut(G)
             assert cut.size == kappa
             assert not nx.is_connected(H.subgraph(set(range(G.n)) - cut.vertices))
 
@@ -215,7 +217,7 @@ def test_isolating_min_cut_is_a_neighborhood():
 def test_super_kappa_implies_max_kappa():
     for G in seeded_corpus(seed=19, count=40, max_n=8):
         if is_super_kappa(G).status is True:
-            assert is_max_kappa(G)
+            assert connectivity_report(G).is_max_kappa
 
 
 def _decider_corpus():
@@ -356,7 +358,7 @@ def test_minimum_cut_stream_digest():
     ids=["C3xC6", "C3xC7", "C8", "K2xK3", "tilde(kbip(2,3),3)"],
 )
 def test_minimum_vertex_cut_is_the_first_stream_cut(G, cut):
-    assert sorted(minimum_vertex_cut(G).vertices) == cut
+    assert sorted(_first_cut(G).vertices) == cut
 
 
 @pytest.mark.parametrize(
@@ -410,7 +412,9 @@ def test_connectivity_report_runs_one_kappa_scan(monkeypatch):
 def _classify_by_components(G, S):
     """Reference classification: build G - S as a Graph and take its components."""
     S = frozenset(S)
-    comps = G.remove_vertices(S).components()
+    for v in S:
+        G._check_vertex(v)
+    comps = G.induced_subgraph(set(range(G.n)) - S).components()
     if len(comps) < 2:
         raise InputError(f"{sorted(S)} is not a vertex cut")
     delta = G.min_degree()

@@ -12,12 +12,13 @@ from superkappa import (
     double_cover,
     is_isomorphic_small,
     layer_decomposition,
-    petersen,
     random_connected_bipartite,
     random_connected_nonbipartite,
     tilde,
     vertex_connectivity,
 )
+
+from conftest import petersen
 
 
 def test_base_families():

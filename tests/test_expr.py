@@ -8,9 +8,8 @@ from superkappa.formats import MAX_VERTICES
 
 
 def test_single_leaf():
-    g, spec = build_expression("cycle(7)")
+    g, _ = build_expression("cycle(7)")
     assert g == cycle(7)
-    assert spec.describe() == "cycle(7)"
 
 
 def test_product_chain():
