@@ -112,6 +112,8 @@ def cmd_search_tightness(args):
         n_range = range(int(lo), int(hi) + 1)
     except ValueError as exc:
         raise InputError(f"bad n-range {args.n_range!r}; expected A..B") from exc
+    if not n_range:
+        raise InputError(f"bad n-range {args.n_range!r}; A exceeds B")
     report = tightness_search(args.target, args.max_part_size, n_range, args.seed, args.budget)
     doc = report.to_json()
     outcome = INDETERMINATE if not report.complete else REFUTED if report.witnesses else CONFIRMED

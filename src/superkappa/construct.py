@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import combinations, product
 
 from .errors import GenerationError, InputError
 from .formats import MAX_EDGES, check_size
@@ -27,12 +28,14 @@ def cycle(n):
 
 
 def complete(n):
+    check_size(n, n * (n - 1) // 2)
     if n < 1:
         raise InputError(f"complete needs n >= 1, got {n}")
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_bipartite(m, n):
+    check_size(m + n, m * n)
     if m < 1 or n < 1:
         raise InputError(f"complete_bipartite needs m,n >= 1, got {m},{n}")
     return Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
@@ -146,8 +149,12 @@ _N_MINIMUM = {"bipartite-odd": 3, "bipartite-even": 4, "nonbipartite-even": 4, "
 
 
 def decomposition_case(G, n):
-    """The proof case of G x C_n, from G's bipartiteness and n's parity."""
-    return f"{'bipartite' if G.is_bipartite() else 'nonbipartite'}-{'even' if n % 2 == 0 else 'odd'}"
+    """The proof case of G x C_n, from G's bipartiteness and n's parity,
+    refused for a connected G when n is below the case's minimum."""
+    case = f"{'bipartite' if G.is_bipartite() else 'nonbipartite'}-{'even' if n % 2 == 0 else 'odd'}"
+    if n < _N_MINIMUM[case] and G.is_connected():
+        raise InputError(f"{case} needs n >= {_N_MINIMUM[case]}, got {n}")
+    return case
 
 
 def layer_decomposition(G, n):
@@ -164,8 +171,6 @@ def layer_decomposition(G, n):
     if not G.is_connected():
         raise InputError("base graph must be connected")
     case = decomposition_case(G, n)
-    if n < _N_MINIMUM[case]:
-        raise InputError(f"{case} needs n >= {_N_MINIMUM[case]}, got {n}")
     prod = direct_product(G, cycle(n))  # sized before any layer is
 
     def vid(v, i):  # cycle layer i is 1-based
@@ -198,15 +203,25 @@ def _attempts(pairs):
     return max(1, min(RESAMPLE_BUDGET, MAX_EDGES // max(pairs, 1)))
 
 
-def _draw(order, pairs, count, p, seed, accept, wanted):
-    """The first graph on `order` vertices that `accept` takes, of up to
-    `_attempts(count)` drawn with `random.Random(seed)`: each keeps every one
-    of the `count` vertex pairs `pairs()` yields, in order, with probability p."""
+def check_draw(m, n=None):
+    """(|V|, vertex pairs) of a random draw between parts of m and n vertices,
+    or among m vertices when n is None, refused above the limits."""
+    vertices, pairs = (m, m * (m - 1) // 2) if n is None else (m + n, m * n)
+    check_size(vertices, pairs, "vertex pairs")
+    return vertices, pairs
+
+
+def _draw(m, n, p, seed, accept, wanted):
+    """The first graph that `accept` takes, of up to `_attempts` drawn with
+    `random.Random(seed)` over the vertex pairs of `check_draw(m, n)`: each
+    keeps every pair, in order, with probability p. The draw is sized first."""
+    order, count = check_draw(m, n)
     if not (0 < p <= 1):
         raise InputError(f"edge probability must be in (0,1], got {p}")
     rng, attempts = random.Random(seed), _attempts(count)
     for _ in range(attempts):
-        G = Graph(order, [e for e in pairs() if rng.random() < p])
+        pairs = combinations(range(m), 2) if n is None else product(range(m), range(m, m + n))
+        G = Graph(order, [e for e in pairs if rng.random() < p])
         if accept(G):
             return G
     raise GenerationError(f"no connected {wanted}, p={p}, seed={seed} in {attempts} attempts")
@@ -221,7 +236,7 @@ def random_connected_bipartite(m, n, p, seed, min_delta=1):
     if m < 1 or n < 1:
         raise InputError(f"part sizes must be >= 1, got {m},{n}")
     G = _draw(
-        m + n, lambda: ((i, m + j) for i in range(m) for j in range(n)), m * n, p, seed,
+        m, n, p, seed,
         lambda G: G.is_connected() and G.min_degree() >= min_delta,
         f"bipartite instance with delta>={min_delta} for m={m}, n={n}",
     )
@@ -234,7 +249,7 @@ def random_connected_nonbipartite(n, p, seed, min_delta=1):
     if n < 1:
         raise InputError(f"vertex count must be >= 1, got {n}")
     return _draw(
-        n, lambda: ((i, j) for i in range(n) for j in range(i + 1, n)), n * (n - 1) // 2, p, seed,
+        n, None, p, seed,
         lambda G: G.is_connected() and G.is_bipartite() is None and G.min_degree() >= min_delta,
         f"non-bipartite instance with delta>={min_delta} for n={n}",
     )

@@ -5,8 +5,8 @@ Leaves: cycle(n), complete(n), kbip(m,n), file(path). The infix operator
 
     cycle(3) x cycle(5) x complete(2)
 
-Expressions are sized from their leaves, and refused above MAX_VERTICES
-vertices or MAX_EDGES edges, before any graph is built.
+Each construction refuses itself above MAX_VERTICES vertices or MAX_EDGES
+edges before it is built: every leaf, and every partial product.
 """
 
 from __future__ import annotations
@@ -14,24 +14,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, NamedTuple
 
 from . import construct
 from .errors import InputError
-from .formats import MAX_EDGES, check_size, load_graph_file  # noqa: F401  (MAX_EDGES, check_size: re-exported)
+from .formats import load_graph_file
 
-
-class _Family(NamedTuple):
-    arity: int  # of integer arguments
-    build: Callable
-    size: Callable  # (|V|, |E|) from the arguments
-
-
-_FAMILIES = {
-    "cycle": _Family(1, construct.cycle, lambda n: (n, n)),
-    "complete": _Family(1, construct.complete, lambda n: (n, n * (n - 1) // 2)),
-    "kbip": _Family(2, construct.complete_bipartite, lambda m, n: (m + n, m * n)),
-}
+# each family's number of integer arguments and builder
+_FAMILIES = {"cycle": (1, construct.cycle), "complete": (1, construct.complete), "kbip": (2, construct.complete_bipartite)}
 _ARGUMENTS = {1: "one integer argument", 2: "two integer arguments"}
 
 _TOKEN = re.compile(
@@ -80,7 +69,7 @@ def parse_spec(text):
         name = m.group("name")
         raw_args = [a.strip() for a in m.group("args").split(",")] if m.group("args").strip() else []
         if name in _FAMILIES:
-            arity = _FAMILIES[name].arity
+            arity = _FAMILIES[name][0]
             if len(raw_args) != arity or not all(a.isdigit() for a in raw_args):
                 raise InputError(f"{name} takes {_ARGUMENTS[arity]}")
             leaves.append(FamilyLeaf(name, tuple(map(int, raw_args))))
@@ -96,29 +85,12 @@ def parse_spec(text):
     return ProductSpec(leaves=tuple(leaves))
 
 
-def check_spec_size(spec, loaded):
-    """The product's (|V|, |E|), each leaf (file leaves from `loaded`) and partial product
-    sized, |V(G x H)| = |V(G)||V(H)|, |E(G x H)| = 2|E(G)||E(H)|, before any is built."""
-    size = None
-    for leaf in spec.leaves:
-        G = loaded.get(leaf)
-        v, e = (G.n, len(G.edges)) if G is not None else _FAMILIES[leaf.kind].size(*leaf.args)
-        check_size(v, e)  # a leaf with no edges must not hide a large one after it
-        size = (v, e) if size is None else (size[0] * v, 2 * size[1] * e)
-        check_size(*size)
-    return size
-
-
-def load_file_leaves(spec):
-    """The graph of each file leaf, read from its file (formats caps its size)."""
-    return {leaf: load_graph_file(leaf.args[0]) for leaf in spec.leaves if leaf.kind == "file"}
-
-
 def build_spec(spec):
-    """Build the product once it is sized, file leaves loaded first."""
-    loaded = load_file_leaves(spec)
-    check_spec_size(spec, loaded)
-    leaves = [loaded[leaf] if leaf in loaded else _FAMILIES[leaf.kind].build(*leaf.args) for leaf in spec.leaves]
+    """Build the product, file leaves read first; the other leaves and the
+    partial products are built one at a time, each refusing itself above the
+    limits before it is built."""
+    loaded = {leaf: load_graph_file(leaf.args[0]) for leaf in spec.leaves if leaf.kind == "file"}
+    leaves = (loaded[leaf] if leaf in loaded else _FAMILIES[leaf.kind][1](*leaf.args) for leaf in spec.leaves)
     return reduce(construct.direct_product, leaves)
 
 

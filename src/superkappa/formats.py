@@ -20,6 +20,7 @@ _HEADER = ">>graph6<<"
 # read as the 36-bit form's marker; JSON edge lists share the limit
 MAX_VERTICES = 258047
 MAX_EDGES = 10**6  # expressions, constructions and random draws are refused above it before they are built
+MAX_GRAPH6_VERTICES = 16384  # write_graph6 packs n(n-1)/2 bits through as many characters: ~300 MB peak here
 # base64 writes 6-bit group v as the v-th character of its alphabet; graph6 as chr(v + 63)
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _BASE64_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
@@ -35,9 +36,14 @@ def check_size(vertices, edges, unit="edges"):
         raise CapacityError(f"{counted} exceed the {MAX_VERTICES}-vertex or {MAX_EDGES}-edge limit")
 
 
+def check_graph6_size(vertices):
+    """Refuse graph6 output of a graph this large before it is packed."""
+    if vertices > MAX_GRAPH6_VERTICES:
+        raise CapacityError(f"graph6 output of {vertices} vertices exceeds the {MAX_GRAPH6_VERTICES}-vertex limit")
+
+
 def write_graph6(G):
-    if G.n > MAX_VERTICES:
-        raise InputError(f"graph6 writer supports up to {MAX_VERTICES} vertices")
+    check_graph6_size(G.n)
     out = []
     n = G.n
     if n <= 62:

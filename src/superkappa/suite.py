@@ -14,10 +14,11 @@ Graph descriptors: {"expr": <family expression>}, {"graph6": <g6 line>},
 {"random_bipartite": {m,n,p,seed,min_delta}}, or
 {"random_nonbipartite": {n,p,seed,min_delta}} (min_delta optional). Random
 descriptors are seed-pinned, so a manifest replays byte-for-byte.
-`load_manifest` checks every entry before any runs: it decodes each graph6
-descriptor and sizes each expression (its file leaves read first) and each
-random draw, refuses a graph with no vertices, and sizes the construction
-the entry's n asks for. It raises InputError naming the first malformed entry.
+`load_manifest` checks every entry before any runs: it builds each entry's
+graph with `resolve_graph`, the one reader of descriptors, where each
+construction refuses itself before it is built, and sizes the construction
+the entry's n asks for; a decomposition entry on a connected graph must meet
+its case's n minimum. It raises InputError naming the first malformed entry.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ import time
 
 from . import __version__
 from . import connectivity as conn
-from .construct import random_connected_bipartite, random_connected_nonbipartite
+from .construct import decomposition_case, random_connected_bipartite, random_connected_nonbipartite
 from .errors import InputError
-from .expr import build_expression, check_size, check_spec_size, load_file_leaves, parse_spec
-from .formats import _is_int, parse_graph6, read_input
+from .expr import build_expression
+from .formats import _is_int, check_graph6_size, check_size, parse_graph6, read_input
 from .theorems import ERROR, RULES, TheoremVerdict, n_rule_holds, verify, verify_decomposition
 
 RNG_NOTE = "python-random-mt19937"
@@ -43,36 +44,44 @@ _DESCRIPTOR_FIELDS = {
 }
 
 
-def draw_size(kind, shape):
-    """|V| of a random draw of this kind and part sizes, refused before it is drawn
-    when its vertices or the vertex pairs it draws from exceed the limits."""
-    n = shape["n"]
-    vertices, pairs = (shape["m"] + n, shape["m"] * n) if kind == "random_bipartite" else (n, n * (n - 1) // 2)
-    check_size(vertices, pairs, "vertex pairs")
-    return vertices
-
-
 def resolve_graph(descriptor):
-    """Build (graph, odd_cycle_lengths) from a manifest graph descriptor."""
-    if not isinstance(descriptor, dict) or len(descriptor) != 1:
+    """Build (graph, odd_cycle_lengths) from a manifest graph descriptor, its
+    shape and fields checked first; a graph with no vertices, or too many for
+    the graph6 its verdict records, is refused."""
+    if not isinstance(descriptor, dict) or len(descriptor) != 1 or next(iter(descriptor)) not in _DESCRIPTOR_FIELDS:
         raise InputError(f"bad graph descriptor {descriptor!r}")
     (kind, value), = descriptor.items()
+    fields, lengths = _DESCRIPTOR_FIELDS[kind], None
+    if fields is None and not isinstance(value, str):
+        raise InputError(f"{kind} descriptor needs a string")
     if kind == "expr":
         graph, spec = build_expression(value)
-        return graph, spec.odd_cycle_lengths()
-    if kind == "graph6":
-        return parse_graph6(value), None
-    if kind in _DESCRIPTOR_FIELDS:  # a seeded random graph
-        args = [value[f] for f in _DESCRIPTOR_FIELDS[kind]]
+        lengths = spec.odd_cycle_lengths()
+    elif kind == "graph6":
+        graph = parse_graph6(value)
+    else:  # a seeded random graph
+        if not (isinstance(value, dict) and all(f in value for f in fields)):
+            raise InputError(f"{kind} descriptor needs fields {', '.join(fields)}")
+        ints = [f for f in (*fields, "min_delta") if f != "p" and f in value]
+        p = value["p"]
+        if not all(_is_int(value[f]) for f in ints) or isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise InputError(f"{kind} fields {', '.join(ints)} must be integers and p a number")
+        if min(value.get("m", 1), value["n"]) < 1 or not 0 < p <= 1:
+            raise InputError(f"{kind} needs sizes of at least 1 and p in (0,1]")
+        args, min_delta = [value[f] for f in fields], value.get("min_delta", 1)
         if kind == "random_bipartite":
-            return random_connected_bipartite(*args, min_delta=value.get("min_delta", 1))[0], None
-        return random_connected_nonbipartite(*args, min_delta=value.get("min_delta", 1)), None
-    raise InputError(f"unknown graph descriptor kind {kind!r}")
+            graph = random_connected_bipartite(*args, min_delta=min_delta)[0]
+        else:
+            graph = random_connected_nonbipartite(*args, min_delta=min_delta)
+    if not graph.n:
+        raise InputError("the graph has no vertices")
+    check_graph6_size(graph.n)
+    return graph, lengths
 
 
 def run_instance(entry):
     """Evaluate one manifest entry; pure function of the entry."""
-    graph, lengths = resolve_graph(entry["graph"])
+    graph, lengths = resolve_graph(entry.get("graph"))
     n = entry.get("n")
     budget = entry.get("budget", conn.CUT_BUDGET)
     descriptor = {"id": entry.get("id"), **entry["graph"]}
@@ -106,7 +115,7 @@ def _run_or_error(entry):
 
 
 def _entry_problem(entry):
-    """Why a manifest entry cannot run, or None."""
+    """Why a manifest entry cannot run, or None; its graph is built to find out."""
     if not isinstance(entry, dict):
         return "not an object"
     if entry.get("check") == "decomposition":
@@ -118,38 +127,14 @@ def _entry_problem(entry):
         return "'n' and 'budget' must be integers"
     if "budget" in entry and (entry["budget"] is None or entry["budget"] < 0):
         return "'budget' must be a non-negative integer"
-    descriptor = entry.get("graph")
-    if not isinstance(descriptor, dict) or len(descriptor) != 1 or next(iter(descriptor)) not in _DESCRIPTOR_FIELDS:
-        return f"bad graph descriptor {descriptor!r}"
-    (kind, value), = descriptor.items()
-    fields = _DESCRIPTOR_FIELDS[kind]
-    if fields is None and not isinstance(value, str):
-        return f"{kind} descriptor needs a string"
-    if fields is not None and not (isinstance(value, dict) and all(f in value for f in fields)):
-        return f"{kind} descriptor needs fields {', '.join(fields)}"
-    if fields is not None:  # a seeded random graph
-        ints = [f for f in (*fields, "min_delta") if f != "p" and f in value]
-        p = value["p"]
-        if not all(_is_int(value[f]) for f in ints) or isinstance(p, bool) or not isinstance(p, (int, float)):
-            return f"{kind} fields {', '.join(ints)} must be integers and p a number"
-        m, n = value.get("m", 1), value["n"]
-        if min(m, n) < 1 or not 0 < p <= 1:
-            return f"{kind} needs sizes of at least 1 and p in (0,1]"
     try:
-        if kind == "expr":
-            spec = parse_spec(value)
-            vertices, edges = check_spec_size(spec, load_file_leaves(spec))
-        elif kind == "graph6":
-            G = parse_graph6(value)
-            vertices, edges = G.n, len(G.edges)
-        else:  # a random draw: its edges are not known before it is drawn
-            vertices, edges = draw_size(kind, value), None
-        if not vertices:
-            return "the graph has no vertices"
+        G, _ = resolve_graph(entry.get("graph"))
         n, rule = entry.get("n"), RULES.get(entry.get("theorem"))
+        if entry.get("check") == "decomposition":
+            decomposition_case(G, n)  # refuses an n below the case's minimum
         if entry.get("check") == "decomposition" or rule.n_min is not None and n_rule_holds(rule, n):
             # G x C_n, or n copies of G: n|V| vertices and 2n|E| edges
-            check_size(n * vertices, None if edges is None else 2 * n * edges)
+            check_size(n * G.n, 2 * n * len(G.edges))
     except InputError as exc:
         return str(exc)
     return None

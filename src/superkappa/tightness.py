@@ -23,9 +23,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .construct import direct_product  # noqa: F401  (kept: perfbench/test_perfbench.py checks its tracing)
+from .construct import check_draw, direct_product  # noqa: F401  (direct_product kept: perfbench/test_perfbench.py checks its tracing)
 from .errors import GenerationError, InputError
-from .suite import draw_size, resolve_graph
+from .suite import resolve_graph
 from .theorems import BIPARTITE, CONFIRMED, REFUTED, RULES, check_hypotheses, conclude, n_rule_holds
 
 # the super-connectivity sufficient conditions: the rules with a strict clause
@@ -76,15 +76,15 @@ def _boundary_candidates(target, max_part_size, n_range, seed):
     entry's is. Bipartite draws have parts of at most `max_part_size`
     vertices and delta >= 1, non-bipartite ones at most twice that many
     vertices and delta >= 2; a draw that fails yields nothing. The largest
-    draw is sized, as a manifest's is, before any is made."""
+    draw is sized, as `construct._draw` sizes each, before any is made."""
     mps = max_part_size
     if RULES[target].graph_class == BIPARTITE:
         kind, step, probs, min_delta = "random_bipartite", 1009, (0.5, 0.7, 1.0), 1
-        draw_size(kind, {"m": mps, "n": mps})
+        check_draw(mps, mps)
         shapes = [({"m": m, "n": k}, 31 * (m * 64 + k)) for m in range(1, mps + 1) for k in range(m, mps + 1)]
     else:
         kind, step, probs, min_delta = "random_nonbipartite", 1013, (0.4, 0.6, 0.8), 2
-        draw_size(kind, {"n": 2 * mps})
+        check_draw(2 * mps)
         shapes = [({"n": nv}, 17 * nv) for nv in range(3, 2 * mps + 1)]
     for n in n_range:
         for shape, offset in shapes:
@@ -107,6 +107,8 @@ def tightness_search(target, max_part_size, n_range, seed, budget):
         raise InputError(f"tightness target must be one of {TARGETS}")
     if budget <= 0:
         raise InputError("budget must be positive")
+    if max_part_size < 1:
+        raise InputError("max part size must be positive")
     start = time.perf_counter()
     report = TightnessReport(target=target)
     graphs, seen = {}, set()  # one Graph per distinct base graph: its invariants serve every n

@@ -156,6 +156,30 @@ def test_a_search_filters_a_long_n_range_lazily():
     assert doc["instances_probed"] == 5 and not doc["complete"]
 
 
+def test_graph6_output_of_a_long_sparse_graph_is_refused_before_it_is_packed():
+    # cycle(258047) is within every construction limit; packing its graph6 takes memory quadratic in |V|
+    res = run_cli_capped("gen", "cycle(258047)")
+    assert _one_stderr_line(res, 3) == "error: graph6 output of 258047 vertices exceeds the 16384-vertex limit"
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "max_part_size,n_range,message",
+    [
+        ("0", "3..4", "error: max part size must be positive"),
+        ("-3", "3..4", "error: max part size must be positive"),
+        ("3", "5..3", "error: bad n-range '5..3'; A exceeds B"),
+    ],
+)
+def test_a_search_over_nothing_is_refused(max_part_size, n_range, message):
+    res = run_cli(
+        "search-tightness", "--target", "L2.2", f"--max-part-size={max_part_size}",
+        "--n-range", n_range, "--seed", "1", "--budget", "5",
+    )
+    assert _one_stderr_line(res, 3) == message
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_a_suite_entry_over_the_limits_is_malformed_input(tmp_path, jobs):
     entries = [
@@ -334,49 +358,49 @@ def test_suite_rejects_invalid_json(tmp_path):
     assert "Traceback" not in res.stderr and len(res.stderr.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize(
-    "entry,message",
-    [
-        ("not-a-dict", "manifest entry #0: not an object"),
-        ({"id": "e", "theorem": "T9.9", "graph": {"expr": "cycle(5)"}}, "manifest entry e: unknown theorem id 'T9.9'"),
-        ({"id": "e", "check": "decomposition", "graph": {"expr": "cycle(5)"}}, "needs an integer 'n'"),
-        ({"id": "e", "theorem": "T3.7", "graph": {"expr": "cycle(5)"}, "n": True}, "must be integers"),
-        ({"id": "e", "theorem": "T3.7", "graph": {"expr": "cycle(5)"}, "budget": "9"}, "must be integers"),
-        ({"id": "e", "theorem": "T3.7", "n": 6}, "bad graph descriptor None"),
-        ({"id": "e", "theorem": "T3.7", "graph": {"expr": 5}, "n": 6}, "expr descriptor needs a string"),
-        ({"theorem": "T3.7", "graph": {"random_nonbipartite": {"n": 5}}}, "manifest entry #0: random_nonbipartite"),
-        ({"id": "e", "theorem": "T3.7", "graph": {"expr": "cycle(5)"}, "n": 6, "budget": -1}, "'budget' must be a non-negative"),
-        ({"id": "e", "theorem": "T3.7", "graph": {"expr": "cycle(5)"}, "n": 6, "budget": None}, "'budget' must be a non-negative"),
-        (
-            {"id": "e", "theorem": "T3.7", "graph": {"random_nonbipartite": {"n": "7", "p": 0.5, "seed": 1}}},
-            "manifest entry e: random_nonbipartite fields n, seed must be integers and p a number",
-        ),
-        (
-            {"id": "e", "theorem": "T3.5", "graph": {"random_bipartite": {"m": 2, "n": 3, "p": "0.5", "seed": 1}}},
-            "manifest entry e: random_bipartite fields m, n, seed must be integers and p a number",
-        ),
-        (
-            {"id": "e", "theorem": "T3.5", "graph": {"random_bipartite": {"m": 2, "n": 3, "p": 0.5, "seed": 1, "min_delta": 1.5}}},
-            "fields m, n, seed, min_delta must be integers",
-        ),
-        (
-            {"id": "e", "theorem": "T3.5", "graph": {"random_bipartite": {"m": 0, "n": 3, "p": 0.5, "seed": 1}}},
-            "manifest entry e: random_bipartite needs sizes of at least 1 and p in (0,1]",
-        ),
-        (
-            {"id": "e", "theorem": "T3.7", "graph": {"random_nonbipartite": {"n": 7, "p": 1.5, "seed": 1}}},
-            "manifest entry e: random_nonbipartite needs sizes of at least 1 and p in (0,1]",
-        ),
-        (
-            {"id": "e", "theorem": "T3.7", "graph": {"random_nonbipartite": {"n": 100000, "p": 1e-9, "seed": 1}}},
-            "manifest entry e: 100000 vertices and 4999950000 vertex pairs exceed",
-        ),
-        (
-            {"id": "e", "theorem": "T3.5", "graph": {"random_bipartite": {"m": 2000, "n": 2000, "p": 1e-9, "seed": 1}}},
-            "manifest entry e: 4000 vertices and 4000000 vertex pairs exceed",
-        ),
-    ],
-)
+_MALFORMED_ENTRIES = [
+    ("not-a-dict", "manifest entry #0: not an object"),
+    ({"id": "e", "theorem": "T9.9", "graph": {"expr": "cycle(5)"}}, "manifest entry e: unknown theorem id 'T9.9'"),
+    ({"id": "e", "check": "decomposition", "graph": {"expr": "cycle(5)"}}, "needs an integer 'n'"),
+    ({"id": "e", "theorem": "T3.7", "graph": {"expr": "cycle(5)"}, "n": True}, "must be integers"),
+    ({"id": "e", "theorem": "T3.7", "graph": {"expr": "cycle(5)"}, "budget": "9"}, "must be integers"),
+    ({"id": "e", "theorem": "T3.7", "n": 6}, "bad graph descriptor None"),
+    ({"id": "e", "theorem": "T3.7", "graph": {"expr": 5}, "n": 6}, "expr descriptor needs a string"),
+    ({"theorem": "T3.7", "graph": {"random_nonbipartite": {"n": 5}}}, "manifest entry #0: random_nonbipartite"),
+    ({"id": "e", "theorem": "T3.7", "graph": {"expr": "cycle(5)"}, "n": 6, "budget": -1}, "'budget' must be a non-negative"),
+    ({"id": "e", "theorem": "T3.7", "graph": {"expr": "cycle(5)"}, "n": 6, "budget": None}, "'budget' must be a non-negative"),
+    (
+        {"id": "e", "theorem": "T3.7", "graph": {"random_nonbipartite": {"n": "7", "p": 0.5, "seed": 1}}},
+        "manifest entry e: random_nonbipartite fields n, seed must be integers and p a number",
+    ),
+    (
+        {"id": "e", "theorem": "T3.5", "graph": {"random_bipartite": {"m": 2, "n": 3, "p": "0.5", "seed": 1}}},
+        "manifest entry e: random_bipartite fields m, n, seed must be integers and p a number",
+    ),
+    (
+        {"id": "e", "theorem": "T3.5", "graph": {"random_bipartite": {"m": 2, "n": 3, "p": 0.5, "seed": 1, "min_delta": 1.5}}},
+        "fields m, n, seed, min_delta must be integers",
+    ),
+    (
+        {"id": "e", "theorem": "T3.5", "graph": {"random_bipartite": {"m": 0, "n": 3, "p": 0.5, "seed": 1}}},
+        "manifest entry e: random_bipartite needs sizes of at least 1 and p in (0,1]",
+    ),
+    (
+        {"id": "e", "theorem": "T3.7", "graph": {"random_nonbipartite": {"n": 7, "p": 1.5, "seed": 1}}},
+        "manifest entry e: random_nonbipartite needs sizes of at least 1 and p in (0,1]",
+    ),
+    (
+        {"id": "e", "theorem": "T3.7", "graph": {"random_nonbipartite": {"n": 100000, "p": 1e-9, "seed": 1}}},
+        "manifest entry e: 100000 vertices and 4999950000 vertex pairs exceed",
+    ),
+    (
+        {"id": "e", "theorem": "T3.5", "graph": {"random_bipartite": {"m": 2000, "n": 2000, "p": 1e-9, "seed": 1}}},
+        "manifest entry e: 4000 vertices and 4000000 vertex pairs exceed",
+    ),
+]
+
+
+@pytest.mark.parametrize("entry,message", _MALFORMED_ENTRIES)
 def test_load_manifest_names_the_bad_entry(tmp_path, entry, message):
     from superkappa.errors import InputError
     from superkappa.suite import load_manifest
@@ -387,18 +411,46 @@ def test_load_manifest_names_the_bad_entry(tmp_path, entry, message):
         load_manifest(str(path))
 
 
-@pytest.mark.parametrize(
-    "second,message",
-    [
-        (
-            {"check": "decomposition", "graph": {"expr": "kbip(2,3)"}, "n": 100000001},
-            "manifest entry b: 500000005 vertices and 1200000012 edges exceed the 258047-vertex or 1000000-edge limit",
-        ),
-        ({"theorem": "T3.7", "graph": {"graph6": "Dl"}, "n": 6}, "manifest entry b: need 2 data bytes for n=5, found 1 (at byte 2)"),
-        ({"theorem": "T3.7", "graph": {"graph6": "?"}, "n": 6}, "manifest entry b: the graph has no vertices"),
-    ],
-    ids=["construction-over-the-limits", "malformed-graph6", "graph6-without-vertices"],
-)
+_REFUSED_AT_LOAD = [
+    pytest.param(
+        {"check": "decomposition", "graph": {"expr": "kbip(2,3)"}, "n": 100000001},
+        "manifest entry b: 500000005 vertices and 1200000012 edges exceed the 258047-vertex or 1000000-edge limit",
+        id="construction-over-the-limits",
+    ),
+    pytest.param(
+        {"theorem": "T3.7", "graph": {"graph6": "Dl"}, "n": 6},
+        "manifest entry b: need 2 data bytes for n=5, found 1 (at byte 2)",
+        id="malformed-graph6",
+    ),
+    pytest.param(
+        {"theorem": "T3.7", "graph": {"graph6": "?"}, "n": 6},
+        "manifest entry b: the graph has no vertices",
+        id="graph6-without-vertices",
+    ),
+    pytest.param(
+        {"theorem": "T3.1", "graph": {"expr": "kbip(0,3)"}, "n": 3},
+        "manifest entry b: complete_bipartite needs m,n >= 1, got 0,3",
+        id="leaf-below-its-family-minimum",
+    ),
+    pytest.param(
+        {"check": "decomposition", "graph": {"expr": "cycle(5)"}, "n": 3},
+        "manifest entry b: nonbipartite-odd needs n >= 5, got 3",
+        id="decomposition-below-its-case-minimum",
+    ),
+    pytest.param(
+        {"check": "decomposition", "graph": {"expr": "kbip(2,3)"}, "n": -4},
+        "manifest entry b: bipartite-even needs n >= 4, got -4",
+        id="decomposition-at-a-negative-n",
+    ),
+    pytest.param(
+        {"theorem": "T3.9", "graph": {"expr": "complete(1) x cycle(16385)"}},  # 16,385 vertices, no edges
+        "manifest entry b: graph6 output of 16385 vertices exceeds the 16384-vertex limit",
+        id="graph-too-large-for-its-verdicts-graph6",
+    ),
+]
+
+
+@pytest.mark.parametrize("second,message", _REFUSED_AT_LOAD)
 def test_an_entry_is_refused_at_load_before_any_entry_runs(tmp_path, monkeypatch, capsys, second, message):
     from superkappa import cli, suite
     from superkappa.errors import InputError
@@ -414,6 +466,45 @@ def test_an_entry_is_refused_at_load_before_any_entry_runs(tmp_path, monkeypatch
     assert cli.main(["suite", "--manifest", str(path)]) == cli.EXIT_INPUT
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert ran == []
+
+
+def _graph_faults():
+    """The malformed entries whose fault is their graph: each loads with a good graph in its place."""
+    from superkappa.suite import _entry_problem
+
+    good = {"expr": "cycle(5)"}
+    return [e for e, _ in _MALFORMED_ENTRIES if isinstance(e, dict) and _entry_problem({**e, "graph": good}) is None]
+
+
+# entries that load, and their verdicts: a disconnected base below its case's n minimum fails the hypotheses
+_LOADABLE_ENTRIES = [
+    ({"id": "a", "theorem": "T3.7", "graph": {"expr": "cycle(5)"}, "n": 6}, "confirmed"),
+    ({"id": "d", "check": "decomposition", "graph": {"expr": "cycle(5)"}, "n": 5}, "confirmed"),
+    ({"id": "d", "check": "decomposition", "graph": {"graph6": "C`"}, "n": 1}, "hypotheses-not-met"),
+    ({"id": "d", "check": "decomposition", "graph": {"graph6": "C`"}, "n": -4}, "hypotheses-not-met"),
+    ({"id": "r", "theorem": "T3.5", "graph": {"random_bipartite": {"m": 2, "n": 3, "p": 0.5, "seed": 1}}, "n": 3}, "confirmed"),
+]
+
+
+@pytest.mark.parametrize(
+    "entry,verdict",
+    [(e, None) for e in _graph_faults() + [param.values[0] for param in _REFUSED_AT_LOAD]] + _LOADABLE_ENTRIES,
+)
+def test_load_refuses_an_entry_exactly_when_running_it_is_an_input_error(tmp_path, entry, verdict):
+    """verdict None: both refuse the entry; otherwise it loads and runs to that verdict."""
+    from superkappa.errors import InputError
+    from superkappa.suite import load_manifest, run_instance
+
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"instances": [entry]}))
+    if verdict is None:
+        with pytest.raises(InputError):
+            load_manifest(str(path))
+        with pytest.raises(InputError):
+            run_instance(entry)
+    else:
+        load_manifest(str(path))
+        assert run_instance(entry).verdict == verdict
 
 
 def test_a_refused_random_draw_counts_vertex_pairs(tmp_path):
@@ -434,14 +525,14 @@ def test_a_refused_random_draw_counts_vertex_pairs(tmp_path):
 
 
 def test_a_draw_that_cannot_succeed_exits_3_at_once(tmp_path):
-    # 999,691 vertex pairs pass the load check; one attempt's draws fill the edge cap
+    # 999,691 vertex pairs are under the limits; one attempt's draws fill the edge cap, at load
     graph = {"random_nonbipartite": {"n": 1414, "p": 1e-9, "seed": 1}}
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({"instances": [{"id": "e", "theorem": "T3.7", "n": 6, "graph": graph}]}))
     res = run_cli("suite", "--manifest", str(manifest))
     assert res.returncode == 3
     assert res.stderr.splitlines() == [
-        "error: no connected non-bipartite instance with delta>=1 for n=1414, p=1e-09, seed=1 in 1 attempts"
+        "error: manifest entry e: no connected non-bipartite instance with delta>=1 for n=1414, p=1e-09, seed=1 in 1 attempts"
     ]
 
 

@@ -2,9 +2,10 @@ import re
 
 import pytest
 
-from superkappa import CapacityError, InputError, build_expression, complete_bipartite, construct, cycle, parse_spec
-from superkappa.expr import MAX_EDGES, build_spec, check_size
-from superkappa.formats import MAX_VERTICES
+from superkappa import CapacityError, InputError, build_expression, complete_bipartite, cycle, parse_spec
+from superkappa.expr import build_spec
+from superkappa.formats import MAX_EDGES, MAX_VERTICES, check_size
+from superkappa.graph import Graph
 
 
 def test_single_leaf():
@@ -45,24 +46,33 @@ def test_parse_errors(bad):
         parse_spec(bad) and build_spec(parse_spec(bad))
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "complete(100000)",
-        "cycle(300000)",
-        "cycle(1000) x cycle(1000) x cycle(1000)",
-        "complete(1) x complete(100000)",
-        "kbip(1,1) x kbip(1000,1001)",
-    ],
-)
-def test_oversized_expression_is_refused_before_building(monkeypatch, text):
-    def build(*args):
-        raise AssertionError(f"built a graph for {text}")
+# each expression's refusal, and how many graphs are built before it: the leaves before the refused construction
+_OVERSIZED = {
+    "complete(100000)": ("100000 vertices and 4999950000 edges", 0),
+    "cycle(300000)": ("300000 vertices and 300000 edges", 0),
+    "cycle(1000) x cycle(1000) x cycle(1000)": ("1000000 vertices and 2000000 edges", 2),
+    "complete(1) x complete(100000)": ("100000 vertices and 4999950000 edges", 1),
+    "kbip(1,1) x kbip(1000,1001)": ("2001 vertices and 1001000 edges", 1),
+}
 
-    for name in ("cycle", "complete", "complete_bipartite", "direct_product"):
-        monkeypatch.setattr(construct, name, build)
-    with pytest.raises(CapacityError, match="258047-vertex or 1000000-edge limit"):
+
+@pytest.mark.parametrize("text", _OVERSIZED)
+def test_oversized_expression_is_refused_before_building(monkeypatch, text):
+    refusal, leaves_built = _OVERSIZED[text]
+    built = []
+    init = Graph.__init__
+
+    def sized_init(self, n, edges, labels=None):
+        edges = list(edges)
+        assert n <= MAX_VERTICES and len(edges) <= MAX_EDGES, f"built a graph over the limits for {text}"
+        built.append(n)
+        init(self, n, edges, labels)
+
+    monkeypatch.setattr(Graph, "__init__", sized_init)
+    with pytest.raises(CapacityError) as exc:
         build_expression(text)
+    assert str(exc.value) == f"{refusal} exceed the 258047-vertex or 1000000-edge limit"
+    assert len(built) == leaves_built
 
 
 def test_size_limits_are_inclusive():

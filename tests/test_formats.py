@@ -16,6 +16,8 @@ from superkappa import (
     write_graph6,
 )
 
+from superkappa.formats import MAX_GRAPH6_VERTICES, check_graph6_size
+
 from conftest import seeded_corpus
 
 
@@ -105,6 +107,15 @@ def test_edgelist_json_schema_errors(bad, needle):
 def test_edgelist_json_refuses_more_vertices_than_graph6_holds():
     with pytest.raises(CapacityError, match="258047-vertex limit"):
         parse_edgelist_json('{"n":258048,"edges":[]}')
+
+
+def test_graph6_output_is_sized_before_it_is_packed(monkeypatch):
+    check_graph6_size(MAX_GRAPH6_VERTICES)
+    monkeypatch.setattr(Graph, "adjacency_masks", lambda self: pytest.fail("packed an oversized graph6"))
+    n = MAX_GRAPH6_VERTICES + 1  # a sparse graph's packing takes memory quadratic in |V|
+    with pytest.raises(CapacityError) as exc:
+        write_graph6(Graph(n, [(0, n - 1)]))
+    assert str(exc.value) == "graph6 output of 16385 vertices exceeds the 16384-vertex limit"
 
 
 def test_round_trips_on_corpus():

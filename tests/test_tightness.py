@@ -22,6 +22,12 @@ def test_target_validation():
         tightness_search("L2.2", 3, range(3, 4), 1, 0)
 
 
+@pytest.mark.parametrize("max_part_size", [0, -3])
+def test_a_max_part_size_below_one_is_refused(max_part_size):
+    with pytest.raises(InputError, match="max part size must be positive"):
+        tightness_search("L2.2", max_part_size, range(3, 5), 1, 40)
+
+
 def test_empty_search_space_is_complete():
     # parts of size 1 cannot miss exactly one clause with n=3 restricted away
     report = tightness_search("T3.8", 1, range(3, 4), 1, 10)
