@@ -14,13 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 import time
 
 from . import __version__
 from . import connectivity as conn
-from .construct import tilde
 from .errors import InputError
 from .expr import build_expression
 from .formats import load_graph_file, write_edgelist_json, write_graph6
@@ -36,28 +34,12 @@ EXIT_INTERNAL = 4
 # a run exits with the worst code among its outcomes; any other outcome is 0
 EXIT_CODES = {REFUTED: EXIT_WITNESS, INDETERMINATE: EXIT_INDETERMINATE, ERROR: EXIT_INTERNAL}
 
-_TILDE_RE = re.compile(r"^\s*tilde\s*\(\s*(.+)\s*,\s*(\d+)\s*\)\s*$")
-
-
-def _build_from_expression(text):
-    m = _TILDE_RE.match(text)
-    if not m:
-        graph, _ = build_expression(text)
-        return graph
-    base, _ = build_expression(m.group(1))
-    bip = base.is_bipartite()
-    if bip is None:
-        raise InputError("tilde(...) needs a bipartite base expression")
-    graph, _ = tilde(base, bip, int(m.group(2)))
-    return graph
-
-
 def _json(doc):
     return json.dumps(doc, indent=2) + "\n"
 
 
 def cmd_gen(args):
-    graph = _build_from_expression(args.expression)
+    graph, _ = build_expression(args.expression)
     text = write_graph6(graph) if args.format == "g6" else write_edgelist_json(graph)
     return text, None, [], []  # no RunReport: --out takes the graph
 

@@ -1,9 +1,9 @@
 """Text grammar for graph-family expressions.
 
-Leaves: cycle(n), complete(n), kbip(m,n), file(path). The infix operator
-`x` is the direct product, left-associative:
-
-    cycle(3) x cycle(5) x complete(2)
+Leaves: cycle(n), complete(n), kbip(m,n), file(path), and tilde(E, n), the
+cyclic layered graph on n copies of the graph of expression E, which must be
+connected and bipartite. The infix operator `x` is the direct product,
+left-associative: `tilde(kbip(2,3), 3) x cycle(3) x complete(2)`.
 
 Each construction refuses itself above MAX_VERTICES vertices or MAX_EDGES
 edges before it is built: every leaf, and every partial product.
@@ -23,15 +23,17 @@ from .formats import load_graph_file
 _FAMILIES = {"cycle": (1, construct.cycle), "complete": (1, construct.complete), "kbip": (2, construct.complete_bipartite)}
 _ARGUMENTS = {1: "one integer argument", 2: "two integer arguments"}
 
+# a leaf, `tilde(` opening a layered leaf, `, n)` closing the innermost one, or `x`
 _TOKEN = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z_0-9]*)\s*\((?P<args>[^()]*)\)|(?P<op>x)\b)",
+    r"\s*(?:(?P<open>tilde)\s*\(|(?P<name>[A-Za-z_][A-Za-z_0-9]*)\s*\((?P<args>[^()]*)\)"
+    r"|,\s*(?P<layers>\d+)\s*\)|(?P<op>x)\b)",
 )
 
 
 @dataclass(frozen=True)
 class FamilyLeaf:
-    kind: str  # a key of _FAMILIES, or "file"
-    args: tuple
+    kind: str  # a key of _FAMILIES, "file", or "tilde"
+    args: tuple  # a tilde leaf's: (ProductSpec of its base, n)
 
 
 @dataclass(frozen=True)
@@ -50,47 +52,62 @@ class ProductSpec:
         return lengths
 
 
-def parse_spec(text):
-    pos = 0
-    leaves = []
-    expect_leaf = True
-    while pos < len(text.rstrip()):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise InputError(f"cannot parse expression at: {text[pos:]!r}")
-        pos = m.end()
-        if m.group("op"):
-            if expect_leaf:
-                raise InputError("misplaced 'x' in expression")
-            expect_leaf = True
-            continue
-        if not expect_leaf:
-            raise InputError(f"missing 'x' before {m.group('name')!r}")
-        name = m.group("name")
-        raw_args = [a.strip() for a in m.group("args").split(",")] if m.group("args").strip() else []
-        if name in _FAMILIES:
-            arity = _FAMILIES[name][0]
-            if len(raw_args) != arity or not all(a.isdigit() for a in raw_args):
-                raise InputError(f"{name} takes {_ARGUMENTS[arity]}")
-            leaves.append(FamilyLeaf(name, tuple(map(int, raw_args))))
-        elif name == "file":
-            if len(raw_args) != 1:
-                raise InputError("file takes one path argument")
-            leaves.append(FamilyLeaf(name, (raw_args[0],)))
-        else:
-            raise InputError(f"unknown family {name!r}")
-        expect_leaf = False
+def _product(leaves, expect_leaf):
+    """The product of one level's leaves, once the level ends."""
     if expect_leaf:
         raise InputError("expression ends with a dangling 'x'" if leaves else "empty expression")
     return ProductSpec(leaves=tuple(leaves))
 
 
+def parse_spec(text):
+    pos, levels, expect_leaf = 0, [[]], True  # levels: the leaves of the top level, then of each open tilde(
+    while pos < len(text.rstrip()):
+        m = _TOKEN.match(text, pos)
+        if not m:
+            raise InputError(f"cannot parse expression at: {text[pos:]!r}")
+        pos, name, layers = m.end(), m.group("open") or m.group("name"), m.group("layers")
+        raw_args = [a.strip() for a in m.group("args").split(",")] if (m.group("args") or "").strip() else []
+        if m.group("op") and expect_leaf:
+            raise InputError("misplaced 'x' in expression")
+        if name and not expect_leaf:
+            raise InputError(f"missing 'x' before {name!r}")
+        if layers:
+            if len(levels) == 1:
+                raise InputError(f"{m.group().strip()!r} closes no 'tilde('")
+            base = _product(levels.pop(), expect_leaf)
+            levels[-1].append(FamilyLeaf("tilde", (base, int(layers))))
+        elif m.group("open"):
+            levels.append([])
+        elif name in _FAMILIES:
+            arity = _FAMILIES[name][0]
+            if len(raw_args) != arity or not all(a.isdigit() for a in raw_args):
+                raise InputError(f"{name} takes {_ARGUMENTS[arity]}")
+            levels[-1].append(FamilyLeaf(name, tuple(map(int, raw_args))))
+        elif name == "file":
+            if len(raw_args) != 1:
+                raise InputError("file takes one path argument")
+            levels[-1].append(FamilyLeaf(name, (raw_args[0],)))
+        elif name:
+            raise InputError(f"unknown family {name!r}")
+        expect_leaf = not (layers or m.group("name"))
+    if len(levels) > 1:
+        raise InputError("'tilde(' is never closed")
+    return _product(levels[0], expect_leaf)
+
+
+def _leaf_graph(leaf):
+    if leaf.kind == "tilde":
+        base = build_spec(leaf.args[0])
+        return construct.tilde(base, base.is_bipartite(), leaf.args[1])[0]
+    return _FAMILIES[leaf.kind][1](*leaf.args)
+
+
 def build_spec(spec):
-    """Build the product, file leaves read first; the other leaves and the
-    partial products are built one at a time, each refusing itself above the
-    limits before it is built."""
+    """Build the product, file leaves read first; the other leaves (a tilde
+    leaf's base built the same way) and the partial products are built one at
+    a time, each refusing itself above the limits before it is built."""
     loaded = {leaf: load_graph_file(leaf.args[0]) for leaf in spec.leaves if leaf.kind == "file"}
-    leaves = (loaded[leaf] if leaf in loaded else _FAMILIES[leaf.kind][1](*leaf.args) for leaf in spec.leaves)
+    leaves = (loaded[leaf] if leaf in loaded else _leaf_graph(leaf) for leaf in spec.leaves)
     return reduce(construct.direct_product, leaves)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 import re
 
 from .errors import CapacityError, FormatError, InputError
@@ -20,7 +21,8 @@ _HEADER = ">>graph6<<"
 # read as the 36-bit form's marker; JSON edge lists share the limit
 MAX_VERTICES = 258047
 MAX_EDGES = 10**6  # expressions, constructions and random draws are refused above it before they are built
-MAX_GRAPH6_VERTICES = 16384  # write_graph6 packs n(n-1)/2 bits through as many characters: ~300 MB peak here
+MAX_GRAPH6_VERTICES = 16384  # graph6 output is about n^2/12 bytes: 22 MB here, written at under 90 MB peak RSS
+_RUN_BITS = 1 << 18  # adjacency bits write_graph6 packs at a time, so its memory is bounded by its output
 # base64 writes 6-bit group v as the v-th character of its alphabet; graph6 as chr(v + 63)
 _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _BASE64_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
@@ -44,23 +46,25 @@ def check_graph6_size(vertices):
 
 def write_graph6(G):
     check_graph6_size(G.n)
-    out = []
-    n = G.n
-    if n <= 62:
-        out.append(chr(n + 63))
-    else:
-        bits18 = f"{n:018b}"
-        out.append(chr(126))
-        out.extend(chr(int(bits18[i : i + 6], 2) + 63) for i in range(0, 18, 6))
-    masks = G.adjacency_masks()
-    # column col is rows 0..col-1, row 0 first: the low col bits of its mask, reversed
-    bits = "".join(format(masks[col] & ((1 << col) - 1), f"0{col}b")[::-1] for col in range(1, n))
-    groups = -(-len(bits) // 6)
-    bits += "0" * (-len(bits) % 24)  # whole 6-bit groups, and whole bytes for base64
-    if bits:
-        data = base64.b64encode(int(bits, 2).to_bytes(len(bits) // 8, "big"))
-        out.append(data[:groups].translate(_BASE64_TO_GRAPH6).decode("ascii"))
-    return "".join(out) + "\n"
+    n, masks = G.n, G.adjacency_masks()
+    # the size: one 6-bit group, or "~" and three
+    out = [chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))]
+    groups = -(-(n * (n - 1) // 2) // 6)  # 6-bit groups still to write
+    bits, col = "", 1
+    while groups:  # a run of columns at a time, the bits past its last whole 24 carried to the next
+        end = min(n, math.isqrt(col * col + 2 * _RUN_BITS))  # columns col..end-1: about _RUN_BITS bits
+        # column c is rows 0..c-1, row 0 first: the low c bits of its mask, reversed
+        bits += "".join(format(masks[c] & ((1 << c) - 1), f"0{c}b")[::-1] for c in range(col, end))
+        col = end
+        if col == n:  # the last run: padded to whole 6-bit groups and whole bytes for base64
+            bits += "0" * (-len(bits) % 24)
+        whole = len(bits) - len(bits) % 24
+        data = base64.b64encode(int(bits[:whole], 2).to_bytes(whole // 8, "big"))[:groups]
+        out.append(data.translate(_BASE64_TO_GRAPH6).decode("ascii"))
+        groups -= len(data)
+        bits = bits[whole:]
+    out.append("\n")
+    return "".join(out)
 
 
 def parse_graph6(text):

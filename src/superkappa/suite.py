@@ -17,8 +17,9 @@ descriptors are seed-pinned, so a manifest replays byte-for-byte.
 `load_manifest` checks every entry before any runs: it builds each entry's
 graph with `resolve_graph`, the one reader of descriptors, where each
 construction refuses itself before it is built, and sizes the construction
-the entry's n asks for; a decomposition entry on a connected graph must meet
-its case's n minimum. It raises InputError naming the first malformed entry.
+the entry's n asks for and the double cover G x K2 where running builds it;
+a decomposition entry on a connected graph must meet its case's n minimum.
+It raises InputError naming the first malformed entry.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .construct import decomposition_case, random_connected_bipartite, random_co
 from .errors import InputError
 from .expr import build_expression
 from .formats import _is_int, check_graph6_size, check_size, parse_graph6, read_input
-from .theorems import ERROR, RULES, TheoremVerdict, n_rule_holds, verify, verify_decomposition
+from .theorems import COVER, ERROR, RULES, TheoremVerdict, n_rule_holds, verify, verify_decomposition
 
 RNG_NOTE = "python-random-mt19937"
 # required fields of each graph descriptor kind; None: the value is a string
@@ -128,13 +129,18 @@ def _entry_problem(entry):
     if "budget" in entry and (entry["budget"] is None or entry["budget"] < 0):
         return "'budget' must be a non-negative integer"
     try:
-        G, _ = resolve_graph(entry.get("graph"))
+        G, lengths = resolve_graph(entry.get("graph"))
         n, rule = entry.get("n"), RULES.get(entry.get("theorem"))
         if entry.get("check") == "decomposition":
             decomposition_case(G, n)  # refuses an n below the case's minimum
         if entry.get("check") == "decomposition" or rule.n_min is not None and n_rule_holds(rule, n):
             # G x C_n, or n copies of G: n|V| vertices and 2n|E| edges
             check_size(n * G.n, 2 * n * len(G.edges))
+        # G x K2, 2|V| vertices and 2|E| edges: T3.9's construction on a product of odd cycles, and what
+        # a strict clause on kappa(G x K2) reads at any integer n when G is connected and non-bipartite
+        strict_dc = rule and rule.strict and rule.strict[0] == "kappa_dc" and n is not None
+        if rule and rule.construction == COVER and lengths or strict_dc and G.is_connected() and G.is_bipartite() is None:
+            check_size(2 * G.n, 2 * len(G.edges))
     except InputError as exc:
         return str(exc)
     return None
@@ -161,6 +167,7 @@ def run_manifest(doc, jobs=1):
     An entry the program fails on gets an `error` verdict and the others
     still run; an input error stops the run."""
     entries = doc["instances"]
+    jobs = min(jobs, len(entries))  # a pool forks all its workers at once: no more than there are entries
     if jobs > 1:
         # imported here: it loads multiprocessing, which only pools need
         from concurrent.futures import ProcessPoolExecutor

@@ -31,6 +31,22 @@ def test_gen_tilde_and_json(tmp_path):
     assert doc["n"] == 15 and len(doc["edges"]) == 36
 
 
+def test_a_tilde_base_that_is_not_bipartite_is_refused_by_the_construction():
+    res = run_cli("gen", "tilde(cycle(5), 3)")
+    assert _one_stderr_line(res, 3) == "error: layered construction needs a bipartite base graph"
+    assert res.stdout == ""
+
+
+def test_verify_and_suite_take_a_tilde_expression(tmp_path):
+    res = run_cli("verify", "--theorem", "T3.1", "--expr", "tilde(kbip(2,3), 3)", "--n", "3")
+    assert res.returncode == 0 and json.loads(res.stdout)["verdict"] == "confirmed"
+    entry = {"id": "t", "theorem": "T3.1", "graph": {"expr": "tilde(kbip(2,3), 3)"}, "n": 3}
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"instances": [entry]}))
+    res = run_cli("suite", "--manifest", str(manifest))
+    assert (res.returncode, res.stdout, res.stderr) == (0, "t: T3.1 confirmed\n", "")
+
+
 def test_kappa_report(tmp_path):
     g6 = tmp_path / "c6.g6"
     run = run_cli("gen", "cycle(3) x complete(2)")
@@ -505,6 +521,64 @@ def test_load_refuses_an_entry_exactly_when_running_it_is_an_input_error(tmp_pat
     else:
         load_manifest(str(path))
         assert run_instance(entry).verdict == verdict
+
+
+# under a 9-edge limit, C5 fits and its double cover (10 vertices, 10 edges) does not; verdict None: refused
+_DOUBLE_COVER_ENTRIES = [
+    ({"id": "e", "theorem": "T3.7", "graph": {"expr": "cycle(5)"}, "n": 5}, None),  # strict clause, n off its n-rule
+    ({"id": "e", "theorem": "T3.8", "graph": {"expr": "cycle(5)"}, "n": 4}, None),
+    ({"id": "e", "theorem": "T3.9", "graph": {"expr": "cycle(5)"}}, None),  # the construction is G x K2
+    ({"id": "e", "theorem": "T3.7", "graph": {"expr": "cycle(6)"}, "n": 5}, "hypotheses-not-met"),  # bipartite G
+    ({"id": "e", "theorem": "T3.7", "graph": {"expr": "cycle(5)"}}, "hypotheses-not-met"),  # no n, no strict clause
+    ({"id": "e", "theorem": "T3.9", "graph": {"graph6": "Dhc"}}, "hypotheses-not-met"),  # no odd-cycle lengths
+]
+
+
+@pytest.mark.parametrize("entry,verdict", _DOUBLE_COVER_ENTRIES)
+def test_load_sizes_the_double_cover_exactly_when_running_builds_it(tmp_path, monkeypatch, entry, verdict):
+    from superkappa import formats
+    from superkappa.errors import InputError
+    from superkappa.suite import load_manifest, run_instance
+
+    monkeypatch.setattr(formats, "MAX_EDGES", 9)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"instances": [entry]}))
+    if verdict is None:
+        with pytest.raises(InputError) as exc:
+            load_manifest(str(path))
+        assert str(exc.value) == "manifest entry e: 10 vertices and 10 edges exceed the 258047-vertex or 9-edge limit"
+        with pytest.raises(InputError):
+            run_instance(entry)
+    else:
+        load_manifest(str(path))
+        assert run_instance(entry).verdict == verdict
+
+
+@pytest.mark.parametrize("jobs,entries,workers", [(4, 2, 2), (2, 1, None), (3, 5, 3)])
+def test_the_suite_pool_has_no_more_workers_than_entries(monkeypatch, jobs, entries, workers):
+    import concurrent.futures
+
+    from superkappa.suite import run_manifest
+
+    pools = []
+
+    class SerialPool:  # records its size and maps in this process
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    doc = {"instances": [{"id": str(i), "theorem": "T3.9", "graph": {"expr": "cycle(3)"}} for i in range(entries)]}
+    assert [v.verdict for v in run_manifest(doc, jobs=jobs)] == ["confirmed"] * entries
+    assert pools == ([] if workers is None else [workers])
 
 
 def test_a_refused_random_draw_counts_vertex_pairs(tmp_path):

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from superkappa import CapacityError, InputError, build_expression, complete_bipartite, cycle, parse_spec
+from superkappa import CapacityError, InputError, build_expression, complete_bipartite, cycle, direct_product, parse_spec, tilde
 from superkappa.expr import build_spec
 from superkappa.formats import MAX_EDGES, MAX_VERTICES, check_size
 from superkappa.graph import Graph
@@ -24,6 +24,16 @@ def test_kbip():
     assert g == complete_bipartite(2, 3)
 
 
+def test_tilde_is_a_leaf_that_composes_and_nests():
+    K = complete_bipartite(2, 3)
+    g, spec = build_expression("tilde(kbip(2,3),3) x cycle(3)")
+    assert g == direct_product(tilde(K, K.is_bipartite(), 3)[0], cycle(3))
+    assert len(spec.leaves) == 2 and spec.odd_cycle_lengths() is None
+    K2 = complete_bipartite(1, 1)
+    inner = tilde(K2, K2.is_bipartite(), 2)[0]
+    assert build_expression("tilde(tilde(kbip(1,1), 2), 3)")[0] == tilde(inner, inner.is_bipartite(), 3)[0]
+
+
 def test_file_leaf(tmp_path):
     path = tmp_path / "g.g6"
     path.write_text("Dhc\n")
@@ -39,7 +49,10 @@ def test_odd_cycle_lengths():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "x cycle(3)", "cycle(3) x", "cycle(3) cycle(4)", "blob(3)", "cycle(a)", "kbip(2)"],
+    [
+        "", "x cycle(3)", "cycle(3) x", "cycle(3) cycle(4)", "blob(3)", "cycle(a)", "kbip(2)",
+        "tilde(kbip(2,3)", "kbip(2,3), 3)", "tilde(, 3)",
+    ],
 )
 def test_parse_errors(bad):
     with pytest.raises(InputError):
@@ -53,6 +66,7 @@ _OVERSIZED = {
     "cycle(1000) x cycle(1000) x cycle(1000)": ("1000000 vertices and 2000000 edges", 2),
     "complete(1) x complete(100000)": ("100000 vertices and 4999950000 edges", 1),
     "kbip(1,1) x kbip(1000,1001)": ("2001 vertices and 1001000 edges", 1),
+    "tilde(kbip(2,3), 100000)": ("500000 vertices and 1200000 edges", 1),
 }
 
 

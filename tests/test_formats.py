@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -118,6 +119,19 @@ def test_graph6_output_is_sized_before_it_is_packed(monkeypatch):
     assert str(exc.value) == "graph6 output of 16385 vertices exceeds the 16384-vertex limit"
 
 
+def test_graph6_output_is_packed_a_run_of_columns_at_a_time():
+    G = cycle(8192)  # 33.5 million adjacency bits; 5.6 MB of graph6
+    tracemalloc.start()
+    try:
+        text = write_graph6(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # packing the whole triangle through one string of bits peaked at about 12x the output
+    assert len(text) == 5591728 and peak < 5 * len(text)
+    assert parse_graph6(text) == G
+
+
 def test_round_trips_on_corpus():
     for G in seeded_corpus(seed=23, count=60, max_n=12):
         assert parse_graph6(write_graph6(G)) == G
@@ -125,7 +139,7 @@ def test_round_trips_on_corpus():
         assert write_graph6(parse_graph6(write_graph6(G))) == write_graph6(G)
 
 
-@pytest.mark.parametrize("n", [63, 64, 100, 300])
+@pytest.mark.parametrize("n", [63, 64, 100, 300, 800])
 def test_long_form_graph6_matches_networkx(n):
     nx = pytest.importorskip("networkx")
     g = nx.gnp_random_graph(n, 0.3, seed=n)
