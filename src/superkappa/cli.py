@@ -22,7 +22,7 @@ from . import connectivity as conn
 from .errors import InputError
 from .expr import build_expression
 from .formats import load_graph_file, write_edgelist_json, write_graph6
-from .suite import load_manifest, make_run_report, run_manifest, write_run_report
+from .suite import load_manifest, make_run_report, manifest_files, run_manifest, write_run_report
 from .theorems import CONFIRMED, ERROR, INDETERMINATE, REFUTED, THEOREM_IDS, verify
 from .tightness import TARGETS, tightness_search
 
@@ -68,7 +68,7 @@ def cmd_super_kappa(args):
 def cmd_verify(args):
     if args.expr:
         graph, spec = build_expression(args.expr)
-        lengths, descriptor, inputs = spec.odd_cycle_lengths(), {"expr": args.expr}, []
+        lengths, descriptor, inputs = spec.odd_cycle_lengths(), {"expr": args.expr}, spec.file_paths()
     else:
         graph = load_graph_file(args.graph)
         lengths, descriptor, inputs = None, {"file": args.graph}, [args.graph]
@@ -85,7 +85,8 @@ def cmd_suite(args):
         lines.append(f"{entry.get('id', '?')}: {verdict.theorem_id} {verdict.verdict}\n")
         if verdict.verdict == ERROR:
             print(f"internal error in entry {entry.get('id', '?')}: {verdict.notes[0]}", file=sys.stderr)
-    return "".join(lines), [v.to_json() for v in results], [args.manifest], [v.verdict for v in results]
+    inputs = [args.manifest, *manifest_files(doc)]
+    return "".join(lines), [v.to_json() for v in results], inputs, [v.verdict for v in results]
 
 
 def cmd_search_tightness(args):

@@ -109,7 +109,8 @@ def _decomposition(graph, case, layer_X, layer_Y, n_prime):
 
 
 def tilde(G, B, n):
-    """Cyclic layered graph on n copies of a connected bipartite G.
+    """Cyclic layered graph on n copies of a connected bipartite G, whose
+    bipartition B (None if G has none, as `G.is_bipartite()` gives) is checked.
 
     Vertex (v,i), i in 1..n, flattened to (i-1)*|V(G)| + v. For each edge xy
     of G (x in X, y in Y) and each i: edge (x,i)(y,i) in block H_i and edge
@@ -120,7 +121,7 @@ def tilde(G, B, n):
         raise InputError(f"layered construction needs n >= 2, got {n}")
     if not G.is_connected():
         raise InputError("layered construction needs a connected base graph")
-    if G.is_bipartite() is None:
+    if B is None:
         raise InputError("layered construction needs a bipartite base graph")
     if not (set(B.X) | set(B.Y) == set(range(G.n)) and not set(B.X) & set(B.Y)):
         raise InputError("bipartition does not cover the vertex set")

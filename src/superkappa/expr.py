@@ -51,6 +51,16 @@ class ProductSpec:
             lengths.append(leaf.args[0])
         return lengths
 
+    def file_paths(self):
+        """The paths of the file leaves, those of each tilde leaf's base included."""
+        paths = []
+        for leaf in self.leaves:
+            if leaf.kind == "file":
+                paths.append(leaf.args[0])
+            elif leaf.kind == "tilde":
+                paths += leaf.args[0].file_paths()
+        return paths
+
 
 def _product(leaves, expect_leaf):
     """The product of one level's leaves, once the level ends."""

@@ -101,6 +101,7 @@ def parse_graph6(text):
     raw = base64.b64decode(body.encode("ascii").translate(_GRAPH6_TO_BASE64) + b"A" * (-len(body) % 4))
     if int.from_bytes(raw[-4:], "big") & ((1 << (8 * len(raw) - need)) - 1):  # under 24 padding bits
         raise FormatError("nonzero padding bits", offset=pos + need_bytes - 1)
+    check_size(n, int.from_bytes(raw, "big").bit_count())  # one set bit per edge, the padding being zero
     edges = []
     for col in range(1, n):  # column col is bits k..k+col-1, row 0 first: one slice of whole bytes
         k = col * (col - 1) // 2
@@ -146,6 +147,7 @@ def parse_edgelist_json(text):
     edges_field = doc.get("edges")
     if not isinstance(edges_field, list):
         raise FormatError("field 'edges' must be a list of [u,v] pairs")
+    check_size(n, len(edges_field))
     seen = set()
     edges = []
     for item in edges_field:

@@ -6,7 +6,6 @@ construction provenance (e.g. "(x,3)") but never identity.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .errors import CapacityError, InputError
@@ -25,7 +24,7 @@ class Bipartition:
 class Graph:
     """Simple undirected graph: no loops, no parallel edges."""
 
-    __slots__ = ("n", "edges", "labels", "_adj", "_masks", "invariants")
+    __slots__ = ("n", "edges", "labels", "_adj", "_masks", "_bfs", "invariants")
 
     def __init__(self, n, edges, labels=None):
         if n < 0:
@@ -47,7 +46,7 @@ class Graph:
         self.edges = frozenset(norm)
         self.labels = tuple(labels) if labels is not None else None
         self._adj = tuple(frozenset(s) for s in adj)
-        self._masks = None
+        self._masks = self._bfs = None  # computed on first use: adjacency_masks(), _traversal()
         self.invariants = None  # values of the base invariants `theorems` reads, by name, computed on first use
 
     # -- basic accessors -------------------------------------------------
@@ -90,51 +89,41 @@ class Graph:
 
     # -- structure -------------------------------------------------------
 
+    def _traversal(self):
+        """One BFS from the lowest unreached vertex at a time, run on first use
+        and kept: per vertex, the lowest vertex of its component and the
+        parity of its depth, and whether some edge joins equal parities."""
+        if self._bfs is None:
+            root, parity, odd = [None] * self.n, [0] * self.n, False
+            for start in range(self.n):
+                if root[start] is None:
+                    root[start], queue = start, [start]
+                    for u in queue:  # the queue grows as it is read
+                        for w in self._adj[u]:
+                            if root[w] is None:
+                                root[w], parity[w] = start, 1 - parity[u]
+                                queue.append(w)
+                            odd = odd or parity[w] == parity[u]
+            self._bfs = root, parity, odd
+        return self._bfs
+
     def components(self):
         """Maximal connected vertex sets, ordered by lowest member."""
-        seen = [False] * self.n
-        comps = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            comp = {start}
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.add(w)
-                        queue.append(w)
-            comps.append(frozenset(comp))
-        return comps
+        comps = {}
+        for v, r in enumerate(self._traversal()[0]):
+            comps.setdefault(r, set()).add(v)
+        return [frozenset(c) for c in comps.values()]
 
     def is_connected(self):
-        return self.n >= 1 and len(self.components()) == 1
+        return self.n >= 1 and not any(self._traversal()[0])
 
     def is_bipartite(self):
-        """Return a Bipartition, or None if some component has an odd cycle.
-
-        Within each component the lowest-index vertex goes to X.
-        """
-        color = [-1] * self.n
-        for start in range(self.n):
-            if color[start] != -1:
-                continue
-            color[start] = 0
-            queue = deque([start])
-            while queue:
-                u = queue.popleft()
-                for w in self._adj[u]:
-                    if color[w] == -1:
-                        color[w] = 1 - color[u]
-                        queue.append(w)
-                    elif color[w] == color[u]:
-                        return None
-        X = frozenset(v for v in range(self.n) if color[v] == 0)
-        Y = frozenset(v for v in range(self.n) if color[v] == 1)
-        return Bipartition(X=X, Y=Y)
+        """A Bipartition, each component's lowest vertex in X, or None if some component has an odd cycle."""
+        _, parity, odd = self._traversal()
+        if odd:
+            return None
+        X = frozenset(v for v, p in enumerate(parity) if not p)
+        return Bipartition(X=X, Y=frozenset(range(self.n)) - X)
 
     def induced_subgraph(self, W):
         """Subgraph on W, relabeled 0..k-1; original identities kept as labels."""

@@ -17,7 +17,8 @@ descriptors are seed-pinned, so a manifest replays byte-for-byte.
 `load_manifest` checks every entry before any runs: it builds each entry's
 graph with `resolve_graph`, the one reader of descriptors, where each
 construction refuses itself before it is built, and sizes the construction
-the entry's n asks for and the double cover G x K2 where running builds it;
+the entry's n asks for and the double cover G x K2 where running builds it
+(G x C_n where every clause but a strict one holds);
 a decomposition entry on a connected graph must meet its case's n minimum.
 It raises InputError naming the first malformed entry.
 """
@@ -31,9 +32,9 @@ from . import __version__
 from . import connectivity as conn
 from .construct import decomposition_case, random_connected_bipartite, random_connected_nonbipartite
 from .errors import InputError
-from .expr import build_expression
+from .expr import build_expression, parse_spec
 from .formats import _is_int, check_graph6_size, check_size, parse_graph6, read_input
-from .theorems import COVER, ERROR, RULES, TheoremVerdict, n_rule_holds, verify, verify_decomposition
+from .theorems import COVER, ERROR, RULES, TheoremVerdict, all_but_strict_hold, verify, verify_decomposition
 
 RNG_NOTE = "python-random-mt19937"
 # required fields of each graph descriptor kind; None: the value is a string
@@ -133,8 +134,10 @@ def _entry_problem(entry):
         n, rule = entry.get("n"), RULES.get(entry.get("theorem"))
         if entry.get("check") == "decomposition":
             decomposition_case(G, n)  # refuses an n below the case's minimum
-        if entry.get("check") == "decomposition" or rule.n_min is not None and n_rule_holds(rule, n):
-            # G x C_n, or n copies of G: n|V| vertices and 2n|E| edges
+            builds = G.is_connected()
+        else:  # running builds it where the hypotheses hold; load decides all but a strict clause, which needs kappa
+            builds = rule.n_min is not None and all_but_strict_hold(entry["theorem"], G, n, lengths)
+        if builds:  # G x C_n, or n copies of G: n|V| vertices and 2n|E| edges
             check_size(n * G.n, 2 * n * len(G.edges))
         # G x K2, 2|V| vertices and 2|E| edges: T3.9's construction on a product of odd cycles, and what
         # a strict clause on kappa(G x K2) reads at any integer n when G is connected and non-bipartite
@@ -177,6 +180,12 @@ def run_manifest(doc, jobs=1):
     else:
         results = [_run_or_error(e) for e in entries]
     return results
+
+
+def manifest_files(doc):
+    """The files a loaded manifest's expressions read, in entry order."""
+    exprs = (e["graph"]["expr"] for e in doc["instances"] if "expr" in e["graph"])
+    return [path for text in exprs for path in parse_spec(text).file_paths()]
 
 
 def sha256_file(path):

@@ -42,7 +42,7 @@ super-kappa is decided on the first alone and reported for both.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
 from typing import Callable
 
@@ -253,6 +253,13 @@ def hypotheses_hold(clauses):
     return all(c.holds for c in clauses)
 
 
+def all_but_strict_hold(theorem_id, G, n=None, odd_cycle_lengths=None):
+    """Whether every hypothesis clause holds but a strict one: all that can be
+    decided without kappa."""
+    rule, inv = _start(theorem_id, G)
+    return hypotheses_hold(_clauses(replace(rule, strict=None), inv, n, odd_cycle_lengths))
+
+
 # -- predictions --------------------------------------------------------------
 
 
@@ -336,8 +343,11 @@ def replay_witness(witness):
 
 
 def _instance(G, n, instance):
+    """The verdict's instance: the descriptor given, with G's graph6 (sized
+    as it is written) unless the descriptor has one, and n."""
     instance = dict(instance or {})
-    instance.setdefault("graph6", write_graph6(G).strip())
+    if "graph6" not in instance:
+        instance["graph6"] = write_graph6(G).strip()
     if n is not None:
         instance.setdefault("n", n)
     return instance
@@ -357,9 +367,10 @@ def verify(theorem_id, G, n=None, budget=conn.CUT_BUDGET, odd_cycle_lengths=None
     """The hypothesis gate: evaluate every clause and, where all hold, `conclude`."""
     rule, inv = _start(theorem_id, G)
     start = time.perf_counter()
+    instance = _instance(G, n, instance)  # a graph too large for its graph6 is refused before any clause runs
     clauses = _clauses(rule, inv, n, odd_cycle_lengths)
     if not hypotheses_hold(clauses):
-        return _verdict_maker(theorem_id, _instance(G, n, instance), clauses, start)(None, None, HYP_NOT_MET)
+        return _verdict_maker(theorem_id, instance, clauses, start)(None, None, HYP_NOT_MET)
     return conclude(theorem_id, G, n, budget, odd_cycle_lengths, instance, clauses, start)
 
 
@@ -368,8 +379,8 @@ def conclude(theorem_id, G, n=None, budget=conn.CUT_BUDGET, odd_cycle_lengths=No
     construction, settle two components with the cycle-shift certificate,
     compute kappa or decide super-kappa with the connectivity module, compare
     against the prediction and build the witness. `verify` calls it once the
-    hypotheses hold, passing their `clauses` and its `start`; the tightness
-    search calls it on instances that miss one clause.
+    hypotheses hold, passing their `clauses`, its `start` and the `instance`
+    it built; the tightness search calls it on instances that miss one clause.
 
     For the super-connectivity results, `actual["minimum_cuts"]` counts the
     minimum cuts examined: all of them on a confirmation, and those up to

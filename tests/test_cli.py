@@ -162,6 +162,19 @@ def test_an_oversized_construction_or_draw_is_refused_before_it_is_built(args):
     assert line.startswith("error:") and "258047-vertex or 1000000-edge limit" in line
 
 
+def test_verify_refuses_a_graph_over_the_graph6_limit_before_any_clause_runs():
+    # 16,503 vertices are within the construction limits; kappa(G x K2) for the strict clause outlasts the timeout
+    res = run_cli_capped("verify", "--theorem", "T3.7", "--expr", "cycle(3) x cycle(5501)", "--n", "6", timeout=30)
+    assert _one_stderr_line(res, 3) == "error: graph6 output of 16503 vertices exceeds the 16384-vertex limit"
+
+
+def test_an_oversized_graph6_file_is_refused_before_its_edges_are_listed(tmp_path):
+    path = tmp_path / "k2000.g6"  # K_2000: 1,999,000 edges in 333 KB, every data bit set
+    path.write_text("~?^O" + "~" * 333166 + "{\n")
+    line = _one_stderr_line(run_cli_capped("super-kappa", str(path), timeout=30), 3)
+    assert line == "error: 2000 vertices and 1999000 edges exceed the 258047-vertex or 1000000-edge limit"
+
+
 def test_a_search_filters_a_long_n_range_lazily():
     res = run_cli_capped(
         "search-tightness", "--target", "L2.2", "--max-part-size", "3",
@@ -499,6 +512,12 @@ _LOADABLE_ENTRIES = [
     ({"id": "d", "check": "decomposition", "graph": {"graph6": "C`"}, "n": 1}, "hypotheses-not-met"),
     ({"id": "d", "check": "decomposition", "graph": {"graph6": "C`"}, "n": -4}, "hypotheses-not-met"),
     ({"id": "r", "theorem": "T3.5", "graph": {"random_bipartite": {"m": 2, "n": 3, "p": 0.5, "seed": 1}}, "n": 3}, "confirmed"),
+    # G x C_n would exceed the limits, but running builds it only where the hypotheses hold
+    ({"id": "b", "theorem": "T3.3", "graph": {"expr": "kbip(2,3)"}, "n": 100000}, "hypotheses-not-met"),  # bipartite
+    ({"id": "p", "theorem": "T3.5", "graph": {"expr": "kbip(2,3)"}, "n": 100001}, "hypotheses-not-met"),  # |X| < delta+1
+    ({"id": "c", "theorem": "C3.10", "graph": {"expr": "kbip(2,3)"}, "n": 100000}, "hypotheses-not-met"),  # no odd cycles
+    ({"id": "t", "theorem": "T3.1", "graph": {"graph6": "C`"}, "n": 100001}, "hypotheses-not-met"),  # disconnected
+    ({"id": "d", "check": "decomposition", "graph": {"graph6": "C`"}, "n": 100000}, "hypotheses-not-met"),
 ]
 
 
@@ -620,6 +639,26 @@ def test_run_report_records_the_callers_argv(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["host-program", "extra-arg-of-host"])
     assert cli.main(argv) == cli.EXIT_OK
     assert json.loads(out.read_text())["command"] == argv
+
+
+def test_a_run_report_hashes_every_file_an_expression_reads(tmp_path):
+    import hashlib
+
+    c5, k2, manifest = tmp_path / "c5.g6", tmp_path / "k2.g6", tmp_path / "m.json"
+    c5.write_text("Dhc\n")
+    k2.write_text("A_\n")
+    digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+    out = tmp_path / "r.json"
+    assert run_cli("verify", "--theorem", "T3.9", "--expr", f"file({c5}) x cycle(3)", "--out", str(out)).returncode == 0
+    assert json.loads(out.read_text())["inputs"] == {str(c5): digest(c5)}
+    entries = [
+        {"id": "a", "theorem": "T3.9", "graph": {"expr": f"file({c5})"}},
+        {"id": "b", "theorem": "T3.9", "graph": {"expr": f"cycle(3) x tilde(file({k2}), 2)"}},  # a tilde base
+    ]
+    manifest.write_text(json.dumps({"instances": entries}))
+    assert run_cli("suite", "--manifest", str(manifest), "--out", str(out)).returncode == 0
+    files = (manifest, c5, k2)
+    assert json.loads(out.read_text())["inputs"] == {str(path): digest(path) for path in files}
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

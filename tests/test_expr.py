@@ -41,6 +41,12 @@ def test_file_leaf(tmp_path):
     assert g == cycle(5)
 
 
+def test_file_paths_include_every_tilde_base():
+    spec = parse_spec("file(a.g6) x tilde(file(b.g6) x tilde(file(c.g6), 2), 3) x cycle(3) x file(a.g6)")
+    assert spec.file_paths() == ["a.g6", "b.g6", "c.g6", "a.g6"]
+    assert parse_spec("tilde(kbip(2,3), 3) x cycle(3)").file_paths() == []
+
+
 def test_odd_cycle_lengths():
     assert parse_spec("cycle(3) x cycle(5)").odd_cycle_lengths() == [3, 5]
     assert parse_spec("cycle(3) x cycle(4)").odd_cycle_lengths() is None

@@ -163,3 +163,20 @@ def test_graph6_decode_reads_columns_not_pairs():
     assert parse_graph6(text) == G
     # a pair-by-pair decode took about 16 s on a 2-vCPU host; one slice per column takes about 0.3 s
     assert time.perf_counter() - start < 3.0
+
+
+def test_graph6_and_json_edge_lists_are_sized_before_their_edges_are_listed(monkeypatch):
+    from superkappa import formats
+
+    k5 = write_graph6(complete(5)), write_edgelist_json(complete(5))  # 10 edges
+    monkeypatch.setattr(formats, "MAX_EDGES", 9)
+    monkeypatch.setattr(formats, "Graph", lambda *args, **kwargs: pytest.fail("built an oversized graph"))
+    refusal = "5 vertices and 10 edges exceed the 258047-vertex or 9-edge limit"
+    with pytest.raises(CapacityError) as exc:
+        parse_graph6(k5[0])
+    assert str(exc.value) == refusal
+    with pytest.raises(CapacityError) as exc:
+        parse_edgelist_json(k5[1])
+    assert str(exc.value) == refusal
+    with pytest.raises(CapacityError, match="field 'n' is 258048"):  # the vertex count is still read first
+        parse_edgelist_json(json.dumps({"n": 258048, "edges": [[0, 1]] * 10}))

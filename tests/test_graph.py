@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from superkappa import (
@@ -105,3 +107,52 @@ def test_isomorphism_degree_prefilter():
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     path4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
     assert not is_isomorphic_small(star, path4)
+
+
+def _scattered_graph(rng):
+    """A seeded graph of several components: sparse random pieces, some of
+    them isolated vertices, their vertex indices shuffled together."""
+    pieces = []
+    for _ in range(rng.randint(1, 4)):
+        k = rng.choice([1, 1, 2, 3, 4, 5, 6])
+        p = rng.uniform(0.2, 0.9)
+        pieces.append([(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < p] + [k])
+    n = sum(piece[-1] for piece in pieces)
+    order, edges, base = rng.sample(range(n), n), [], 0
+    for *piece, k in pieces:
+        edges += [(order[base + i], order[base + j]) for i, j in piece]
+        base += k
+    return Graph(n, edges)
+
+
+def test_traversal_matches_networkx_oracle():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(22)
+    graphs = [Graph(0, []), Graph(1, []), Graph(3, [(0, 2)])] + [_scattered_graph(rng) for _ in range(300)]
+    assert sum(len(G.components()) > 2 for G in graphs) > 100
+    assert sum(G.is_bipartite() is None for G in graphs) > 50
+    for G in graphs:
+        H = nx.Graph(list(G.edges))
+        H.add_nodes_from(range(G.n))
+        expected = sorted((frozenset(c) for c in nx.connected_components(H)), key=min)
+        assert G.components() == expected, sorted(G.edges)
+        assert G.is_connected() == (len(expected) == 1)
+        B = G.is_bipartite()
+        assert (B is None) == (not nx.is_bipartite(H)), sorted(G.edges)
+        if B is not None:
+            assert B.X | B.Y == set(range(G.n)) and not B.X & B.Y
+            assert all((u in B.X) != (v in B.X) for u, v in G.edges)
+            assert all(min(c) in B.X for c in expected)
+
+
+def test_one_traversal_serves_components_connectivity_and_bipartition():
+    G = Graph(7, [(0, 3), (3, 5), (1, 2), (2, 6), (1, 6)])  # a path, a triangle and vertex 4
+    comps = G.components()
+    G._adj = None  # every later answer comes from the kept traversal
+    assert G.components() == comps == [{0, 3, 5}, {1, 2, 6}, {4}]
+    assert not G.is_connected() and G.is_bipartite() is None
+    P = Graph(5, [(0, 3), (3, 1), (1, 4), (4, 2)])
+    assert P.is_connected()
+    P._adj = None
+    B = P.is_bipartite()
+    assert (B.X, B.Y) == ({0, 1, 2}, {3, 4}) and P.components() == [set(range(5))]

@@ -437,3 +437,13 @@ def test_super_kappa_predictions_are_one_shared_object():
     assert a.verdict == b.verdict == CONFIRMED
     assert a.predicted == {"super_kappa": True}
     assert a.predicted is b.predicted
+
+
+def test_verify_sizes_the_graph6_before_any_clause_runs(monkeypatch):
+    from superkappa import formats
+
+    G = direct_product(cycle(3), cycle(5))  # 15 vertices, connected and non-bipartite
+    monkeypatch.setattr(formats, "MAX_GRAPH6_VERTICES", 14)
+    monkeypatch.setattr(connectivity, "vertex_connectivity", lambda H: pytest.fail("a clause ran"))
+    with pytest.raises(InputError, match="graph6 output of 15 vertices exceeds the 14-vertex limit"):
+        verify("T3.7", G, n=6)
