@@ -3,9 +3,14 @@ max-connectivity / super-connectivity predicates.
 
 One flow engine serves kappa and kappa': unit-capacity augmenting-path
 flow on the vertex-split digraph, with unit vertex arcs for kappa and unit
-edge arcs for kappa'. Minimum cuts come from one method, Lawler-partitioning
-minimum s-t separators, rooted at the kappa scan's own flows, each kept as
-a vertex-level flow state; each Lawler node is one bit-BFS closure over its
+edge arcs for kappa'. The kappa scan takes optional symmetries: the T3.1,
+T3.3 and T3.4 value verdicts pass the cycle reflection of G x C_n, and the
+scan then runs one pair per orbit of the certified automorphisms among them.
+The super-kappa decider and the cut stream still scan every pair.
+
+Minimum cuts come from one method, Lawler-partitioning minimum s-t
+separators, rooted at the kappa scan's own flows, each kept as a
+vertex-level flow state; each Lawler node is one bit-BFS closure over its
 root's residual arcs and the adjacency masks, with no flow of its own. At
 most CUT_BUDGET of the cuts are examined. Cuts are classified by bit-BFS
 too, which also drives the brute-force subset scan that tests use as an
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 
 from .errors import InputError, NoCutError
+from .graph import _maps_onto
 
 CUT_BUDGET = 10**5  # distinct minimum cuts examined
 
@@ -121,11 +127,16 @@ class _SplitFlow:
         return flow
 
 
-def _pair_scan_order(G):
-    """Deterministic (s,t) scan: s = lowest-index minimum-degree vertex,
-    t ascending over non-neighbors, then non-adjacent neighbor pairs."""
+def _scan_source(G):
+    """The scan's source: the lowest-index minimum-degree vertex."""
     delta = G.min_degree()
-    s = min(v for v in range(G.n) if G.degree(v) == delta)
+    return min(v for v in range(G.n) if G.degree(v) == delta)
+
+
+def _pair_scan_order(G):
+    """Deterministic (s,t) scan: s = `_scan_source(G)`, t ascending over
+    non-neighbors, then non-adjacent neighbor pairs."""
+    s = _scan_source(G)
     ns = G.neighborhood(s)
     pairs = [(s, t) for t in range(G.n) if t != s and t not in ns]
     nbrs = sorted(ns)
@@ -136,27 +147,64 @@ def _pair_scan_order(G):
     return pairs
 
 
-def _kappa_scan(G):
+def _automorphisms(G, maps):
+    """The maps, each a sequence read as v -> map[v], that permute V(G), fix
+    the scan's source s and send E(G) onto E(G) as `_maps_onto` certifies;
+    any other is dropped."""
+    s, vertices = _scan_source(G), list(range(G.n))
+    return [
+        p for p in maps
+        if len(p) == G.n and sorted(p) == vertices and p[s] == s and _maps_onto(p.__getitem__, G.edges, G.edges)
+    ]
+
+
+def _orbit_firsts(pairs, maps):
+    """The pairs, in order, whose orbit under the group the maps generate
+    holds no earlier pair."""
+    seen, firsts = set(), []
+    for pair in pairs:
+        if frozenset(pair) not in seen:
+            firsts.append(pair)
+            orbit = [frozenset(pair)]
+            seen.add(orbit[0])
+            for u, w in orbit:  # the orbit grows as it is read
+                images = {frozenset((p[u], p[w])) for p in maps} - seen
+                seen |= images
+                orbit += images
+    return firsts
+
+
+def _kappa_scan(G, symmetries=()):
     """(s, t, flow, value) per pair in scan order, each a fresh network
-    augmented up to the least value before it; the least value is kappa."""
+    augmented up to the least value before it; the least value is kappa.
+
+    An automorphism fixing s maps each pair to one of equal connectivity,
+    so with `symmetries` only the first pair of each orbit under those of
+    them `_automorphisms` keeps is scanned: the least value is still kappa."""
+    pairs = _pair_scan_order(G)
+    if symmetries:
+        pairs = _orbit_firsts(pairs, _automorphisms(G, symmetries))
     best = G.n - 1
-    for s, t in _pair_scan_order(G):
+    for s, t in pairs:
         flow = _SplitFlow(G, 1, G.n + 1)
         value = flow.max_flow(s, t, best)
         best = min(best, value)
         yield s, t, flow, value
 
 
-def vertex_connectivity(G):
+def vertex_connectivity(G, symmetries=()):
     """kappa(G): |V|-1 for complete graphs, 0 when disconnected, else the
-    minimum over non-adjacent pairs of the max vertex-disjoint path count."""
+    minimum over non-adjacent pairs of the max vertex-disjoint path count.
+
+    `symmetries`: vertex maps, each a sequence read as v -> map[v]; those
+    `_automorphisms` keeps prune the pair scan (`_kappa_scan`)."""
     if G.n == 0:
         raise InputError("connectivity of the empty graph")
     if G.is_complete():
         return G.n - 1
     if not G.is_connected():
         return 0
-    return min(value for *_, value in _kappa_scan(G))
+    return min(value for *_, value in _kappa_scan(G, symmetries))
 
 
 def vertex_connectivity_exhaustive(G):

@@ -62,6 +62,12 @@ def direct_product(G, H):
     return Graph(G.n * nh, edges, labels=labels)
 
 
+def cycle_reflection(G, n):
+    """The reflection (v,i) -> (v,-i mod n) of G x C_n, an automorphism that
+    fixes cycle layer 0, as the permutation of `direct_product`'s flattening."""
+    return tuple(v * n + (-i) % n for v in range(G.n) for i in range(n))
+
+
 def double_cover(G):
     """Bipartite double cover G x K_2."""
     return direct_product(G, complete(2))

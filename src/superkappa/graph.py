@@ -152,6 +152,17 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
 
+# -- vertex maps ---------------------------------------------------------
+
+
+def _maps_onto(phi, edges, target):
+    """Whether the vertex map phi sends `edges` one-to-one onto the edge set
+    `target` and their vertices one-to-one: the graphs they span are then isomorphic."""
+    touched = {x for e in edges for x in e}
+    image = {tuple(sorted((phi(u), phi(v)))) for u, v in edges}
+    return len(edges) == len(target) and image == target and len(set(map(phi, touched))) == len(touched)
+
+
 # -- isomorphism for small graphs ----------------------------------------
 
 

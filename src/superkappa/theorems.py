@@ -47,9 +47,10 @@ from functools import cache, cached_property
 from typing import Callable
 
 from . import connectivity as conn
-from .construct import cycle, decomposition_case, direct_product, double_cover, layer_decomposition, tilde
+from .construct import cycle, cycle_reflection, decomposition_case, direct_product, double_cover, layer_decomposition, tilde
 from .errors import InputError
 from .formats import parse_graph6, write_graph6
+from .graph import _maps_onto
 
 BIPARTITE, NONBIPARTITE = "bipartite", "non-bipartite"
 TILDE, PRODUCT, COMPONENTS, COVER = "tilde", "G x C_n", "components of G x C_n", "G x K2"
@@ -298,14 +299,6 @@ def _settling(rule, H, n):
     return [H.induced_subgraph(c) for c in comps[: 1 if isomorphic else None]], len(comps), isomorphic
 
 
-def _maps_onto(phi, edges, target):
-    """Whether the vertex map phi sends `edges` one-to-one onto the edge set
-    `target` and their vertices one-to-one: the graphs they span are then isomorphic."""
-    touched = {x for e in edges for x in e}
-    image = {tuple(sorted((phi(u), phi(v)))) for u, v in edges}
-    return len(edges) == len(target) and image == target and len(set(map(phi, touched))) == len(touched)
-
-
 def _shift_is_isomorphism(H, n, A, B):
     """Weichsel's certificate that components A and B of G x C_n are
     isomorphic: the cycle shift (v,i) -> (v,i+1), vertex v*n+i in the
@@ -393,7 +386,9 @@ def conclude(theorem_id, G, n=None, budget=conn.CUT_BUDGET, odd_cycle_lengths=No
     H = _construct(rule, inv, n)
 
     if rule.compare in (EQUAL, INTERVAL):
-        actual = conn.vertex_connectivity(H)
+        # the cycle reflection fixes the scan's source, which lies in layer 0
+        symmetries = [cycle_reflection(inv.G, n)] if rule.construction == PRODUCT else []
+        actual = conn.vertex_connectivity(H, symmetries)
         ok = actual == pred if rule.compare == EQUAL else pred[0] <= actual <= pred[1]
         return done(pred, actual, CONFIRMED if ok else REFUTED)
 

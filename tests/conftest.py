@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from superkappa import Graph, complete, complete_bipartite, cycle
+from superkappa import Graph, complete, complete_bipartite, connectivity, cycle
 
 
 @pytest.fixture
@@ -23,6 +23,15 @@ def k23():
 @pytest.fixture
 def k4():
     return complete(4)
+
+
+@pytest.fixture
+def flows_built(monkeypatch):
+    """A list that gets one entry per `_SplitFlow` network built during the test."""
+    built = []
+    init = connectivity._SplitFlow.__init__
+    monkeypatch.setattr(connectivity._SplitFlow, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+    return built
 
 
 def petersen():

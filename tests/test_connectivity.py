@@ -22,6 +22,7 @@ from superkappa import (
 )
 from superkappa import connectivity
 from superkappa.connectivity import VertexCut, _exhaustive_cuts, _minimum_cuts, classify_cut
+from superkappa.construct import cycle_reflection
 from superkappa.graph import Graph
 from superkappa.theorems import _witness_from_cut
 
@@ -397,6 +398,48 @@ def test_super_kappa_work_counts(monkeypatch, G, builds, searches, closures):
     monkeypatch.setattr(connectivity, "_closure", counting_closure)
     is_super_kappa(G)
     assert counts == {"builds": builds, "searches": searches, "closures": closures}
+
+
+def _reflected_products():
+    """Connected C_a x C_b over the cut-stream corpus's ranges, and connected G x C_n for seeded random
+    connected G, n = 3..9, each with the cycle reflection of its second factor."""
+    for a in range(3, 8):
+        for b in range(a, 8):
+            if a % 2 or b % 2:
+                yield direct_product(cycle(a), cycle(b)), cycle_reflection(cycle(a), b)
+    rng = random.Random(23)
+    for n in range(3, 10):
+        for G in (random_graph(rng, max_n=6) for _ in range(3)):
+            if n % 2 or G.is_bipartite() is None:
+                yield direct_product(G, cycle(n)), cycle_reflection(G, n)
+
+
+def test_reflection_pruned_kappa_equals_the_full_scan(flows_built):
+    for H, reflection in _reflected_products():
+        kappa, full = vertex_connectivity(H), len(flows_built)
+        flows_built.clear()
+        assert vertex_connectivity(H, [reflection]) == kappa
+        assert len(flows_built) < full  # for s = (v,0), the pairs of s with (v,1) and (v,-1) share an orbit
+        flows_built.clear()
+
+
+def test_uncertified_maps_are_dropped(flows_built):
+    H = direct_product(cycle(3), cycle(5))  # every vertex has degree 4: the scan's source is 0
+    swap = list(range(H.n))
+    swap[1], swap[2] = 2, 1  # fixes 0 and permutes V, but (0,1) and (0,2) have different neighbours
+    shift = [v * 5 + (i + 1) % 5 for v in range(3) for i in range(5)]  # an automorphism that moves 0
+    collapse = [0] * H.n  # no bijection
+    reflection = cycle_reflection(cycle(3), 5)
+    assert connectivity._automorphisms(H, [swap, shift, collapse, reflection]) == [reflection]
+    pairs = connectivity._pair_scan_order(H)
+    for bad in (swap, shift):  # each would prune the scan, were it trusted
+        assert len(connectivity._orbit_firsts(pairs, [bad])) < len(pairs)
+    kappa = vertex_connectivity(H)
+    unpruned = len(flows_built)
+    for bad in (swap, shift, collapse, swap[:-1]):
+        flows_built.clear()
+        assert vertex_connectivity(H, [bad]) == kappa
+        assert len(flows_built) == unpruned
 
 
 def test_connectivity_report_runs_one_kappa_scan(monkeypatch):

@@ -17,6 +17,8 @@ from superkappa import (
     tilde,
     vertex_connectivity,
 )
+from superkappa.construct import cycle_reflection
+from superkappa.graph import _maps_onto
 
 from conftest import petersen
 
@@ -60,6 +62,15 @@ def test_product_commutative_up_to_isomorphism():
 def test_product_labels():
     p = direct_product(complete(2), complete(2))
     assert p.labels[3] == "(1,1)"
+
+
+@pytest.mark.parametrize("G,n", [(cycle(5), 6), (complete_bipartite(2, 3), 5), (petersen(), 3)])
+def test_cycle_reflection_is_an_automorphism_fixing_layer_zero(G, n):
+    H, p = direct_product(G, cycle(n)), cycle_reflection(G, n)
+    assert sorted(p) == list(range(H.n))
+    assert _maps_onto(p.__getitem__, H.edges, H.edges)
+    assert all(p[v * n] == v * n and p[p[v * n + 1]] == v * n + 1 for v in range(G.n))
+    assert p[1] == n - 1  # (0,1) -> (0,-1)
 
 
 def test_double_cover():

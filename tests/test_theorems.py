@@ -334,14 +334,29 @@ def test_verify_computes_base_kappas_at_most_once(monkeypatch, theorem_id, G, n,
     calls = Counter()
     original = connectivity.vertex_connectivity
 
-    def counting(H):
+    def counting(H, *args):
         calls[H] += 1
-        return original(H)
+        return original(H, *args)
 
     monkeypatch.setattr(connectivity, "vertex_connectivity", counting)
     assert verify(theorem_id, G, n=n, odd_cycle_lengths=lengths).verdict == CONFIRMED
     assert calls[G] == kappa_calls
     assert calls[double_cover(G)] == cover_calls
+
+
+@pytest.mark.parametrize(
+    "theorem_id,G,n,flows",
+    [
+        ("T3.4", direct_product(cycle(3), cycle(5)), 7, 102),  # 155 with every pair scanned
+        ("T3.3", cycle(5), 6, 29),  # 39
+        ("T3.1", complete_bipartite(2, 3), 5, 19),  # 29
+    ],
+    ids=["T3.4", "T3.3", "T3.1"],
+)
+def test_value_verdict_flow_counts(flows_built, theorem_id, G, n, flows):
+    # the product's scan skips the pairs the cycle reflection swaps; kappa(G x K2) and kappa(G) scan every pair
+    assert verify(theorem_id, G, n=n).verdict == CONFIRMED
+    assert len(flows_built) == flows
 
 
 def test_t32_components_above_64_vertices_are_certified_isomorphic():
