@@ -4,9 +4,11 @@ max-connectivity / super-connectivity predicates.
 One flow engine serves kappa and kappa': unit-capacity augmenting-path
 flow on the vertex-split digraph, with unit vertex arcs for kappa and unit
 edge arcs for kappa'. The kappa scan takes optional symmetries: the T3.1,
-T3.3 and T3.4 value verdicts pass the cycle reflection of G x C_n, and the
-scan then runs one pair per orbit of the certified automorphisms among them.
-The super-kappa decider and the cut stream still scan every pair.
+T3.3 and T3.4 value verdicts pass the cycle reflection of G x C_n and the
+automorphisms of G that fix G's scan source (graph.stabiliser_generators),
+lifted layer by layer; the scan then runs one pair per orbit of the group
+the certified maps among them generate. The super-kappa decider and the cut
+stream still scan every pair.
 
 Minimum cuts come from one method, Lawler-partitioning minimum s-t
 separators, rooted at the kappa scan's own flows, each kept as a

@@ -11,6 +11,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import os
 import re
 
 from .errors import CapacityError, FormatError, InputError
@@ -21,6 +22,9 @@ _HEADER = ">>graph6<<"
 # read as the 36-bit form's marker; JSON edge lists share the limit
 MAX_VERTICES = 258047
 MAX_EDGES = 10**6  # expressions, constructions and random draws are refused above it before they are built
+# JSON edge lists are refused unread above this length: 32 bytes per edge and 64 per vertex
+# hold json.dumps, at indent 1 or less, of any graph within the limits with labels of <= 56 characters
+MAX_EDGELIST_BYTES = 32 * MAX_EDGES + 64 * MAX_VERTICES
 MAX_GRAPH6_VERTICES = 16384  # graph6 output is about n^2/12 bytes: 22 MB here, written at under 90 MB peak RSS
 _RUN_BITS = 1 << 18  # adjacency bits write_graph6 packs at a time, so its memory is bounded by its output
 # base64 writes 6-bit group v as the v-th character of its alphabet; graph6 as chr(v + 63)
@@ -182,7 +186,19 @@ def read_input(path, mode="r"):
 
 
 def load_graph_file(path):
-    """Read a graph file, sniffing graph6 vs JSON edge list."""
+    """Read a graph file, sniffing graph6 vs JSON edge list. An edge list is
+    sized by its byte length before it is read, so one too long for the
+    limits is refused without being parsed."""
+    try:
+        with open(path, "rb") as fh:
+            first = b" "
+            while first.isspace():  # the first byte that is not whitespace, if any
+                first = fh.read(1)
+            size = os.fstat(fh.fileno()).st_size
+    except OSError as exc:  # its text names the path
+        raise InputError(str(exc)) from exc
+    if first == b"{" and size > MAX_EDGELIST_BYTES:
+        raise CapacityError(f"{path}: a {size}-byte JSON edge list exceeds the {MAX_EDGELIST_BYTES}-byte limit")
     text = read_input(path)
     stripped = text.lstrip()
     if stripped.startswith("{"):

@@ -6,11 +6,13 @@ construction provenance (e.g. "(x,3)") but never identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import CapacityError, InputError
 
 ISO_CAP = 64
+STABILISER_NODES = 10**4  # search nodes one stabiliser_generators call may place
 
 
 @dataclass(frozen=True)
@@ -163,13 +165,14 @@ def _maps_onto(phi, edges, target):
     return len(edges) == len(target) and image == target and len(set(map(phi, touched))) == len(touched)
 
 
-# -- isomorphism for small graphs ----------------------------------------
+# -- isomorphisms and automorphisms of small graphs ---------------------------
 
 
-def _refine_colors(G, H):
-    """Joint 1-dimensional color refinement; returns per-graph color lists."""
-    cg = [G.degree(v) for v in range(G.n)]
-    ch = [H.degree(v) for v in range(H.n)]
+def _refine_colors(G, H, cg=None, ch=None):
+    """Joint 1-dimensional color refinement from starting colors, the degrees
+    unless given; returns per-graph color lists."""
+    cg = cg or [G.degree(v) for v in range(G.n)]
+    ch = ch or [H.degree(v) for v in range(H.n)]
     while True:
         table = {}
         new_g, new_h = [], []
@@ -180,6 +183,58 @@ def _refine_colors(G, H):
         if new_g == cg and new_h == ch:
             return cg, ch
         cg, ch = new_g, new_h
+
+
+def _search_order(G, choices):
+    """V(G) in an order that keeps the partial map connected, the vertex with
+    the fewest choices first among those equally attached."""
+    order, placed = [], [False] * G.n
+    for _ in range(G.n):
+        best = None
+        for v in range(G.n):
+            if placed[v]:
+                continue
+            attached = sum(1 for w in G.neighborhood(v) if placed[w])
+            key = (-attached, len(choices[v]), v)
+            if best is None or key < best[0]:
+                best = (key, v)
+        order.append(best[1])
+        placed[best[1]] = True
+    return order
+
+
+def _backtrack(G, H, order, choices, nodes):
+    """An edge-preserving bijection V(G) -> V(H) sending order[k] into
+    choices[k], as a list read as v -> phi[v], or None: there is none, or the
+    search placed the `nodes[0]` vertices it was allowed (it counts them down)."""
+    n, masks_h = G.n, H.adjacency_masks()
+    phi, used = [-1] * n, [False] * n
+    mapped_mask = 0
+
+    def extend(k):
+        nonlocal mapped_mask
+        if k == n:
+            return True
+        g = order[k]
+        required = 0
+        for w in G.neighborhood(g):
+            if phi[w] != -1:
+                required |= 1 << phi[w]
+        for h in choices[k]:
+            if used[h] or masks_h[h] & mapped_mask != required:
+                continue
+            if nodes[0] <= 0:
+                return False
+            nodes[0] -= 1
+            phi[g], used[h] = h, True
+            mapped_mask |= 1 << h
+            if extend(k + 1):
+                return True
+            phi[g], used[h] = -1, False
+            mapped_mask &= ~(1 << h)
+        return False
+
+    return phi if extend(0) else None
 
 
 def is_isomorphic_small(G, H):
@@ -193,54 +248,39 @@ def is_isomorphic_small(G, H):
     cg, ch = _refine_colors(G, H)
     if sorted(cg) != sorted(ch):
         return False
+    by_color_h = {c: [v for v in range(H.n) if ch[v] == c] for c in set(ch)}
+    order = _search_order(G, [by_color_h[c] for c in cg])
+    return _backtrack(G, H, order, [by_color_h[cg[g]] for g in order], [math.inf]) is not None
 
-    n = G.n
-    masks_h = H.adjacency_masks()
-    by_color_h = {}
-    for v in range(n):
-        by_color_h.setdefault(ch[v], []).append(v)
 
-    # map G vertices in an order that keeps the partial map connected
-    order = []
-    placed = [False] * n
-    for _ in range(n):
-        best = None
-        for v in range(n):
-            if placed[v]:
+def stabiliser_generators(G, v):
+    """Generators of the automorphisms of G that fix v, each a list read as
+    u -> phi[u]. v is individualised and the colors refined (McKay & Piperno
+    2014). Then for k from the last position of the search order back, and
+    each h of order[k]'s color outside the orbit the maps found so far give
+    order[k], it backtracks for a map that fixes order[:k] and sends order[k]
+    to h. So at each k the maps generate the pointwise stabiliser of
+    order[:k]. Above ISO_CAP vertices, or once STABILISER_NODES search nodes
+    are spent, it returns the maps found so far instead of raising."""
+    if G.n > ISO_CAP:
+        return []
+    start = [G.degree(u) for u in range(G.n)]
+    start[v] = -1
+    colors = _refine_colors(G, G, start, start)[0]
+    classes = [[w for w in range(G.n) if colors[w] == c] for c in colors]  # per vertex, those of its color
+    order = _search_order(G, classes)
+    gens, nodes = [], [STABILISER_NODES]
+    for k in reversed(range(G.n)):
+        fixed = [[g] for g in order[:k]]
+        for h in classes[order[k]]:
+            orbit = [order[k]]
+            for u in orbit:  # the orbit grows as it is read
+                orbit += {p[u] for p in gens} - set(orbit)
+            if h in orbit:
                 continue
-            attached = sum(1 for w in G.neighborhood(v) if placed[w])
-            key = (-attached, len(by_color_h[cg[v]]), v)
-            if best is None or key < best[0]:
-                best = (key, v)
-        order.append(best[1])
-        placed[best[1]] = True
-
-    phi = [-1] * n
-    used = [False] * n
-    mapped_mask = 0
-
-    def extend(k):
-        nonlocal mapped_mask
-        if k == n:
-            return True
-        g = order[k]
-        required = 0
-        for w in G.neighborhood(g):
-            if phi[w] != -1:
-                required |= 1 << phi[w]
-        for h in by_color_h[cg[g]]:
-            if used[h]:
-                continue
-            if masks_h[h] & mapped_mask != required:
-                continue
-            phi[g] = h
-            used[h] = True
-            mapped_mask |= 1 << h
-            if extend(k + 1):
-                return True
-            phi[g] = -1
-            used[h] = False
-            mapped_mask &= ~(1 << h)
-        return False
-
-    return extend(0)
+            phi = _backtrack(G, G, order, fixed + [[h]] + [classes[g] for g in order[k + 1 :]], nodes)
+            if phi is not None:
+                gens.append(phi)
+            elif nodes[0] <= 0:
+                return gens
+    return gens

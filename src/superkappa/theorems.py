@@ -32,7 +32,8 @@ new kind of clause, construction or comparison also needs its branch in
 `_clauses`, `_construct` or `conclude`.
 
 Each thing certified equal is computed once. The invariants rules read
-(connected, bipartition, delta, kappa(G), kappa(GxK2)) are computed on first
+(connected, bipartition, delta, kappa(G), kappa(GxK2), and generators of the
+automorphisms of G that fix its kappa scan's source) are computed on first
 use and kept on the Graph object, so every rule and every n checked on one
 object share them. For the two-component results, once the cycle shift
 certifies the two components isomorphic (Weichsel 1962), kappa or
@@ -50,7 +51,7 @@ from . import connectivity as conn
 from .construct import cycle, cycle_reflection, decomposition_case, direct_product, double_cover, layer_decomposition, tilde
 from .errors import InputError
 from .formats import parse_graph6, write_graph6
-from .graph import _maps_onto
+from .graph import _maps_onto, stabiliser_generators
 
 BIPARTITE, NONBIPARTITE = "bipartite", "non-bipartite"
 TILDE, PRODUCT, COMPONENTS, COVER = "tilde", "G x C_n", "components of G x C_n", "G x K2"
@@ -193,6 +194,7 @@ class _Invariants:
     delta = cached_property(lambda self: self.G.min_degree())
     kappa = cached_property(lambda self: conn.vertex_connectivity(self.G) if self.connected else 0)
     kappa_dc = cached_property(lambda self: conn.vertex_connectivity(double_cover(self.G)))
+    source_stabiliser = cached_property(lambda self: stabiliser_generators(self.G, conn._scan_source(self.G)))
 
 
 def _start(theorem_id, G):
@@ -386,8 +388,12 @@ def conclude(theorem_id, G, n=None, budget=conn.CUT_BUDGET, odd_cycle_lengths=No
     H = _construct(rule, inv, n)
 
     if rule.compare in (EQUAL, INTERVAL):
-        # the cycle reflection fixes the scan's source, which lies in layer 0
-        symmetries = [cycle_reflection(inv.G, n)] if rule.construction == PRODUCT else []
+        # G x C_n's scan source is (s, 0), s G's own: the cycle reflection fixes it, and so does
+        # each automorphism of G that fixes s, lifted to (v, i) -> (phi(v), i)
+        symmetries = []
+        if rule.construction == PRODUCT:
+            lifted = [tuple(x * n + i for x in phi for i in range(n)) for phi in inv.source_stabiliser]
+            symmetries = [cycle_reflection(inv.G, n), *lifted]
         actual = conn.vertex_connectivity(H, symmetries)
         ok = actual == pred if rule.compare == EQUAL else pred[0] <= actual <= pred[1]
         return done(pred, actual, CONFIRMED if ok else REFUTED)

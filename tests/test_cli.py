@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import resource
 import subprocess
@@ -173,6 +174,14 @@ def test_an_oversized_graph6_file_is_refused_before_its_edges_are_listed(tmp_pat
     path.write_text("~?^O" + "~" * 333166 + "{\n")
     line = _one_stderr_line(run_cli_capped("super-kappa", str(path), timeout=30), 3)
     assert line == "error: 2000 vertices and 1999000 edges exceed the 258047-vertex or 1000000-edge limit"
+
+
+def test_an_oversized_json_edge_list_file_is_refused_before_it_is_read(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"n": 3, "edges": [[0, 1]]}')
+    os.truncate(path, 10**10)  # a sparse file: reading it whole would pass the memory cap
+    line = _one_stderr_line(run_cli_capped("kappa", str(path), timeout=30), 3)
+    assert line == f"error: {path}: a 10000000000-byte JSON edge list exceeds the 48515008-byte limit"
 
 
 def test_a_search_filters_a_long_n_range_lazily():

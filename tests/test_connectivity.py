@@ -21,9 +21,9 @@ from superkappa import (
     vertex_connectivity_exhaustive,
 )
 from superkappa import connectivity
-from superkappa.connectivity import VertexCut, _exhaustive_cuts, _minimum_cuts, classify_cut
+from superkappa.connectivity import VertexCut, _exhaustive_cuts, _minimum_cuts, _scan_source, classify_cut
 from superkappa.construct import cycle_reflection
-from superkappa.graph import Graph
+from superkappa.graph import Graph, stabiliser_generators
 from superkappa.theorems import _witness_from_cut
 
 from conftest import petersen, random_graph, seeded_corpus
@@ -400,18 +400,24 @@ def test_super_kappa_work_counts(monkeypatch, G, builds, searches, closures):
     assert counts == {"builds": builds, "searches": searches, "closures": closures}
 
 
-def _reflected_products():
-    """Connected C_a x C_b over the cut-stream corpus's ranges, and connected G x C_n for seeded random
-    connected G, n = 3..9, each with the cycle reflection of its second factor."""
+def _product_bases():
+    """(G, n) with G x C_n connected: (C_a, b) over the cut-stream corpus's ranges, and seeded random
+    connected G with n = 3..9."""
     for a in range(3, 8):
         for b in range(a, 8):
             if a % 2 or b % 2:
-                yield direct_product(cycle(a), cycle(b)), cycle_reflection(cycle(a), b)
+                yield cycle(a), b
     rng = random.Random(23)
     for n in range(3, 10):
         for G in (random_graph(rng, max_n=6) for _ in range(3)):
             if n % 2 or G.is_bipartite() is None:
-                yield direct_product(G, cycle(n)), cycle_reflection(G, n)
+                yield G, n
+
+
+def _reflected_products():
+    """Each G x C_n of `_product_bases`, with the cycle reflection of its second factor."""
+    for G, n in _product_bases():
+        yield direct_product(G, cycle(n)), cycle_reflection(G, n)
 
 
 def test_reflection_pruned_kappa_equals_the_full_scan(flows_built):
@@ -421,6 +427,31 @@ def test_reflection_pruned_kappa_equals_the_full_scan(flows_built):
         assert vertex_connectivity(H, [reflection]) == kappa
         assert len(flows_built) < full  # for s = (v,0), the pairs of s with (v,1) and (v,-1) share an orbit
         flows_built.clear()
+
+
+def test_stabiliser_pruned_kappa_equals_the_full_scan_and_the_oracle(flows_built):
+    # G x C_n's scan source is (s, 0): each automorphism of G that fixes s, lifted layer by layer, fixes it
+    rng = random.Random(24)
+    bases = list(_product_bases()) + [(random_graph(rng, max_n=5), n) for n in (3, 5, 7) for _ in range(6)]
+    pruned_by_stabiliser = 0
+    for G, n in bases:
+        H = direct_product(G, cycle(n))
+        reflection = cycle_reflection(G, n)
+        lifted = [tuple(x * n + i for x in phi for i in range(n)) for phi in stabiliser_generators(G, _scan_source(G))]
+        assert _scan_source(H) == _scan_source(G) * n
+        flows = []
+        for maps in ((), [reflection], [reflection, *lifted]):
+            flows_built.clear()
+            flows.append((vertex_connectivity(H, maps), len(flows_built)))
+        assert flows[0][0] == flows[1][0] == flows[2][0], (sorted(G.edges), n)
+        if H.n <= 25:
+            assert flows[2][0] == vertex_connectivity_exhaustive(H), (sorted(G.edges), n)
+        if lifted:  # the pairs of s with (u, 0) and (phi(u), 0) share an orbit that the reflection alone splits
+            assert flows[2][1] < flows[1][1], (sorted(G.edges), n)
+            pruned_by_stabiliser += 1
+        else:
+            assert flows[2][1] == flows[1][1]
+    assert pruned_by_stabiliser > 20
 
 
 def test_uncertified_maps_are_dropped(flows_built):

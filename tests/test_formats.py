@@ -180,3 +180,20 @@ def test_graph6_and_json_edge_lists_are_sized_before_their_edges_are_listed(monk
     assert str(exc.value) == refusal
     with pytest.raises(CapacityError, match="field 'n' is 258048"):  # the vertex count is still read first
         parse_edgelist_json(json.dumps({"n": 258048, "edges": [[0, 1]] * 10}))
+
+
+def test_a_json_edge_list_longer_than_the_limits_allow_is_refused_unread(tmp_path, monkeypatch):
+    from superkappa import formats
+
+    doc = write_edgelist_json(complete(5))
+    # 32 bytes per edge and 64 per vertex hold json.dumps at indent 1 of the widest entries within the limits
+    widest = {"n": formats.MAX_VERTICES, "edges": [[formats.MAX_VERTICES - 1] * 2] * 1000, "labels": ["x" * 56] * 1000}
+    assert len(json.dumps(widest, indent=1)) < 32 * 1000 + 64 * 1000
+    path = tmp_path / "k5.json"
+    path.write_text(" \n" + doc)
+    monkeypatch.setattr(formats, "MAX_EDGELIST_BYTES", len(doc) + 2)
+    assert formats.load_graph_file(path) == complete(5)
+    monkeypatch.setattr(formats, "MAX_EDGELIST_BYTES", len(doc) + 1)
+    monkeypatch.setattr(formats, "read_input", lambda *args: pytest.fail("read an oversized edge list"))
+    with pytest.raises(CapacityError, match=f"a {len(doc) + 2}-byte JSON edge list exceeds the {len(doc) + 1}-byte limit"):
+        formats.load_graph_file(path)

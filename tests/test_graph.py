@@ -12,6 +12,10 @@ from superkappa import (
     direct_product,
     is_isomorphic_small,
 )
+from superkappa import graph
+from superkappa.graph import _maps_onto, stabiliser_generators
+
+from conftest import petersen, random_graph
 
 
 def test_neighborhood_examples(c5, k4, k23):
@@ -107,6 +111,61 @@ def test_isomorphism_degree_prefilter():
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
     path4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
     assert not is_isomorphic_small(star, path4)
+
+
+def _generated_group(maps, n):
+    """Every permutation the maps generate, as tuples read as v -> p[v]."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    for a in frontier:  # the frontier grows as it is read
+        for p in maps:
+            c = tuple(p[x] for x in a)
+            if c not in group:
+                group.add(c)
+                frontier.append(c)
+    return group
+
+
+def _certified_stabiliser_maps(G, v, maps):
+    return all(
+        sorted(p) == list(range(G.n)) and p[v] == v and _maps_onto(p.__getitem__, G.edges, G.edges) for p in maps
+    )
+
+
+def test_stabiliser_generators_generate_the_stabiliser():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    rng = random.Random(24)
+    graphs = [cycle(k) for k in range(3, 9)] + [complete_bipartite(a, b) for a in range(1, 4) for b in range(a, 4)]
+    graphs += [petersen()] + [direct_product(cycle(a), cycle(b)) for a, b in ((3, 3), (3, 4), (3, 5), (5, 5))]
+    graphs += [random_graph(rng, max_n=8) for _ in range(60)]
+    for G in graphs:
+        H = nx.Graph(list(G.edges))
+        H.add_nodes_from(range(G.n))
+        automorphisms = [tuple(m[x] for x in range(G.n)) for m in GraphMatcher(H, H).isomorphisms_iter()]
+        for v in range(G.n):
+            maps = stabiliser_generators(G, v)
+            assert _certified_stabiliser_maps(G, v, maps), (sorted(G.edges), v)
+            assert _generated_group(maps, G.n) == {p for p in automorphisms if p[v] == v}, (sorted(G.edges), v)
+
+
+def test_stabiliser_search_above_its_caps_returns_certified_maps(monkeypatch):
+    assert stabiliser_generators(cycle(graph.ISO_CAP + 1), 0) == []
+    G = petersen()
+    full = _generated_group(stabiliser_generators(G, 0), G.n)
+    assert len(full) == 12  # the Petersen graph is vertex-transitive: 120 automorphisms over 10 vertices
+    sizes = set()
+    for budget in range(0, 300, 10):  # the search stops part way for all but the last few
+        monkeypatch.setattr(graph, "STABILISER_NODES", budget)
+        maps = stabiliser_generators(G, 0)
+        assert _certified_stabiliser_maps(G, 0, maps)
+        group = _generated_group(maps, G.n)
+        assert group <= full
+        sizes.add(len(group))
+    assert {1, 12} < sizes  # a proper, nontrivial subgroup too
+    monkeypatch.setattr(graph, "ISO_CAP", 4)
+    assert stabiliser_generators(G, 0) == []
 
 
 def _scattered_graph(rng):

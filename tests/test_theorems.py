@@ -18,7 +18,7 @@ from superkappa import (
     verify,
     verify_decomposition,
 )
-from superkappa import theorems
+from superkappa import graph, theorems
 from superkappa.theorems import (
     CONFIRMED,
     HYP_NOT_MET,
@@ -347,16 +347,44 @@ def test_verify_computes_base_kappas_at_most_once(monkeypatch, theorem_id, G, n,
 @pytest.mark.parametrize(
     "theorem_id,G,n,flows",
     [
-        ("T3.4", direct_product(cycle(3), cycle(5)), 7, 102),  # 155 with every pair scanned
-        ("T3.3", cycle(5), 6, 29),  # 39
-        ("T3.1", complete_bipartite(2, 3), 5, 19),  # 29
+        ("T3.4", direct_product(cycle(3), cycle(5)), 7, 60),  # 155 with every pair scanned, 102 with the reflection alone
+        ("T3.3", cycle(5), 6, 21),  # 39, 29
+        ("T3.1", complete_bipartite(2, 3), 5, 13),  # 29, 19
     ],
     ids=["T3.4", "T3.3", "T3.1"],
 )
 def test_value_verdict_flow_counts(flows_built, theorem_id, G, n, flows):
-    # the product's scan skips the pairs the cycle reflection swaps; kappa(G x K2) and kappa(G) scan every pair
+    # the product's scan runs one pair per orbit of the cycle reflection and the lifted automorphisms of G
+    # that fix G's scan source; kappa(G x K2) and kappa(G) scan every pair
     assert verify(theorem_id, G, n=n).verdict == CONFIRMED
     assert len(flows_built) == flows
+
+
+def test_the_stabiliser_is_searched_once_per_base_object_and_only_for_products(monkeypatch):
+    searched = []
+    search = theorems.stabiliser_generators
+    monkeypatch.setattr(theorems, "stabiliser_generators", lambda G, v: searched.append(G) or search(G, v))
+    G = complete_bipartite(2, 3)
+    assert verify("T2.1", G, n=3).verdict == CONFIRMED  # the cyclic layered graph: no lift
+    assert verify("T3.9", cycle(3), odd_cycle_lengths=[3]).verdict == CONFIRMED  # G x K2: no lift
+    assert searched == []
+    for n in (3, 5):
+        assert verify("T3.1", G, n=n).verdict == CONFIRMED
+    assert verify("T3.1", complete_bipartite(2, 3), n=3).verdict == CONFIRMED  # an equal graph, a new object
+    assert len(searched) == 2 and searched[0] is G and searched[1] is not G
+
+
+@pytest.mark.parametrize("cap", [("ISO_CAP", 4), ("STABILISER_NODES", 10)], ids=["ISO_CAP", "STABILISER_NODES"])
+def test_value_verdicts_hold_when_the_stabiliser_search_stops(monkeypatch, flows_built, cap):
+    # each call builds its base anew, so no generators are kept from an earlier call
+    # (theorem, base, n, kappa, flows with the full stabiliser), as pinned above
+    cases = [("T3.4", lambda: direct_product(cycle(3), cycle(5)), 7, 8, 60), ("T3.3", lambda: cycle(5), 6, 4, 21)]
+    monkeypatch.setattr(graph, *cap)
+    for tid, base, n, kappa, flows in cases:
+        verdict = verify(tid, base(), n=n)
+        assert verdict.verdict == CONFIRMED and verdict.actual == kappa
+        assert flows < len(flows_built)  # fewer maps, fewer pairs pruned
+        flows_built.clear()
 
 
 def test_t32_components_above_64_vertices_are_certified_isomorphic():
