@@ -32,6 +32,9 @@ _BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _BASE64_TO_GRAPH6 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
 _GRAPH6_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
 _NOT_GRAPH6 = re.compile(r"[^?-~]")  # a data character outside chr(63)..chr(126)
+# a JSON string; an unterminated one runs to the end, so a match is found at every quote
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)', re.S)
+_FLAT_ARRAY = re.compile(r'(?<=[\[,])\s*\[[^"\[\]]*\]')  # an array of no string or array, as [u, v] is
 
 
 def check_size(vertices, edges, unit="edges"):
@@ -137,6 +140,11 @@ def _is_int(x):
 
 
 def parse_edgelist_json(text):
+    outside = _JSON_STRING.sub("", text)  # its [u,v] pairs are its arrays outside strings that are no member's value
+    pairs = outside.count("[") - len(re.findall(r":\s*\[", outside))
+    del outside  # a copy of the text, freed before json.loads runs
+    if pairs > MAX_EDGES:  # json.loads would build every pair: each is read as 0, and check_size refuses them
+        text = _FLAT_ARRAY.sub("0", text)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -151,7 +159,7 @@ def parse_edgelist_json(text):
     edges_field = doc.get("edges")
     if not isinstance(edges_field, list):
         raise FormatError("field 'edges' must be a list of [u,v] pairs")
-    check_size(n, len(edges_field))
+    check_size(n, max(pairs, len(edges_field)))
     seen = set()
     edges = []
     for item in edges_field:

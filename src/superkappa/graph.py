@@ -203,13 +203,16 @@ def _search_order(G, choices):
     return order
 
 
-def _backtrack(G, H, order, choices, nodes):
+def _backtrack(G, H, order, choices, nodes, fixed=0):
     """An edge-preserving bijection V(G) -> V(H) sending order[k] into
     choices[k], as a list read as v -> phi[v], or None: there is none, or the
-    search placed the `nodes[0]` vertices it was allowed (it counts them down)."""
+    search placed the `nodes[0]` vertices it was allowed (it counts them down).
+    With H = G, order[:fixed] start mapped to themselves, and are not searched."""
     n, masks_h = G.n, H.adjacency_masks()
     phi, used = [-1] * n, [False] * n
-    mapped_mask = 0
+    for g in order[:fixed]:
+        phi[g], used[g] = g, True
+    mapped_mask = sum(1 << g for g in order[:fixed])
 
     def extend(k):
         nonlocal mapped_mask
@@ -234,7 +237,7 @@ def _backtrack(G, H, order, choices, nodes):
             mapped_mask &= ~(1 << h)
         return False
 
-    return phi if extend(0) else None
+    return phi if extend(fixed) else None
 
 
 def is_isomorphic_small(G, H):
@@ -269,16 +272,15 @@ def stabiliser_generators(G, v):
     colors = _refine_colors(G, G, start, start)[0]
     classes = [[w for w in range(G.n) if colors[w] == c] for c in colors]  # per vertex, those of its color
     order = _search_order(G, classes)
-    gens, nodes = [], [STABILISER_NODES]
+    gens, nodes, choices = [], [STABILISER_NODES], [classes[g] for g in order]
     for k in reversed(range(G.n)):
-        fixed = [[g] for g in order[:k]]
         for h in classes[order[k]]:
             orbit = [order[k]]
             for u in orbit:  # the orbit grows as it is read
                 orbit += {p[u] for p in gens} - set(orbit)
             if h in orbit:
                 continue
-            phi = _backtrack(G, G, order, fixed + [[h]] + [classes[g] for g in order[k + 1 :]], nodes)
+            phi = _backtrack(G, G, order, choices[:k] + [[h]] + choices[k + 1 :], nodes, k)
             if phi is not None:
                 gens.append(phi)
             elif nodes[0] <= 0:

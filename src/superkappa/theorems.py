@@ -1,5 +1,6 @@
 """Checkable rules for the connectivity and super-connectivity results:
-hypothesis evaluation, formula predictions, independent ground truth, and
+hypothesis clauses, each the JSON object {"clause": text, "holds": bool}
+that verdicts report, formula predictions, independent ground truth, and
 verdicts with replayable witnesses.
 
 Each result is one `Rule` in the ordered `RULES` table, which
@@ -27,9 +28,8 @@ Each result is one `Rule` in the ordered `RULES` table, which
 
 To add a result, add its record: the CLI, the manifest check and, for a
 rule with a strict clause (a super-kappa sufficient condition), the
-tightness search pick it up. A
-new kind of clause, construction or comparison also needs its branch in
-`_clauses`, `_construct` or `conclude`.
+tightness search pick it up. A new kind of clause, construction or
+comparison also needs its branch in `_clauses`, `_construct` or `conclude`.
 
 Each thing certified equal is computed once. The invariants rules read
 (connected, bipartition, delta, kappa(G), kappa(GxK2), and generators of the
@@ -43,7 +43,7 @@ super-kappa is decided on the first alone and reported for both.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cache, cached_property
 from typing import Callable
 
@@ -125,26 +125,11 @@ RULES = {
 THEOREM_IDS = tuple(RULES)
 
 
-@dataclass(frozen=True, slots=True)
-class Clause:
-    """One hypothesis clause, with the JSON object every verdict holding it
-    shares: a verdict's `to_json` copies no clause."""
-
-    text: str
-    holds: bool
-    json: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "json", {"clause": self.text, "holds": self.holds})
-
-    def __reduce__(self):  # pickled as its fields; `json` is rebuilt
-        return Clause, (self.text, self.holds)
+def _clause(text, holds):  # one hypothesis clause, as verdicts report it
+    return {"clause": text, "holds": holds}
 
 
-@cache
-def _fixed_clause(text, holds):
-    """A clause whose text its rule fixes: one object per text and value."""
-    return Clause(text, holds)
+_fixed_clause = cache(_clause)  # a clause whose text its rule fixes: one shared object per text and value
 
 
 @dataclass
@@ -160,17 +145,8 @@ class TheoremVerdict:
     notes: list = field(default_factory=list)
 
     def to_json(self):
-        return {
-            "theorem_id": self.theorem_id,
-            "instance": self.instance,
-            "hypotheses": [c.json for c in self.hypotheses],
-            "predicted": self.predicted,
-            "actual": self.actual,
-            "verdict": self.verdict,
-            "runtime_ms": self.runtime_ms,
-            "witness": self.witness,
-            "notes": self.notes,
-        }
+        """Its declared fields (a pool worker may attach more), not copied: shared, so read-only."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 class _Invariants:
@@ -226,7 +202,7 @@ def _clauses(rule, inv, n, odd_cycle_lengths):
         B, limit = inv.bipartition, inv.delta + 1
         for part in ("X", "Y"):
             size = len(getattr(B, part)) if B else 0
-            clauses.append(Clause(f"|{part}| >= delta+1 ({size} vs {limit})", B is not None and size >= limit))
+            clauses.append(_clause(f"|{part}| >= delta+1 ({size} vs {limit})", B is not None and size >= limit))
     if rule.strict:
         invariant, minus, factor = rule.strict
         if invariant == "kappa_dc" and not inv.nonbipartite:
@@ -235,7 +211,7 @@ def _clauses(rule, inv, n, odd_cycle_lengths):
         elif n is not None:
             name = "kappa(G)" if invariant == "kappa" else "kappa(GxK2)"
             over, value = f"(n-{minus})" if minus else "n", getattr(inv, invariant)
-            clauses.append(Clause(
+            clauses.append(_clause(
                 f"{name} > ({factor}/{over}) delta(G)  [{n - minus}*{value} > {factor}*{inv.delta}]",
                 inv.connected and (n - minus) * value > factor * inv.delta,
             ))
@@ -247,13 +223,14 @@ def _clauses(rule, inv, n, odd_cycle_lengths):
 
 def check_hypotheses(theorem_id, G, n=None, odd_cycle_lengths=None):
     """Evaluate every hypothesis clause separately. Strict rational
-    inequalities are compared by integer cross-multiplication."""
+    inequalities are compared by integer cross-multiplication. The clause
+    dicts are shared between verdicts and are read-only."""
     rule, inv = _start(theorem_id, G)
     return _clauses(rule, inv, n, odd_cycle_lengths)
 
 
 def hypotheses_hold(clauses):
-    return all(c.holds for c in clauses)
+    return all(c["holds"] for c in clauses)
 
 
 def all_but_strict_hold(theorem_id, G, n=None, odd_cycle_lengths=None):
@@ -273,7 +250,7 @@ def predicted(theorem_id, G, n=None, odd_cycle_lengths=None):
     rule, inv = _start(theorem_id, G)
     clauses = _clauses(rule, inv, n, odd_cycle_lengths)
     if not hypotheses_hold(clauses):
-        failed = [c.text for c in clauses if not c.holds]
+        failed = [c["clause"] for c in clauses if not c["holds"]]
         raise InputError(f"hypotheses not satisfied for {theorem_id}: {failed}")
     return rule.predict(inv, n, odd_cycle_lengths)
 

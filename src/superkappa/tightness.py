@@ -15,13 +15,14 @@ sufficient, not necessary).
 A search keeps one Graph object per distinct base graph, so the invariants
 cached on it (kappa(G), kappa(GxK2), ...) serve every n of `n_range`, and a
 T3.6 probe decides one of the two components of G x C_n that the cycle
-shift certifies isomorphic.
+shift certifies isomorphic. A report's JSON is its fields, in order, each
+record shared as its own field dict.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .construct import check_draw, direct_product  # noqa: F401  (direct_product kept: perfbench/test_perfbench.py checks its tracing)
 from .errors import GenerationError, InputError
@@ -43,31 +44,18 @@ class BoundaryRecord:
 @dataclass
 class TightnessReport:
     target: str
-    records: list = field(default_factory=list)
     instances_probed: int = 0
     complete: bool = True
     runtime_ms: int = 0
+    records: list = field(default_factory=list)
 
     @property
     def witnesses(self):
         return [r for r in self.records if r.conclusion_holds is False]
 
     def to_json(self):
-        return {
-            "target": self.target,
-            "instances_probed": self.instances_probed,
-            "complete": self.complete,
-            "runtime_ms": self.runtime_ms,
-            "records": [
-                {
-                    "instance": r.instance,
-                    "failed_clause": r.failed_clause,
-                    "conclusion_holds": r.conclusion_holds,
-                    "witness": r.witness,
-                }
-                for r in self.records
-            ],
-        }
+        """The fields, each record as its own field dict: shared, not copied, and read-only."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)}, "records": [vars(r) for r in self.records]}
 
 
 def _boundary_candidates(target, max_part_size, n_range, seed):
@@ -120,7 +108,7 @@ def tightness_search(target, max_part_size, n_range, seed, budget):
             continue
         seen.add((G, n))
         clauses = check_hypotheses(target, G, n=n)
-        failed = [c for c in clauses if not c.holds]
+        failed = [c for c in clauses if not c["holds"]]
         if len(failed) != 1:
             continue
         if report.instances_probed >= budget:
@@ -129,6 +117,6 @@ def tightness_search(target, max_part_size, n_range, seed, budget):
         report.instances_probed += 1
         v = conclude(target, G, n, instance={**descriptor, "n": n})
         holds = {CONFIRMED: True, REFUTED: False}.get(v.verdict)  # None: indeterminate
-        report.records.append(BoundaryRecord(v.instance, failed[0].text, holds, v.witness))
+        report.records.append(BoundaryRecord(v.instance, failed[0]["clause"], holds, v.witness))
     report.runtime_ms = int((time.perf_counter() - start) * 1000)
     return report

@@ -119,7 +119,7 @@ def test_criterion_07_super_kappa_sufficient_conditions(manifest_results):
         assert got, prefix
         verdicts.extend(got)
     for v in verdicts:
-        assert all(c.holds for c in v.hypotheses), v.instance
+        assert all(c["holds"] for c in v.hypotheses), v.instance
     assert_all_confirmed(verdicts, 17)
     report("07 sufficient conditions confirmed", f"({len(verdicts)} instances)")
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -182,6 +183,19 @@ def test_an_oversized_json_edge_list_file_is_refused_before_it_is_read(tmp_path)
     os.truncate(path, 10**10)  # a sparse file: reading it whole would pass the memory cap
     line = _one_stderr_line(run_cli_capped("kappa", str(path), timeout=30), 3)
     assert line == f"error: {path}: a 10000000000-byte JSON edge list exceeds the 48515008-byte limit"
+
+
+def test_a_json_edge_list_of_too_many_pairs_is_refused_before_they_are_built(tmp_path):
+    # 12 MB, within the byte limit: json.loads would build its 1,000,001 pairs in about 150 MB
+    path = tmp_path / "pairs.json"
+    pairs = itertools.islice(itertools.combinations(range(2000), 2), 1_000_001)
+    path.write_text('{"n": 2000, "edges": [' + ", ".join(f"[{u}, {v}]" for u, v in pairs) + "]}")
+    cap = 150_000 * 1024
+    res = subprocess.run(
+        [sys.executable, "-m", "superkappa.cli", "kappa", str(path)], capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert _one_stderr_line(res, 3) == "error: 2000 vertices and 1000001 edges exceed the 258047-vertex or 1000000-edge limit"
 
 
 def test_a_search_filters_a_long_n_range_lazily():

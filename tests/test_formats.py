@@ -182,6 +182,28 @@ def test_graph6_and_json_edge_lists_are_sized_before_their_edges_are_listed(monk
         parse_edgelist_json(json.dumps({"n": 258048, "edges": [[0, 1]] * 10}))
 
 
+def test_json_edge_list_pairs_are_counted_outside_strings(monkeypatch):
+    from superkappa import formats
+
+    doc = {"n": 3, "edges": [[0, 1], [1, 2]], "labels": ["a[", "[b]", 'c\\"[[: [']}
+    monkeypatch.setattr(formats, "MAX_EDGES", 2)
+    assert parse_edgelist_json(json.dumps(doc)).labels == tuple(doc["labels"])
+    doc["edges"].append([0, 2])
+    loaded, loads = [], json.loads
+    monkeypatch.setattr(formats.json, "loads", lambda text: loaded.append(loads(text)) or loaded[-1])
+    with pytest.raises(CapacityError, match="3 vertices and 3 edges exceed the 258047-vertex or 2-edge limit"):
+        parse_edgelist_json(json.dumps(doc))
+    assert loaded == [{"n": 3, "edges": [0, 0, 0], "labels": doc["labels"]}]  # no pair was built
+
+
+def test_an_unterminated_json_string_is_refused_in_linear_time():
+    # each escaped quote would start a scan to the end of the text if a string had to close
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match="Unterminated string"):
+        parse_edgelist_json('{"' + '\\"' * (2 * 10**4))
+    assert time.perf_counter() - start < 1
+
+
 def test_a_json_edge_list_longer_than_the_limits_allow_is_refused_unread(tmp_path, monkeypatch):
     from superkappa import formats
 

@@ -156,7 +156,7 @@ def test_stabiliser_search_above_its_caps_returns_certified_maps(monkeypatch):
     full = _generated_group(stabiliser_generators(G, 0), G.n)
     assert len(full) == 12  # the Petersen graph is vertex-transitive: 120 automorphisms over 10 vertices
     sizes = set()
-    for budget in range(0, 300, 10):  # the search stops part way for all but the last few
+    for budget in range(24):  # the search stops part way below 23 nodes and completes at 23
         monkeypatch.setattr(graph, "STABILISER_NODES", budget)
         maps = stabiliser_generators(G, 0)
         assert _certified_stabiliser_maps(G, 0, maps)
@@ -166,6 +166,16 @@ def test_stabiliser_search_above_its_caps_returns_certified_maps(monkeypatch):
     assert {1, 12} < sizes  # a proper, nontrivial subgroup too
     monkeypatch.setattr(graph, "ISO_CAP", 4)
     assert stabiliser_generators(G, 0) == []
+
+
+def test_each_stabiliser_search_starts_past_the_vertices_it_fixes(monkeypatch):
+    # 28 search nodes find the whole stabiliser of (0, 0) in C3 x C5; re-placing
+    # the fixed vertices for every candidate map took 260
+    G = direct_product(cycle(3), cycle(5))
+    full = stabiliser_generators(G, 0)
+    assert len(_generated_group(full, G.n)) == 4
+    monkeypatch.setattr(graph, "STABILISER_NODES", 28)
+    assert stabiliser_generators(G, 0) == full
 
 
 def _scattered_graph(rng):

@@ -1,3 +1,4 @@
+import json
 import pickle
 from collections import Counter
 
@@ -32,7 +33,7 @@ from superkappa.theorems import (
 
 
 def clause_map(clauses):
-    return {c.text: c.holds for c in clauses}
+    return {c["clause"]: c["holds"] for c in clauses}
 
 
 def test_hypotheses_l22_part_size_fails(k23):
@@ -310,7 +311,7 @@ def test_table_cases_cover_every_rule():
 def test_rule_table_clauses_and_prediction(theorem_id, graph, n, lengths, clauses, claim):
     G = TABLE_GRAPHS[graph]
     got = check_hypotheses(theorem_id, G, n=n, odd_cycle_lengths=lengths)
-    assert [(c.text, c.holds) for c in got] == clauses
+    assert [(c["clause"], c["holds"]) for c in got] == clauses
     if claim is NOT_MET:
         assert sum(not holds for _, holds in clauses) == 1
         with pytest.raises(InputError):
@@ -374,7 +375,7 @@ def test_the_stabiliser_is_searched_once_per_base_object_and_only_for_products(m
     assert len(searched) == 2 and searched[0] is G and searched[1] is not G
 
 
-@pytest.mark.parametrize("cap", [("ISO_CAP", 4), ("STABILISER_NODES", 10)], ids=["ISO_CAP", "STABILISER_NODES"])
+@pytest.mark.parametrize("cap", [("ISO_CAP", 4), ("STABILISER_NODES", 3)], ids=["ISO_CAP", "STABILISER_NODES"])
 def test_value_verdicts_hold_when_the_stabiliser_search_stops(monkeypatch, flows_built, cap):
     # each call builds its base anew, so no generators are kept from an earlier call
     # (theorem, base, n, kappa, flows with the full stabiliser), as pinned above
@@ -419,7 +420,7 @@ def _two_four_cycles():
 
 def test_rule_fixed_clauses_are_shared_between_verdicts():
     a, b = verify("T3.7", cycle(5), n=6), verify("T3.7", cycle(7), n=8)
-    assert [c.text for c in a.hypotheses[:3]] == ["G is connected", "G is non-bipartite", "n >= 6 even"]
+    assert [c["clause"] for c in a.hypotheses[:3]] == ["G is connected", "G is non-bipartite", "n >= 6 even"]
     assert all(x is y for x, y in zip(a.hypotheses[:3], b.hypotheses[:3]))
     assert a.hypotheses[3] != b.hypotheses[3]  # its text carries the instance's values
     assert a.to_json()["hypotheses"][0] is b.to_json()["hypotheses"][0]
@@ -427,9 +428,9 @@ def test_rule_fixed_clauses_are_shared_between_verdicts():
 
 def test_verdict_json_is_unchanged():
     def plain(v):
-        return {**v.to_json(), "runtime_ms": 0}
+        return json.dumps({**v.to_json(), "runtime_ms": 0})  # as `verify` prints it: key order counts
 
-    assert plain(verify("T3.5", _two_four_cycles(), n=3)) == {
+    assert plain(verify("T3.5", _two_four_cycles(), n=3)) == json.dumps({
         "theorem_id": "T3.5",
         "instance": {"graph6": "Fl_KG", "n": 3},
         "hypotheses": [
@@ -446,8 +447,8 @@ def test_verdict_json_is_unchanged():
         "runtime_ms": 0,
         "witness": None,
         "notes": [],
-    }
-    assert plain(verify("T3.7", cycle(5), n=6)) == {
+    })
+    assert plain(verify("T3.7", cycle(5), n=6)) == json.dumps({
         "theorem_id": "T3.7",
         "instance": {"graph6": "Dhc", "n": 6},
         "hypotheses": [
@@ -462,7 +463,7 @@ def test_verdict_json_is_unchanged():
         "runtime_ms": 0,
         "witness": None,
         "notes": [],
-    }
+    })
 
 
 def test_verdicts_survive_pickling():
