@@ -66,7 +66,7 @@ def cmd_super_kappa(args):
 
 
 def cmd_verify(args):
-    if args.expr:
+    if args.expr is not None:
         graph, spec = build_expression(args.expr)
         lengths, descriptor, inputs = spec.odd_cycle_lengths(), {"expr": args.expr}, spec.file_paths()
     else:
@@ -178,8 +178,8 @@ def main(argv=None):
         text, results, inputs, outcomes = args.func(args)
         if args.out and results is not None:
             report = make_run_report(argv, inputs, results, int((time.perf_counter() - start) * 1000))
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except InputError as exc:  # its text can quote the input, line breaks included
+        print(f"error: {' '.join(str(exc).splitlines())}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # a fault of the program, not of its input
         print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).splitlines())}", file=sys.stderr)

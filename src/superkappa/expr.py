@@ -6,7 +6,10 @@ connected and bipartite. The infix operator `x` is the direct product,
 left-associative: `tilde(kbip(2,3), 3) x cycle(3) x complete(2)`.
 
 Each construction refuses itself above MAX_VERTICES vertices or MAX_EDGES
-edges before it is built: every leaf, and every partial product.
+edges before it is built: every leaf, and every partial product. The parser
+refuses two things as oversized before it reads them: an integer literal with
+more significant digits than MAX_VERTICES, and tilde nesting more than
+MAX_VERTICES.bit_length() deep.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 from functools import reduce
 
 from . import construct
-from .errors import InputError
-from .formats import load_graph_file
+from .errors import CapacityError, InputError
+from .formats import MAX_VERTICES, load_graph_file
 
 # each family's number of integer arguments and builder
 _FAMILIES = {"cycle": (1, construct.cycle), "complete": (1, construct.complete), "kbip": (2, construct.complete_bipartite)}
@@ -69,6 +72,15 @@ def _product(leaves, expect_leaf):
     return ProductSpec(leaves=tuple(leaves))
 
 
+def _integer(literal):
+    """The value of a literal of decimal digits, refused as oversized before int() reads a long one: every
+    integer of the grammar counts vertices (a tilde leaf's n copies at least n)."""
+    digits = literal.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_VERTICES)):
+        raise CapacityError(f"an integer of {len(digits)} digits exceeds the {MAX_VERTICES}-vertex limit")
+    return int(digits)
+
+
 def parse_spec(text):
     pos, levels, expect_leaf = 0, [[]], True  # levels: the leaves of the top level, then of each open tilde(
     while pos < len(text.rstrip()):
@@ -85,14 +97,17 @@ def parse_spec(text):
             if len(levels) == 1:
                 raise InputError(f"{m.group().strip()!r} closes no 'tilde('")
             base = _product(levels.pop(), expect_leaf)
-            levels[-1].append(FamilyLeaf("tilde", (base, int(layers))))
+            levels[-1].append(FamilyLeaf("tilde", (base, _integer(layers))))
         elif m.group("open"):
+            depth = MAX_VERTICES.bit_length()  # each layer at least doubles its base, so deeper is oversized
+            if len(levels) > depth:
+                raise CapacityError(f"'tilde(' nested over {depth} deep exceeds the {MAX_VERTICES}-vertex limit")
             levels.append([])
         elif name in _FAMILIES:
             arity = _FAMILIES[name][0]
-            if len(raw_args) != arity or not all(a.isdigit() for a in raw_args):
+            if len(raw_args) != arity or not all(a.isdecimal() for a in raw_args):
                 raise InputError(f"{name} takes {_ARGUMENTS[arity]}")
-            levels[-1].append(FamilyLeaf(name, tuple(map(int, raw_args))))
+            levels[-1].append(FamilyLeaf(name, tuple(map(_integer, raw_args))))
         elif name == "file":
             if len(raw_args) != 1:
                 raise InputError("file takes one path argument")

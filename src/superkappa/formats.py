@@ -134,6 +134,17 @@ def write_edgelist_json(G):
     return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
 
 
+def read_json(text, prefix, error=InputError):
+    """json.loads, with every way malformed JSON fails turned into `error`,
+    its message led by `prefix`: a syntax error or an integer over the
+    interpreter's digit limit (ValueError), or nesting deeper than the
+    decoder's recursion limit (RecursionError)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{prefix}: {exc}") from exc
+
+
 def _is_int(x):
     # bool subclasses int, but JSON true/false is not a vertex index
     return isinstance(x, int) and not isinstance(x, bool)
@@ -145,10 +156,7 @@ def parse_edgelist_json(text):
     del outside  # a copy of the text, freed before json.loads runs
     if pairs > MAX_EDGES:  # json.loads would build every pair: each is read as 0, and check_size refuses them
         text = _FLAT_ARRAY.sub("0", text)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON: {exc}") from exc
+    doc = read_json(text, "invalid JSON", FormatError)
     if not isinstance(doc, dict):
         raise FormatError("document must be a JSON object")
     if "n" not in doc or not _is_int(doc["n"]) or doc["n"] < 0:

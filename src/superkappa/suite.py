@@ -10,6 +10,9 @@ A manifest is a JSON document:
          "graph": {"expr": "kbip(2,3)"}, "n": 3},
         ...]}
 
+An entry has no keys but these six; `check` can only be "decomposition",
+`theorem` must be the string id of a result, and a result that takes no n
+(T3.9) must be given none.
 Graph descriptors: {"expr": <family expression>}, {"graph6": <g6 line>},
 {"random_bipartite": {m,n,p,seed,min_delta}}, or
 {"random_nonbipartite": {n,p,seed,min_delta}} (min_delta optional). Random
@@ -33,7 +36,7 @@ from . import connectivity as conn
 from .construct import decomposition_case, random_connected_bipartite, random_connected_nonbipartite
 from .errors import InputError
 from .expr import build_expression, parse_spec
-from .formats import _is_int, check_graph6_size, check_size, parse_graph6, read_input
+from .formats import _is_int, check_graph6_size, check_size, parse_graph6, read_input, read_json
 from .theorems import COVER, ERROR, RULES, TheoremVerdict, all_but_strict_hold, verify, verify_decomposition
 
 RNG_NOTE = "python-random-mt19937"
@@ -120,11 +123,18 @@ def _entry_problem(entry):
     """Why a manifest entry cannot run, or None; its graph is built to find out."""
     if not isinstance(entry, dict):
         return "not an object"
-    if entry.get("check") == "decomposition":
+    unknown = [key for key in entry if key not in ("id", "theorem", "check", "graph", "n", "budget")]
+    if unknown:
+        return f"unknown key {unknown[0]!r}"
+    if "check" in entry:
+        if entry["check"] != "decomposition":
+            return f"unknown check {entry['check']!r}"
         if not _is_int(entry.get("n")):
             return "a decomposition check needs an integer 'n'"
-    elif entry.get("theorem") not in RULES:
+    elif not isinstance(entry.get("theorem"), str) or entry["theorem"] not in RULES:
         return f"unknown theorem id {entry.get('theorem')!r}"
+    elif RULES[entry["theorem"]].n_min is None and entry.get("n") is not None:
+        return f"{entry['theorem']} takes no 'n'"
     if any(entry.get(key) is not None and not _is_int(entry[key]) for key in ("n", "budget")):
         return "'n' and 'budget' must be integers"
     if "budget" in entry and (entry["budget"] is None or entry["budget"] < 0):
@@ -151,10 +161,7 @@ def _entry_problem(entry):
 
 def load_manifest(path):
     """Read a manifest and check every entry before any of them runs."""
-    try:
-        doc = json.loads(read_input(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"manifest {path} is not valid JSON: {exc}") from exc
+    doc = read_json(read_input(path), f"manifest {path} is not valid JSON")
     if not isinstance(doc, dict) or not isinstance(doc.get("instances"), list):
         raise InputError("manifest needs an 'instances' list")
     for i, entry in enumerate(doc["instances"]):

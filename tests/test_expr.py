@@ -122,3 +122,24 @@ def test_file_leaf_is_sized_from_the_file(tmp_path):
 def test_arity_errors_name_the_family(text, message):
     with pytest.raises(InputError, match=rf"^{re.escape(message)}$"):
         parse_spec(text)
+
+
+def test_an_integer_literal_is_sized_by_its_digits_before_int_reads_it():
+    assert parse_spec("cycle(" + "0" * 5000 + "5)") == parse_spec("cycle(5)")  # leading zeros are ignored
+    assert parse_spec("tilde(kbip(2,3), 0003)") == parse_spec("tilde(kbip(2,3), 3)")
+    for text in ("cycle(1000000)", "kbip(2," + "9" * 5000 + ")", "tilde(kbip(1,1), " + "9" * 5000 + ")"):
+        with pytest.raises(CapacityError, match=r"^an integer of \d+ digits exceeds the 258047-vertex limit$"):
+            parse_spec(text)
+    with pytest.raises(InputError, match="cycle takes one integer argument"):
+        parse_spec("cycle(²)")  # a digit that is not decimal
+
+
+def test_tilde_nesting_is_refused_only_where_no_expression_could_be_built():
+    def nested(depth):
+        return "tilde(" * depth + "kbip(1,1)" + ", 2)" * depth
+
+    # each layer doubles kbip(1,1), the smallest base: 18 layers would hold 2**19 vertices, over the limit
+    assert build_expression(nested(8))[0].n == 2**9
+    parse_spec(nested(MAX_VERTICES.bit_length()))
+    with pytest.raises(CapacityError, match="'tilde\\(' nested over 18 deep"):
+        parse_spec(nested(MAX_VERTICES.bit_length() + 1))

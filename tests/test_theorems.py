@@ -14,6 +14,7 @@ from superkappa import (
     cycle,
     direct_product,
     double_cover,
+    parse_graph6,
     predicted,
     replay_witness,
     verify,
@@ -491,3 +492,41 @@ def test_verify_sizes_the_graph6_before_any_clause_runs(monkeypatch):
     monkeypatch.setattr(connectivity, "vertex_connectivity", lambda H: pytest.fail("a clause ran"))
     with pytest.raises(InputError, match="graph6 output of 15 vertices exceeds the 14-vertex limit"):
         verify("T3.7", G, n=6)
+
+
+# Exact kappa refutes T3.4 on a family of graphs. RULES["T3.4"] stays unedited: the paper's opening, all
+# the repository holds of it, cannot tell whether the paper states T3.4 otherwise or the result is false.
+# The 8 classes of connected non-bipartite graphs on up to 7 vertices on which it fails, at n = 5 only
+_T34_ATLAS_REFUTED = ["ERUO", "FMo`G", "FB{KG", "FByGo", "FBZEG", "FFw`G", "FMpbG", "Fs\\vw"]
+
+
+def _kdd_glued_to_a_clique(d):
+    """G_d: K_{d,d} on 0..2d-1 (parts 0..d-1 and d..2d-1) and K_{d+1} on 0 and 2d..3d-1, sharing vertex 0."""
+    clique = [0, *range(2 * d, 3 * d)]
+    edges = [(x, y) for x in range(d) for y in range(d, 2 * d)] + [
+        (u, v) for i, u in enumerate(clique) for v in clique[i + 1 :]
+    ]
+    return Graph(3 * d, edges)
+
+
+def _t34(G, n):
+    """T3.4's verdict on G x C_n; a refuted one must exceed the interval by the bound min(n kappa(G), 2 delta)."""
+    verdict = verify("T3.4", G, n=n)
+    if verdict.verdict == REFUTED:
+        assert verdict.actual == min(n * connectivity.vertex_connectivity(G), 2 * G.min_degree()) > verdict.predicted[1]
+    return verdict.verdict
+
+
+@pytest.mark.parametrize("g6", _T34_ATLAS_REFUTED)
+def test_t34_is_refuted_on_eight_small_classes_at_n5_only(g6):
+    G = parse_graph6(g6)
+    assert [_t34(G, n) for n in (5, 7, 9)] == [REFUTED, CONFIRMED, CONFIRMED]
+
+
+@pytest.mark.parametrize("d,g6", [(2, "E]CW"), (3, "HFz_GKF"), (4, "K?~vf_@?WB_N")])
+def test_t34_is_refuted_on_kdd_glued_to_a_clique_at_every_odd_n_up_to_4d_minus_3(d, g6):
+    G = parse_graph6(g6)
+    assert graph.is_isomorphic_small(G, _kdd_glued_to_a_clique(d))
+    assert G.min_degree() == d and connectivity.vertex_connectivity(G) == 1
+    odd = range(5, 4 * d + 2, 2)
+    assert [_t34(G, n) for n in odd] == [REFUTED if n <= 4 * d - 3 else CONFIRMED for n in odd]
