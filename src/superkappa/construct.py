@@ -1,7 +1,8 @@
-"""Graph families and constructions: base families, direct products,
-the cyclic layered graph built from a bipartite base, double covers,
-proof-style layer decompositions of G x C_n, and seeded random instances,
-every one of them drawn by one loop, `_draw`.
+"""Graph families and constructions: base families, direct products and
+every vertex map on G x C_n's numbering (`product_map`), the cyclic layered
+graph built from a bipartite base, double covers, proof-style layer
+decompositions of G x C_n with their block maps, and seeded random
+instances, every one of them drawn by one loop, `_draw`.
 """
 
 from __future__ import annotations
@@ -62,10 +63,18 @@ def direct_product(G, H):
     return Graph(G.n * nh, edges, labels=labels)
 
 
-def cycle_reflection(G, n):
-    """The reflection (v,i) -> (v,-i mod n) of G x C_n, an automorphism that
-    fixes cycle layer 0, as the permutation of `direct_product`'s flattening."""
-    return tuple(v * n + (-i) % n for v in range(G.n) for i in range(n))
+def product_map(G, n, phi=None, sign=1, shift=0, m=None):
+    """The vertex map (v, i) -> (phi[v], (sign*i + shift) mod n mod m) from the numbering v*n + i of
+    `direct_product(G, cycle(n))` to that of G x H, |V(H)| = m; phi is the identity and m is n unless given.
+    Every map on that numbering is one: the cycle reflection and shift, lifted automorphisms of G, and the blocks'
+    projections, a block on cycle layers s and s+1 shifted by -s onto layers 0 and 1 of G x K_2 (m = 2) or G (m = 1)."""
+    phi, m = range(G.n) if phi is None else phi, n if m is None else m
+    return lambda x: phi[x // n] * m + (sign * (x % n) + shift) % n % m
+
+
+def product_permutation(G, n, phi=None, sign=1, shift=0):
+    """`product_map` on V(G x C_n), a tuple read x -> p[x]: an automorphism when phi is one of G."""
+    return tuple(map(product_map(G, n, phi, sign, shift), range(G.n * n)))
 
 
 def double_cover(G):
@@ -94,15 +103,17 @@ class LayeredDecomposition:
     H: list = field(default_factory=list)
     H_prime: list = field(default_factory=list)
     graph: Graph | None = None  # the graph decomposed: G x C_n, or the cyclic layered graph
+    block_maps: list = field(default_factory=list)  # of G x C_n: per block of H + H_prime, its map onto its base
+    tilde_map: object = None  # for bipartite odd n, the map of tilde(G, B, n) onto G x C_n
 
     def all_block_edges(self):
         return frozenset().union(*self.H, *self.H_prime)
 
 
-def _decomposition(graph, case, layer_X, layer_Y, n_prime):
+def _decomposition(graph, case, layer_X, layer_Y, n_prime, block_maps=()):
     """graph's decomposition into these layers, its blocks by the block rule,
     with H_k' for the first n_prime layers only."""
-    dec = LayeredDecomposition(len(layer_X), case, layer_X, layer_Y, graph=graph)
+    dec = LayeredDecomposition(len(layer_X), case, layer_X, layer_Y, graph=graph, block_maps=block_maps)
     for k, (X, Y) in enumerate(zip(layer_X, layer_Y)):
         h, hp = set(), set()
         for y in Y:
@@ -185,19 +196,21 @@ def layer_decomposition(G, n):
 
     B = G.is_bipartite()
     if B:
-        # index formulas from the constructive relabelings (1-based throughout),
-        # one for both parities: (n + i + 1) // 2 is (n + i) // 2 when n + i is even
-        layer_X, layer_Y = [None] * n, [None] * n
+        # at[side][k - 1]: the cycle layer of block k's part on side 0 (X) or 1 (Y), by the index formulas of the
+        # constructive relabelings (1-based), one for both parities: (n + i + 1) // 2 is (n + i) // 2 when n + i is even
+        at = [[None] * n, [None] * n]
         for i in range(1, n + 1):
-            kx = (i + 1) // 2 if i % 2 == 1 else (n + i + 1) // 2
-            ky = (n + i + 1) // 2 if i % 2 == 1 else i // 2
-            layer_X[kx - 1] = frozenset(vid(x, i) for x in B.X)
-            layer_Y[ky - 1] = frozenset(vid(y, i) for y in B.Y)
-    else:
-        layers = [frozenset(vid(v, i) for v in range(G.n)) for i in range(1, n + 1)]
-        layer_X = layers[::2]
-        layer_Y = [layers[(i + 1) % n] for i in range(0, n, 2)]
-    return _decomposition(prod, case, layer_X, layer_Y, n if B else n // 2)
+            at[0][((i + 1) // 2 if i % 2 == 1 else (n + i + 1) // 2) - 1] = i
+            at[1][((n + i + 1) // 2 if i % 2 == 1 else i // 2) - 1] = i
+        parts = [[frozenset(vid(v, i) for v in side) for i in layers] for side, layers in zip((B.X, B.Y), at)]
+        dec = _decomposition(prod, case, *parts, n, [product_map(G, n, m=1)] * (2 * n))
+        if n % 2:  # tilde's vertex (v, k) is the vertex over v in block k
+            dec.tilde_map = lambda t: vid(t % G.n, at[t % G.n in B.Y][t // G.n])
+        return dec
+    layers = [frozenset(vid(v, i) for v in range(G.n)) for i in range(1, n + 1)]
+    # H_k lies on cycle layers 2k and 2k+1, H_k' on 2k+1 and 2k+2 (0-based, mod n)
+    maps = [product_map(G, n, shift=-s, m=2) for s in (*range(0, n, 2), *range(1, n, 2))]
+    return _decomposition(prod, case, layers[::2], [layers[(i + 1) % n] for i in range(0, n, 2)], n // 2, maps)
 
 
 # -- seeded random instances -------------------------------------------------

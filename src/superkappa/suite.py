@@ -37,7 +37,7 @@ from .construct import decomposition_case, random_connected_bipartite, random_co
 from .errors import InputError
 from .expr import build_expression, parse_spec
 from .formats import _is_int, check_graph6_size, check_size, parse_graph6, read_input, read_json
-from .theorems import COVER, ERROR, RULES, TheoremVerdict, all_but_strict_hold, verify, verify_decomposition
+from .theorems import COVER, ERROR, TheoremVerdict, all_but_strict_hold, theorem_rule, verify, verify_decomposition
 
 RNG_NOTE = "python-random-mt19937"
 # required fields of each graph descriptor kind; None: the value is a string
@@ -126,23 +126,20 @@ def _entry_problem(entry):
     unknown = [key for key in entry if key not in ("id", "theorem", "check", "graph", "n", "budget")]
     if unknown:
         return f"unknown key {unknown[0]!r}"
-    if "check" in entry:
-        if entry["check"] != "decomposition":
-            return f"unknown check {entry['check']!r}"
-        if not _is_int(entry.get("n")):
-            return "a decomposition check needs an integer 'n'"
-    elif not isinstance(entry.get("theorem"), str) or entry["theorem"] not in RULES:
-        return f"unknown theorem id {entry.get('theorem')!r}"
-    elif RULES[entry["theorem"]].n_min is None and entry.get("n") is not None:
-        return f"{entry['theorem']} takes no 'n'"
-    if any(entry.get(key) is not None and not _is_int(entry[key]) for key in ("n", "budget")):
-        return "'n' and 'budget' must be integers"
-    if "budget" in entry and (entry["budget"] is None or entry["budget"] < 0):
-        return "'budget' must be a non-negative integer"
+    n, rule = entry.get("n"), None
     try:
+        if "check" not in entry:
+            rule = theorem_rule(entry.get("theorem"), n)  # an unknown id, or an n on T3.9, is refused
+        elif entry["check"] != "decomposition":
+            return f"unknown check {entry['check']!r}"
+        elif not _is_int(n):
+            return "a decomposition check needs an integer 'n'"
+        if any(entry.get(key) is not None and not _is_int(entry[key]) for key in ("n", "budget")):
+            return "'n' and 'budget' must be integers"
+        if "budget" in entry and (entry["budget"] is None or entry["budget"] < 0):
+            return "'budget' must be a non-negative integer"
         G, lengths = resolve_graph(entry.get("graph"))
-        n, rule = entry.get("n"), RULES.get(entry.get("theorem"))
-        if entry.get("check") == "decomposition":
+        if rule is None:
             decomposition_case(G, n)  # refuses an n below the case's minimum
             builds = G.is_connected()
         else:  # running builds it where the hypotheses hold; load decides all but a strict clause, which needs kappa

@@ -37,7 +37,8 @@ automorphisms of G that fix its kappa scan's source) are computed on first
 use and kept on the Graph object, so every rule and every n checked on one
 object share them. For the two-component results, once the cycle shift
 certifies the two components isomorphic (Weichsel 1962), kappa or
-super-kappa is decided on the first alone and reported for both.
+super-kappa is decided on the first alone and reported for both. Vertex
+maps on G x C_n come from `construct`; this module only certifies them.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ from functools import cache, cached_property
 from typing import Callable
 
 from . import connectivity as conn
-from .construct import cycle, cycle_reflection, decomposition_case, direct_product, double_cover, layer_decomposition, tilde
+from .construct import cycle, decomposition_case, direct_product, double_cover, layer_decomposition, tilde
+from .construct import product_map, product_permutation
 from .errors import InputError
 from .formats import parse_graph6, write_graph6
 from .graph import _maps_onto, stabiliser_generators
@@ -158,6 +160,8 @@ class _Invariants:
     __slots__ = ("G", "__dict__")
 
     def __init__(self, G):
+        if G is None or G.n == 0:
+            raise InputError("hypothesis check needs a nonempty graph")
         self.G = G
         if G.invariants is None:
             G.invariants = {}
@@ -173,12 +177,14 @@ class _Invariants:
     source_stabiliser = cached_property(lambda self: stabiliser_generators(self.G, conn._scan_source(self.G)))
 
 
-def _start(theorem_id, G):
-    if theorem_id not in RULES:
+def theorem_rule(theorem_id, n=None):
+    """The rule of a result, refusing an unknown id and an n given to a result that takes none."""
+    rule = RULES.get(theorem_id) if isinstance(theorem_id, str) else None
+    if rule is None:
         raise InputError(f"unknown theorem id {theorem_id!r}")
-    if G is None or G.n == 0:
-        raise InputError("hypothesis check needs a nonempty graph")
-    return RULES[theorem_id], _Invariants(G)
+    if rule.n_min is None and n is not None:
+        raise InputError(f"{theorem_id} takes no 'n'")
+    return rule
 
 
 # -- hypotheses ---------------------------------------------------------------
@@ -225,7 +231,7 @@ def check_hypotheses(theorem_id, G, n=None, odd_cycle_lengths=None):
     """Evaluate every hypothesis clause separately. Strict rational
     inequalities are compared by integer cross-multiplication. The clause
     dicts are shared between verdicts and are read-only."""
-    rule, inv = _start(theorem_id, G)
+    rule, inv = theorem_rule(theorem_id, n), _Invariants(G)
     return _clauses(rule, inv, n, odd_cycle_lengths)
 
 
@@ -236,7 +242,7 @@ def hypotheses_hold(clauses):
 def all_but_strict_hold(theorem_id, G, n=None, odd_cycle_lengths=None):
     """Whether every hypothesis clause holds but a strict one: all that can be
     decided without kappa."""
-    rule, inv = _start(theorem_id, G)
+    rule, inv = theorem_rule(theorem_id, n), _Invariants(G)
     return hypotheses_hold(_clauses(replace(rule, strict=None), inv, n, odd_cycle_lengths))
 
 
@@ -247,7 +253,7 @@ def predicted(theorem_id, G, n=None, odd_cycle_lengths=None):
     """The formula value / interval / property claim. Computed only from
     kappa(G), delta(G), kappa(G x K2), k and n -- never from the
     constructed product itself."""
-    rule, inv = _start(theorem_id, G)
+    rule, inv = theorem_rule(theorem_id, n), _Invariants(G)
     clauses = _clauses(rule, inv, n, odd_cycle_lengths)
     if not hypotheses_hold(clauses):
         failed = [c["clause"] for c in clauses if not c["holds"]]
@@ -266,27 +272,21 @@ def _construct(rule, inv, n):
     return direct_product(inv.G, cycle(n))
 
 
-def _settling(rule, H, n):
+def _settling(rule, G, H, n):
     """The graphs whose invariants settle the conclusion about H, H's
     component count, and whether the cycle shift certifies two components
     isomorphic: H itself, or for the two-component results the first
     component alone when certified and every component otherwise."""
     if rule.construction != COMPONENTS:
         return [H], 1, True
-    comps = H.components()
-    isomorphic = len(comps) == 2 and _shift_is_isomorphism(H, n, *comps)
+    comps, shift = H.components(), product_map(G, n, shift=1)  # (v,i) -> (v,i+1)
+    isomorphic = len(comps) == 2 and _shift_is_isomorphism(H, shift, *comps)
     return [H.induced_subgraph(c) for c in comps[: 1 if isomorphic else None]], len(comps), isomorphic
 
 
-def _shift_is_isomorphism(H, n, A, B):
+def _shift_is_isomorphism(H, shift, A, B):
     """Weichsel's certificate that components A and B of G x C_n are
-    isomorphic: the cycle shift (v,i) -> (v,i+1), vertex v*n+i in the
-    flattening of `direct_product`, maps A onto B and A's edges onto B's; O(|V| + |E|)."""
-
-    def shift(x):
-        v, i = divmod(x, n)
-        return v * n + (i + 1) % n
-
+    isomorphic: the cycle shift maps A onto B and A's edges onto B's; O(|V| + |E|)."""
     edges_a, edges_b = [e for e in H.edges if e[0] in A], {e for e in H.edges if e[0] in B}
     return {shift(x) for x in A} == B and _maps_onto(shift, edges_a, edges_b)
 
@@ -337,7 +337,7 @@ def _verdict_maker(theorem_id, instance, clauses, start):
 
 def verify(theorem_id, G, n=None, budget=conn.CUT_BUDGET, odd_cycle_lengths=None, instance=None):
     """The hypothesis gate: evaluate every clause and, where all hold, `conclude`."""
-    rule, inv = _start(theorem_id, G)
+    rule, inv = theorem_rule(theorem_id, n), _Invariants(G)
     start = time.perf_counter()
     instance = _instance(G, n, instance)  # a graph too large for its graph6 is refused before any clause runs
     clauses = _clauses(rule, inv, n, odd_cycle_lengths)
@@ -358,7 +358,7 @@ def conclude(theorem_id, G, n=None, budget=conn.CUT_BUDGET, odd_cycle_lengths=No
     minimum cuts examined: all of them on a confirmation, and those up to
     and including the witness on a refutation.
     """
-    rule, inv = _start(theorem_id, G)
+    rule, inv = theorem_rule(theorem_id, n), _Invariants(G)
     start = time.perf_counter() if start is None else start
     done = _verdict_maker(theorem_id, _instance(G, n, instance), list(clauses), start)
     pred = rule.predict(inv, n, odd_cycle_lengths)
@@ -369,13 +369,13 @@ def conclude(theorem_id, G, n=None, budget=conn.CUT_BUDGET, odd_cycle_lengths=No
         # each automorphism of G that fixes s, lifted to (v, i) -> (phi(v), i)
         symmetries = []
         if rule.construction == PRODUCT:
-            lifted = [tuple(x * n + i for x in phi for i in range(n)) for phi in inv.source_stabiliser]
-            symmetries = [cycle_reflection(inv.G, n), *lifted]
+            lifted = [product_permutation(inv.G, n, phi) for phi in inv.source_stabiliser]
+            symmetries = [product_permutation(inv.G, n, sign=-1), *lifted]
         actual = conn.vertex_connectivity(H, symmetries)
         ok = actual == pred if rule.compare == EQUAL else pred[0] <= actual <= pred[1]
         return done(pred, actual, CONFIRMED if ok else REFUTED)
 
-    parts, count, isomorphic = _settling(rule, H, n)
+    parts, count, isomorphic = _settling(rule, inv.G, H, n)
     copies = count // len(parts)  # a certified pair reports its first component's value twice
     actual = {}
     if rule.construction == COMPONENTS:
@@ -438,22 +438,12 @@ def verify_decomposition(G, n, instance=None):
     if not hypotheses_hold(clauses):
         return done(None, None, HYP_NOT_MET, notes=notes)
     dec = layer_decomposition(G, n)
-    prod = dec.graph
-
     blocks = dec.H + dec.H_prime
-    checks = {"reassembly": sum(map(len, blocks)) == len(prod.edges) and dec.all_block_edges() == prod.edges}
-    if case.startswith("bipartite"):
-        base, maps = G.edges, [lambda x: x // n] * len(blocks)
-    else:  # the left layer: X_k for H_k, Y_k for H_k'
-        base = double_cover(G).edges
-        maps = [lambda x, left=left: x // n * 2 + (x not in left) for left in dec.layer_X + dec.layer_Y]
-    checks["blocks_match_base"] = all(_maps_onto(phi, blk, base) for phi, blk in zip(maps, blocks))
-
+    checks = {"reassembly": sum(map(len, blocks)) == len(dec.graph.edges) and dec.all_block_edges() == dec.graph.edges}
+    base = (G if case.startswith("bipartite") else double_cover(G)).edges  # the left cycle layer on side 0
+    checks["blocks_match_base"] = all(_maps_onto(f, blk, base) for f, blk in zip(dec.block_maps, blocks, strict=True))
     if case == "bipartite-odd":
-        tg, _ = tilde(G, G.is_bipartite(), n)
-        # tilde's vertex (v,k) is the vertex over v in block k of dec
-        at = {(x // n, k): x for k, parts in enumerate(zip(dec.layer_X, dec.layer_Y)) for part in parts for x in part}
-        checks["tilde_edge_identity"] = _maps_onto(lambda t: at[t % G.n, t // G.n], tg.edges, prod.edges)
+        checks["tilde_edge_identity"] = _maps_onto(dec.tilde_map, tilde(G, G.is_bipartite(), n)[0].edges, dec.graph.edges)
         notes.append("layer relabeling maps the cyclic layered graph onto G x C_n")
 
     return done({"decomposition_valid": True}, checks, CONFIRMED if all(checks.values()) else REFUTED, notes=notes)

@@ -26,12 +26,17 @@ def k4():
 
 
 @pytest.fixture
-def flows_built(monkeypatch):
-    """A list that gets one entry per `_SplitFlow` network built during the test."""
-    built = []
-    init = connectivity._SplitFlow.__init__
-    monkeypatch.setattr(connectivity._SplitFlow, "__init__", lambda self, *args: built.append(1) or init(self, *args))
-    return built
+def pairs_scanned(monkeypatch):
+    """A list that gets one entry per (s, t) pair `connectivity._kappa_scan` yields during the test."""
+    scanned, scan = [], connectivity._kappa_scan
+
+    def counting(*args):
+        for pair in scan(*args):
+            scanned.append(pair[:2])
+            yield pair
+
+    monkeypatch.setattr(connectivity, "_kappa_scan", counting)
+    return scanned
 
 
 def petersen():

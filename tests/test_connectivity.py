@@ -22,7 +22,7 @@ from superkappa import (
 )
 from superkappa import connectivity
 from superkappa.connectivity import VertexCut, _exhaustive_cuts, _minimum_cuts, _scan_source, classify_cut
-from superkappa.construct import cycle_reflection
+from superkappa.construct import product_permutation
 from superkappa.graph import Graph, stabiliser_generators
 from superkappa.theorems import _witness_from_cut
 
@@ -363,7 +363,7 @@ def test_minimum_vertex_cut_is_the_first_stream_cut(G, cut):
 
 
 @pytest.mark.parametrize(
-    "G,builds,searches,closures",
+    "G,pairs,searches,closures",
     [
         (direct_product(cycle(3), cycle(6)), 19, 77, 159),
         (direct_product(cycle(3), cycle(7)), 22, 89, 186),
@@ -373,15 +373,11 @@ def test_minimum_vertex_cut_is_the_first_stream_cut(G, cut):
     ],
     ids=["C3xC6", "C3xC7", "C8", "K2xK3", "tilde(kbip(2,3),3)"],
 )
-def test_super_kappa_work_counts(monkeypatch, G, builds, searches, closures):
+def test_super_kappa_work_counts(monkeypatch, pairs_scanned, G, pairs, searches, closures):
     # deterministic work, so a change that redoes flows shows up here
-    counts = {"builds": 0, "searches": 0, "closures": 0}
+    counts = {"searches": 0, "closures": 0}
     flow = connectivity._SplitFlow
-    init, max_flow, closure = flow.__init__, flow.max_flow, connectivity._closure
-
-    def counting_init(self, *args):
-        counts["builds"] += 1
-        init(self, *args)
+    max_flow, closure = flow.max_flow, connectivity._closure
 
     def counting_max_flow(self, s, t, limit):
         found = max_flow(self, s, t, limit)
@@ -393,11 +389,10 @@ def test_super_kappa_work_counts(monkeypatch, G, builds, searches, closures):
         counts["closures"] += 1  # one per Lawler node
         return closure(*args)
 
-    monkeypatch.setattr(flow, "__init__", counting_init)
     monkeypatch.setattr(flow, "max_flow", counting_max_flow)
     monkeypatch.setattr(connectivity, "_closure", counting_closure)
     is_super_kappa(G)
-    assert counts == {"builds": builds, "searches": searches, "closures": closures}
+    assert {"pairs": len(pairs_scanned), **counts} == {"pairs": pairs, "searches": searches, "closures": closures}
 
 
 def _product_bases():
@@ -417,32 +412,32 @@ def _product_bases():
 def _reflected_products():
     """Each G x C_n of `_product_bases`, with the cycle reflection of its second factor."""
     for G, n in _product_bases():
-        yield direct_product(G, cycle(n)), cycle_reflection(G, n)
+        yield direct_product(G, cycle(n)), product_permutation(G, n, sign=-1)
 
 
-def test_reflection_pruned_kappa_equals_the_full_scan(flows_built):
+def test_reflection_pruned_kappa_equals_the_full_scan(pairs_scanned):
     for H, reflection in _reflected_products():
-        kappa, full = vertex_connectivity(H), len(flows_built)
-        flows_built.clear()
+        kappa, full = vertex_connectivity(H), len(pairs_scanned)
+        pairs_scanned.clear()
         assert vertex_connectivity(H, [reflection]) == kappa
-        assert len(flows_built) < full  # for s = (v,0), the pairs of s with (v,1) and (v,-1) share an orbit
-        flows_built.clear()
+        assert len(pairs_scanned) < full  # for s = (v,0), the pairs of s with (v,1) and (v,-1) share an orbit
+        pairs_scanned.clear()
 
 
-def test_stabiliser_pruned_kappa_equals_the_full_scan_and_the_oracle(flows_built):
+def test_stabiliser_pruned_kappa_equals_the_full_scan_and_the_oracle(pairs_scanned):
     # G x C_n's scan source is (s, 0): each automorphism of G that fixes s, lifted layer by layer, fixes it
     rng = random.Random(24)
     bases = list(_product_bases()) + [(random_graph(rng, max_n=5), n) for n in (3, 5, 7) for _ in range(6)]
     pruned_by_stabiliser = 0
     for G, n in bases:
         H = direct_product(G, cycle(n))
-        reflection = cycle_reflection(G, n)
-        lifted = [tuple(x * n + i for x in phi for i in range(n)) for phi in stabiliser_generators(G, _scan_source(G))]
-        assert _scan_source(H) == _scan_source(G) * n
+        reflection = product_permutation(G, n, sign=-1)
+        lifted = [product_permutation(G, n, phi) for phi in stabiliser_generators(G, _scan_source(G))]
+        assert H.labels[_scan_source(H)] == f"({_scan_source(G)},0)"
         flows = []
         for maps in ((), [reflection], [reflection, *lifted]):
-            flows_built.clear()
-            flows.append((vertex_connectivity(H, maps), len(flows_built)))
+            pairs_scanned.clear()
+            flows.append((vertex_connectivity(H, maps), len(pairs_scanned)))
         assert flows[0][0] == flows[1][0] == flows[2][0], (sorted(G.edges), n)
         if H.n <= 25:
             assert flows[2][0] == vertex_connectivity_exhaustive(H), (sorted(G.edges), n)
@@ -454,23 +449,23 @@ def test_stabiliser_pruned_kappa_equals_the_full_scan_and_the_oracle(flows_built
     assert pruned_by_stabiliser > 20
 
 
-def test_uncertified_maps_are_dropped(flows_built):
+def test_uncertified_maps_are_dropped(pairs_scanned):
     H = direct_product(cycle(3), cycle(5))  # every vertex has degree 4: the scan's source is 0
     swap = list(range(H.n))
     swap[1], swap[2] = 2, 1  # fixes 0 and permutes V, but (0,1) and (0,2) have different neighbours
-    shift = [v * 5 + (i + 1) % 5 for v in range(3) for i in range(5)]  # an automorphism that moves 0
+    shift = product_permutation(cycle(3), 5, shift=1)  # an automorphism that moves 0
     collapse = [0] * H.n  # no bijection
-    reflection = cycle_reflection(cycle(3), 5)
+    reflection = product_permutation(cycle(3), 5, sign=-1)
     assert connectivity._automorphisms(H, [swap, shift, collapse, reflection]) == [reflection]
     pairs = connectivity._pair_scan_order(H)
     for bad in (swap, shift):  # each would prune the scan, were it trusted
         assert len(connectivity._orbit_firsts(pairs, [bad])) < len(pairs)
     kappa = vertex_connectivity(H)
-    unpruned = len(flows_built)
+    unpruned = len(pairs_scanned)
     for bad in (swap, shift, collapse, swap[:-1]):
-        flows_built.clear()
+        pairs_scanned.clear()
         assert vertex_connectivity(H, [bad]) == kappa
-        assert len(flows_built) == unpruned
+        assert len(pairs_scanned) == unpruned
 
 
 def test_connectivity_report_runs_one_kappa_scan(monkeypatch):

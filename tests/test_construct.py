@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -17,10 +18,11 @@ from superkappa import (
     tilde,
     vertex_connectivity,
 )
-from superkappa.construct import cycle_reflection
-from superkappa.graph import _maps_onto
+from superkappa.connectivity import _scan_source
+from superkappa.construct import product_permutation
+from superkappa.graph import _maps_onto, stabiliser_generators
 
-from conftest import petersen
+from conftest import petersen, random_graph
 
 
 def test_base_families():
@@ -64,13 +66,51 @@ def test_product_labels():
     assert p.labels[3] == "(1,1)"
 
 
+def _coordinates(H):
+    """(v, i) per vertex of a product G x H', read from the labels `direct_product` writes."""
+    return [tuple(map(int, label.strip("()").split(","))) for label in H.labels]
+
+
 @pytest.mark.parametrize("G,n", [(cycle(5), 6), (complete_bipartite(2, 3), 5), (petersen(), 3)])
 def test_cycle_reflection_is_an_automorphism_fixing_layer_zero(G, n):
-    H, p = direct_product(G, cycle(n)), cycle_reflection(G, n)
+    H, p = direct_product(G, cycle(n)), product_permutation(G, n, sign=-1)
     assert sorted(p) == list(range(H.n))
     assert _maps_onto(p.__getitem__, H.edges, H.edges)
-    assert all(p[v * n] == v * n and p[p[v * n + 1]] == v * n + 1 for v in range(G.n))
-    assert p[1] == n - 1  # (0,1) -> (0,-1)
+    at = _coordinates(H)
+    assert all(at[p[x]] == (v, -i % n) and p[p[x]] == x for x, (v, i) in enumerate(at))  # fixes layer 0
+
+
+def test_product_maps_move_each_labelled_vertex_as_their_formula_says():
+    # each map is checked against the labels, which record (v, i) apart from the numbering's arithmetic
+    rng, lifts, cases = random.Random(27), 0, set()
+    for n in range(3, 10):
+        for G in (random_graph(rng, max_n=6) for _ in range(6)):
+            H = direct_product(G, cycle(n))
+            at = _coordinates(H)
+            maps = [(product_permutation(G, n, sign=-1), lambda v, i: (v, -i % n)),
+                    (product_permutation(G, n, shift=1), lambda v, i: (v, (i + 1) % n))]
+            for phi in stabiliser_generators(G, _scan_source(G)):
+                maps.append((product_permutation(G, n, phi), lambda v, i, phi=phi: (phi[v], i)))
+                lifts += 1
+            for p, formula in maps:
+                assert [at[p[x]] for x in range(H.n)] == [formula(*c) for c in at]
+                assert _maps_onto(p.__getitem__, H.edges, H.edges)  # an automorphism of G x C_n
+            try:
+                dec = layer_decomposition(G, n)
+            except InputError:  # n below the case's minimum
+                continue
+            cases.add(dec.case)
+            B = G.is_bipartite()
+            base = G if B else double_cover(G)
+            below = [(v,) for v in range(G.n)] if B else _coordinates(base)
+            blocks = dec.H + dec.H_prime
+            assert len(dec.block_maps) == len(blocks)
+            for f, block in zip(dec.block_maps, blocks):
+                assert _maps_onto(f, block, base.edges)
+                assert all(below[f(x)][0] == at[x][0] for e in block for x in e)  # over the same vertex of G
+            if B and n % 2:
+                assert _maps_onto(dec.tilde_map, tilde(G, B, n)[0].edges, H.edges)
+    assert lifts > 20 and cases == {"bipartite-odd", "bipartite-even", "nonbipartite-even", "nonbipartite-odd"}
 
 
 def test_double_cover():
@@ -188,8 +228,11 @@ def test_layer_decomposition_matches_networkx_oracle(base, n):
         assert nx.is_isomorphic(nx.Graph(list(block)), copy)
     for a, b in combinations(blocks, 2):
         assert not a & b
-    # (u, i) is vertex u*n + i of direct_product(G, cycle(n))
-    assert set().union(*blocks) == {tuple(sorted((u * n + i, v * n + j))) for (u, i), (v, j) in product.edges}
+    # networkx's vertex (u, i) is the one direct_product(G, cycle(n)) labels (u,i)
+    vertex = {label: x for x, label in enumerate(direct_product(G, cycle(n)).labels)}
+    assert set().union(*blocks) == {
+        tuple(sorted((vertex[f"({u},{i})"], vertex[f"({v},{j})"]))) for (u, i), (v, j) in product.edges
+    }
 
 
 def test_random_bipartite_deterministic():

@@ -104,6 +104,10 @@ ROWS = [
     # graph6 of 12,000 vertices is decoded a column at a time, well under 5 s for the whole verify
     Row("verify-t39-12000-vertex-file", ("verify", "--theorem", "T3.9", "--graph", "{c.g6}"), 0, 0,
         files={"c.g6": Gen("cycle(3) x cycle(4000)")}, timeout=5),
+    # each block map and the layer relabeling spans its own block, so 5001 layers fit in 200 MB and well under 10 s
+    Row("decomposition-of-5001-layers", ("suite", "--manifest", "{m.json}"), 0, 0,
+        stdout={"d: decomposition:nonbipartite-odd confirmed": 1}, limit_kb=200000, timeout=10,
+        files={"m.json": _manifest({"id": "d", "check": "decomposition", "graph": {"expr": "cycle(3)"}, "n": 5001})}),
     # a tightness search draws no graph at an n its target's n-rule excludes (T3.5: odd n)
     Row("search-t35-excluded-n", _search("T3.5", "3", "4..4", "5"), 0, 0, stdout={'"instances_probed": 0,': 1}),
     # a long n-range is filtered lazily: the budget stops the search, indeterminate and without an error
@@ -174,6 +178,9 @@ ROWS = [
         stderr="error: an integer of 5000 digits exceeds the 258047-vertex limit", stdout=0),
     Row("tilde-nested-300-deep", ("gen", "tilde(" * 300 + "kbip(2,2)" + ", 2)" * 300), 3,
         stderr="error: 'tilde(' nested over 18 deep exceeds the 258047-vertex limit", stdout=0),
+    # a result that takes no n refuses one from the command line as a manifest entry does
+    Row("verify-t39-with-an-n", ("verify", "--theorem", "T3.9", "--expr", "cycle(3) x cycle(5)", "--n", "6"), 3,
+        stderr="error: T3.9 takes no 'n'", stdout=0),
     # an empty expression is an expression, not a missing --expr
     Row("verify-empty-expression", ("verify", "--theorem", "T3.7", "--expr", "", "--n", "6"), 3,
         stderr="error: empty expression", stdout=0),

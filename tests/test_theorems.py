@@ -168,7 +168,7 @@ def test_two_components_are_decided_once_when_certified(monkeypatch, theorem_id,
 
     monkeypatch.setattr(connectivity, decider, spy)
     if not certified:
-        monkeypatch.setattr(theorems, "_shift_is_isomorphism", lambda H, n, A, B: False)
+        monkeypatch.setattr(theorems, "_shift_is_isomorphism", lambda H, shift, A, B: False)
     v = verify(theorem_id, G, n=n)
     components = [H for H in decided if H.n == G.n * n // 2]
     assert len(components) == (1 if certified else 2)
@@ -347,7 +347,7 @@ def test_verify_computes_base_kappas_at_most_once(monkeypatch, theorem_id, G, n,
 
 
 @pytest.mark.parametrize(
-    "theorem_id,G,n,flows",
+    "theorem_id,G,n,pairs",
     [
         ("T3.4", direct_product(cycle(3), cycle(5)), 7, 60),  # 155 with every pair scanned, 102 with the reflection alone
         ("T3.3", cycle(5), 6, 21),  # 39, 29
@@ -355,11 +355,11 @@ def test_verify_computes_base_kappas_at_most_once(monkeypatch, theorem_id, G, n,
     ],
     ids=["T3.4", "T3.3", "T3.1"],
 )
-def test_value_verdict_flow_counts(flows_built, theorem_id, G, n, flows):
+def test_value_verdict_flow_counts(pairs_scanned, theorem_id, G, n, pairs):
     # the product's scan runs one pair per orbit of the cycle reflection and the lifted automorphisms of G
     # that fix G's scan source; kappa(G x K2) and kappa(G) scan every pair
     assert verify(theorem_id, G, n=n).verdict == CONFIRMED
-    assert len(flows_built) == flows
+    assert len(pairs_scanned) == pairs
 
 
 def test_the_stabiliser_is_searched_once_per_base_object_and_only_for_products(monkeypatch):
@@ -377,16 +377,16 @@ def test_the_stabiliser_is_searched_once_per_base_object_and_only_for_products(m
 
 
 @pytest.mark.parametrize("cap", [("ISO_CAP", 4), ("STABILISER_NODES", 3)], ids=["ISO_CAP", "STABILISER_NODES"])
-def test_value_verdicts_hold_when_the_stabiliser_search_stops(monkeypatch, flows_built, cap):
+def test_value_verdicts_hold_when_the_stabiliser_search_stops(monkeypatch, pairs_scanned, cap):
     # each call builds its base anew, so no generators are kept from an earlier call
-    # (theorem, base, n, kappa, flows with the full stabiliser), as pinned above
+    # (theorem, base, n, kappa, pairs scanned with the full stabiliser), as pinned above
     cases = [("T3.4", lambda: direct_product(cycle(3), cycle(5)), 7, 8, 60), ("T3.3", lambda: cycle(5), 6, 4, 21)]
     monkeypatch.setattr(graph, *cap)
-    for tid, base, n, kappa, flows in cases:
+    for tid, base, n, kappa, pairs in cases:
         verdict = verify(tid, base(), n=n)
         assert verdict.verdict == CONFIRMED and verdict.actual == kappa
-        assert flows < len(flows_built)  # fewer maps, fewer pairs pruned
-        flows_built.clear()
+        assert pairs < len(pairs_scanned)  # fewer maps, fewer pairs pruned
+        pairs_scanned.clear()
 
 
 def test_t32_components_above_64_vertices_are_certified_isomorphic():
@@ -408,10 +408,10 @@ def test_maps_onto_needs_a_bijection():
 
 def test_shift_certificate_checks_vertices_and_edges():
     # n = 2: vertex v*2 + i; the shift swaps i = 0 and i = 1
-    A, B = frozenset({0, 3}), frozenset({1, 2})
-    assert _shift_is_isomorphism(Graph(4, [(0, 3), (1, 2)]), 2, A, B)
-    assert not _shift_is_isomorphism(Graph(4, [(0, 3)]), 2, A, B)  # B lacks A's edge
-    assert not _shift_is_isomorphism(Graph(4, [(0, 3), (1, 2)]), 2, A, A)  # A is not the shift of A
+    A, B, shift = frozenset({0, 3}), frozenset({1, 2}), (1, 0, 3, 2).__getitem__
+    assert _shift_is_isomorphism(Graph(4, [(0, 3), (1, 2)]), shift, A, B)
+    assert not _shift_is_isomorphism(Graph(4, [(0, 3)]), shift, A, B)  # B lacks A's edge
+    assert not _shift_is_isomorphism(Graph(4, [(0, 3), (1, 2)]), shift, A, A)  # A is not the shift of A
 
 
 def _two_four_cycles():
