@@ -39,7 +39,7 @@ def _json(doc):
 
 
 def cmd_gen(args):
-    graph, _ = build_expression(args.expression)
+    graph, _ = build_expression(args.expression, graph6=args.format == "g6")
     text = write_graph6(graph) if args.format == "g6" else write_edgelist_json(graph)
     return text, None, [], []  # no RunReport: --out takes the graph
 

@@ -14,13 +14,14 @@ MAX_VERTICES.bit_length() deep.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import reduce
 
 from . import construct
 from .errors import CapacityError, InputError
-from .formats import MAX_VERTICES, load_graph_file
+from .formats import MAX_VERTICES, check_graph6_size, load_graph_file
 
 # each family's number of integer arguments and builder
 _FAMILIES = {"cycle": (1, construct.cycle), "complete": (1, construct.complete), "kbip": (2, construct.complete_bipartite)}
@@ -120,23 +121,34 @@ def parse_spec(text):
     return _product(levels[0], expect_leaf)
 
 
-def _leaf_graph(leaf):
+def _vertices(spec, loaded):
+    """The product's vertex count, from its leaves' arguments and its file leaves' graphs; nothing is built."""
+    return math.prod(leaf.args[1] * _vertices(leaf.args[0], loaded) if leaf.kind == "tilde"
+                     else loaded[leaf.args[0]].n if leaf.kind == "file" else sum(leaf.args) for leaf in spec.leaves)
+
+
+def _leaf_graph(leaf, loaded):
+    if leaf.kind == "file":
+        return loaded[leaf.args[0]]
     if leaf.kind == "tilde":
-        base = build_spec(leaf.args[0])
+        base = build_spec(leaf.args[0], loaded=loaded)
         return construct.tilde(base, base.is_bipartite(), leaf.args[1])[0]
     return _FAMILIES[leaf.kind][1](*leaf.args)
 
 
-def build_spec(spec):
-    """Build the product, file leaves read first; the other leaves (a tilde
-    leaf's base built the same way) and the partial products are built one at
-    a time, each refusing itself above the limits before it is built."""
-    loaded = {leaf: load_graph_file(leaf.args[0]) for leaf in spec.leaves if leaf.kind == "file"}
-    leaves = (loaded[leaf] if leaf in loaded else _leaf_graph(leaf) for leaf in spec.leaves)
-    return reduce(construct.direct_product, leaves)
+def build_spec(spec, graph6=False, loaded=None):
+    """Build the product, every file leaf read first, those of tilde bases too (`loaded` holds their graphs by
+    path when a base is built). With `graph6`, a product of at most MAX_VERTICES vertices too large for graph6
+    output is then refused. The other leaves and the partial products are built one at a time, each refusing
+    itself above the limits before it is built, so a product over MAX_VERTICES is refused in every format."""
+    if loaded is None:
+        loaded = {path: load_graph_file(path) for path in spec.file_paths()}
+    if graph6 and (vertices := _vertices(spec, loaded)) <= MAX_VERTICES:
+        check_graph6_size(vertices)
+    return reduce(construct.direct_product, (_leaf_graph(leaf, loaded) for leaf in spec.leaves))
 
 
-def build_expression(text):
-    """Parse and evaluate; returns (graph, spec)."""
+def build_expression(text, graph6=False):
+    """Parse and evaluate; returns (graph, spec). `graph6`: the graph is for graph6 output (see build_spec)."""
     spec = parse_spec(text)
-    return build_spec(spec), spec
+    return build_spec(spec, graph6), spec

@@ -10,9 +10,9 @@ A manifest is a JSON document:
          "graph": {"expr": "kbip(2,3)"}, "n": 3},
         ...]}
 
-An entry has no keys but these six; `check` can only be "decomposition",
-`theorem` must be the string id of a result, and a result that takes no n
-(T3.9) must be given none.
+An entry has no keys but these six; `check` can only be "decomposition" and
+excludes `theorem`, `theorem` must be the string id of a result, and a result
+that takes no n (T3.9) must be given none.
 Graph descriptors: {"expr": <family expression>}, {"graph6": <g6 line>},
 {"random_bipartite": {m,n,p,seed,min_delta}}, or
 {"random_nonbipartite": {n,p,seed,min_delta}} (min_delta optional). Random
@@ -132,6 +132,8 @@ def _entry_problem(entry):
             rule = theorem_rule(entry.get("theorem"), n)  # an unknown id, or an n on T3.9, is refused
         elif entry["check"] != "decomposition":
             return f"unknown check {entry['check']!r}"
+        elif "theorem" in entry:
+            return "a decomposition check takes no 'theorem'"
         elif not _is_int(n):
             return "a decomposition check needs an integer 'n'"
         if any(entry.get(key) is not None and not _is_int(entry[key]) for key in ("n", "budget")):

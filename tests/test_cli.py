@@ -1,173 +1,17 @@
 import json
 import re
-import resource
-import subprocess
 import sys
 
 import pytest
 
 
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "superkappa.cli", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-    )
-
-
-def test_gen_graph6():
-    res = run_cli("gen", "cycle(3) x complete(2)", "--format", "g6")
-    assert res.returncode == 0
-    line = res.stdout.strip()
-    assert len(line) >= 2 and ord(line[0]) - 63 == 6
-
-
 def test_gen_tilde_and_json(tmp_path):
+    from superkappa import cli
+
     out = tmp_path / "t.json"
-    res = run_cli("gen", "tilde(kbip(2,3), 3)", "--format", "json", "--out", str(out))
-    assert res.returncode == 0
+    assert cli.main(["gen", "tilde(kbip(2,3), 3)", "--format", "json", "--out", str(out)]) == cli.EXIT_OK
     doc = json.loads(out.read_text())
     assert doc["n"] == 15 and len(doc["edges"]) == 36
-
-
-def test_verify_and_suite_take_a_tilde_expression(tmp_path):
-    res = run_cli("verify", "--theorem", "T3.1", "--expr", "tilde(kbip(2,3), 3)", "--n", "3")
-    assert res.returncode == 0 and json.loads(res.stdout)["verdict"] == "confirmed"
-    entry = {"id": "t", "theorem": "T3.1", "graph": {"expr": "tilde(kbip(2,3), 3)"}, "n": 3}
-    manifest = tmp_path / "m.json"
-    manifest.write_text(json.dumps({"instances": [entry]}))
-    res = run_cli("suite", "--manifest", str(manifest))
-    assert (res.returncode, res.stdout, res.stderr) == (0, "t: T3.1 confirmed\n", "")
-
-
-def test_kappa_report(tmp_path):
-    g6 = tmp_path / "c6.g6"
-    run = run_cli("gen", "cycle(3) x complete(2)")
-    g6.write_text(run.stdout)
-    res = run_cli("kappa", str(g6))
-    assert res.returncode == 0
-    doc = json.loads(res.stdout)
-    assert doc["kappa"] == 2 and doc["delta"] == 2 and doc["is_max_kappa"]
-
-
-def test_super_kappa_exit_codes(tmp_path):
-    c6 = tmp_path / "c6.g6"
-    c6.write_text(run_cli("gen", "cycle(6)").stdout)
-    res = run_cli("super-kappa", str(c6))
-    assert res.returncode == 1
-    doc = json.loads(res.stdout)
-    assert doc["is_super_kappa"] is False and doc["witness"]["size"] == 2
-
-    c5 = tmp_path / "c5.g6"
-    c5.write_text(run_cli("gen", "cycle(5)").stdout)
-    assert run_cli("super-kappa", str(c5)).returncode == 0
-
-
-def test_verify_expr():
-    res = run_cli("verify", "--theorem", "T3.9", "--expr", "cycle(3) x cycle(5)")
-    assert res.returncode == 0
-    doc = json.loads(res.stdout)
-    assert doc["verdict"] == "confirmed" and doc["predicted"] == 4 and doc["actual"] == 4
-
-
-def test_verify_indeterminate_budget():
-    res = run_cli(
-        "verify", "--theorem", "T3.5", "--expr", "cycle(6)", "--n", "3", "--budget", "1"
-    )
-    assert res.returncode == 2
-
-
-@pytest.mark.parametrize("budget", ["-5", "-1"])
-@pytest.mark.parametrize("command", ["kappa", "super-kappa", "verify"])
-def test_negative_budget_is_an_input_error(tmp_path, command, budget):
-    c8 = tmp_path / "c8.g6"
-    c8.write_text(run_cli("gen", "cycle(8)").stdout)
-    args = {
-        "kappa": ["kappa", str(c8)],
-        "super-kappa": ["super-kappa", str(c8)],
-        "verify": ["verify", "--theorem", "T3.7", "--expr", "cycle(5)", "--n", "6"],
-    }[command]
-    res = run_cli(*args, "--budget", budget)
-    assert res.returncode == 3
-    assert "Traceback" not in res.stderr
-    lines = res.stderr.strip().splitlines()
-    assert len(lines) == 1 and "--budget" in lines[0]
-    assert res.stdout == ""
-
-
-def test_input_errors():
-    assert run_cli("gen", "blob(3)").returncode == 3
-    assert run_cli("kappa", "/nonexistent.g6").returncode == 3
-    assert run_cli("frobnicate").returncode == 3
-
-
-def test_oversized_json_vertex_count_is_refused_before_allocation(tmp_path):
-    # Graph(10**9, ...) would first allocate 10**9 neighbor sets
-    huge = tmp_path / "huge.json"
-    huge.write_text('{"n": 1000000000, "edges": []}')
-    res = run_cli("kappa", str(huge))
-    assert res.returncode == 3
-    assert "Traceback" not in res.stderr
-    lines = res.stderr.strip().splitlines()
-    assert len(lines) == 1 and "258047-vertex limit" in lines[0]
-    assert res.stdout == ""
-
-
-@pytest.mark.parametrize(
-    "expression",
-    ["cycle(300000)", "cycle(1000) x cycle(1000) x cycle(1000)", "tilde(kbip(2,3), 100000)"],
-)
-def test_oversized_expression_is_refused_before_allocation(expression):
-    # complete(100000) alone would build about 5*10**9 edges
-    res = run_cli("gen", expression)
-    assert res.returncode == 3
-    assert "Traceback" not in res.stderr
-    lines = res.stderr.strip().splitlines()
-    assert len(lines) == 1 and "258047-vertex or 1000000-edge limit" in lines[0]
-    assert res.stdout == ""
-
-
-MEMORY_CAP = 1_500_000_000  # bytes of address space: ample for these commands, far below an oversized build
-
-
-def run_cli_capped(*args, timeout=60):
-    """run_cli in a child capped at MEMORY_CAP and `timeout` seconds, so a
-    command that starts building something oversized fails its test cleanly."""
-    return subprocess.run(
-        [sys.executable, "-m", "superkappa.cli", *args],
-        capture_output=True,
-        text=True,
-        timeout=timeout,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP)),
-    )
-
-
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_a_suite_entry_over_the_limits_is_malformed_input(tmp_path, jobs):
-    entries = [
-        {"id": "small", "theorem": "T3.9", "graph": {"expr": "cycle(3)"}},
-        {"id": "long", "check": "decomposition", "graph": {"expr": "kbip(2,3)"}, "n": 100000001},
-    ]
-    manifest = tmp_path / "m.json"
-    manifest.write_text(json.dumps({"instances": entries}))
-    res = run_cli_capped("suite", "--manifest", str(manifest), "--jobs", jobs)
-    line = _one_stderr_line(res, 3)
-    assert line.startswith("error:") and "258047-vertex or 1000000-edge limit" in line
-    assert res.stdout == ""
-
-
-@pytest.mark.parametrize(
-    "args",
-    [["super-kappa", "--method", "separators", "g.g6"], ["frobnicate"], ["kappa"]],
-    ids=["removed-option", "unknown-command", "missing-argument"],
-)
-def test_usage_errors_print_one_line(args):
-    res = run_cli(*args)
-    assert res.returncode == 3
-    lines = res.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("superkappa")
-    assert res.stdout == ""
 
 
 def test_internal_error_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
@@ -184,7 +28,9 @@ def test_internal_error_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
     assert err.splitlines() == ["internal error: RuntimeError: unexpected state"]
 
 
-def test_suite_and_run_report_replay(tmp_path):
+def test_suite_and_run_report_replay(tmp_path, capsys):
+    from superkappa import cli
+
     manifest = tmp_path / "m.json"
     manifest.write_text(
         json.dumps(
@@ -199,10 +45,9 @@ def test_suite_and_run_report_replay(tmp_path):
     )
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
-    res = run_cli("suite", "--manifest", str(manifest), "--out", str(out1))
-    assert res.returncode == 0
-    assert "a: T2.1 confirmed" in res.stdout
-    run_cli("suite", "--manifest", str(manifest), "--out", str(out2))
+    assert cli.main(["suite", "--manifest", str(manifest), "--out", str(out1)]) == cli.EXIT_OK
+    assert "a: T2.1 confirmed" in capsys.readouterr().out
+    assert cli.main(["suite", "--manifest", str(manifest), "--out", str(out2)]) == cli.EXIT_OK
     r1 = json.loads(out1.read_text())
     r2 = json.loads(out2.read_text())
     strip = lambda doc: [
@@ -210,115 +55,6 @@ def test_suite_and_run_report_replay(tmp_path):
     ]
     assert strip(r1) == strip(r2)
     assert r1["inputs"] == r2["inputs"]
-
-
-def test_suite_jobs_parallel(tmp_path):
-    manifest = tmp_path / "m.json"
-    manifest.write_text(
-        json.dumps(
-            {
-                "instances": [
-                    {"id": "a", "theorem": "T2.1", "graph": {"expr": "cycle(6)"}, "n": 2},
-                    {"id": "b", "theorem": "T3.1", "graph": {"expr": "kbip(2,3)"}, "n": 3},
-                ]
-            }
-        )
-    )
-    res = run_cli("suite", "--manifest", str(manifest), "--jobs", "2")
-    assert res.returncode == 0
-    assert res.stdout.index("a: ") < res.stdout.index("b: ")
-
-
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_suite_jobs_below_one_is_an_input_error(tmp_path, jobs):
-    manifest = tmp_path / "m.json"
-    manifest.write_text(
-        json.dumps({"instances": [{"id": "a", "theorem": "T3.9", "graph": {"expr": "cycle(3)"}}]})
-    )
-    res = run_cli("suite", "--manifest", str(manifest), "--jobs", jobs)
-    assert res.returncode == 3
-    assert "Traceback" not in res.stderr
-    lines = res.stderr.strip().splitlines()
-    assert len(lines) == 1 and "--jobs" in lines[0]
-    assert res.stdout == ""
-
-
-def test_search_tightness_cli():
-    res = run_cli(
-        "search-tightness",
-        "--target", "L2.2",
-        "--max-part-size", "2",
-        "--n-range", "3..3",
-        "--seed", "1",
-        "--budget", "10",
-    )
-    assert res.returncode in (0, 1)
-    doc = json.loads(res.stdout)
-    assert doc["complete"] is True
-
-
-@pytest.mark.parametrize(
-    "bad_entry",
-    [
-        {"id": "no-theorem", "graph": {"expr": "cycle(5)"}, "n": 6},
-        {"id": "no-p", "theorem": "T3.5", "graph": {"random_bipartite": {"m": 2, "n": 3, "seed": 1}}, "n": 3},
-        {"id": "minus-one", "theorem": "T3.7", "graph": {"expr": "cycle(5)"}, "n": 6, "budget": -1},
-        {"id": "text-n", "theorem": "T3.7", "graph": {"random_nonbipartite": {"n": "7", "p": 0.5, "seed": 1}}, "n": 6},
-        # refused by its size alone: drawing it would take ~5e9 random numbers
-        {"id": "huge", "theorem": "T3.7", "graph": {"random_nonbipartite": {"n": 100000, "p": 1e-9, "seed": 1}}, "n": 6},
-    ],
-    ids=["missing-theorem", "random-bipartite-without-p", "negative-budget", "random-text-size", "random-oversized"],
-)
-def test_suite_rejects_malformed_entry_before_running(tmp_path, bad_entry):
-    manifest = tmp_path / "m.json"
-    good = {"id": "good", "theorem": "T2.1", "graph": {"expr": "kbip(2,3)"}, "n": 3}
-    manifest.write_text(json.dumps({"instances": [good, bad_entry]}))
-    res = run_cli("suite", "--manifest", str(manifest))
-    assert res.returncode == 3
-    assert "Traceback" not in res.stderr
-    lines = res.stderr.strip().splitlines()
-    assert len(lines) == 1 and bad_entry["id"] in lines[0]
-    assert res.stdout == ""  # no entry ran
-
-
-@pytest.mark.parametrize(
-    "expression,message",
-    [
-        ("complete(100000)", "manifest entry b: 100000 vertices and 4999950000 edges exceed"),
-        ("blob(3)", "manifest entry b: unknown family 'blob'"),
-        ("complete(100000) x file({g6})", "manifest entry b: 100000 vertices and 4999950000 edges exceed"),
-        ("cycle(3) x file({missing})", "manifest entry b: [Errno 2] No such file or directory"),
-    ],
-    ids=["oversized", "unparsable", "oversized-with-file-leaf", "missing-file"],
-)
-def test_suite_checks_every_expression_before_running(tmp_path, expression, message):
-    manifest = tmp_path / "m.json"
-    (tmp_path / "g.g6").write_text("Dhc\n")  # C5
-    expression = expression.format(g6=tmp_path / "g.g6", missing=tmp_path / "missing.g6")
-    expressions = ["kbip(2,3)", expression, "kbip(2,3)"]
-    entries = [{"id": i, "theorem": "T3.1", "graph": {"expr": e}, "n": 3} for i, e in zip("abc", expressions)]
-    manifest.write_text(json.dumps({"instances": entries}))
-    res = run_cli("suite", "--manifest", str(manifest))
-    assert res.returncode == 3
-    assert res.stdout == ""  # no entry ran
-    lines = res.stderr.strip().splitlines()
-    assert len(lines) == 1 and message in lines[0]
-
-
-def test_suite_decomposition_of_a_disconnected_base(tmp_path):
-    manifest = tmp_path / "m.json"
-    entry = {"id": "d", "check": "decomposition", "graph": {"graph6": "C`"}, "n": 4}  # two disjoint edges
-    manifest.write_text(json.dumps({"instances": [entry]}))
-    res = run_cli("suite", "--manifest", str(manifest))
-    assert (res.returncode, res.stdout, res.stderr) == (0, "d: decomposition:bipartite-even hypotheses-not-met\n", "")
-
-
-def test_suite_rejects_invalid_json(tmp_path):
-    manifest = tmp_path / "m.json"
-    manifest.write_text('{"instances": [')
-    res = run_cli("suite", "--manifest", str(manifest))
-    assert res.returncode == 3
-    assert "Traceback" not in res.stderr and len(res.stderr.strip().splitlines()) == 1
 
 
 _MALFORMED_ENTRIES = [
@@ -556,18 +292,6 @@ def test_a_refused_random_draw_counts_vertex_pairs(tmp_path):
     assert str(exc.value) == f"manifest entry e: {refusal}"
 
 
-def test_a_draw_that_cannot_succeed_exits_3_at_once(tmp_path):
-    # 999,691 vertex pairs are under the limits; one attempt's draws fill the edge cap, at load
-    graph = {"random_nonbipartite": {"n": 1414, "p": 1e-9, "seed": 1}}
-    manifest = tmp_path / "m.json"
-    manifest.write_text(json.dumps({"instances": [{"id": "e", "theorem": "T3.7", "n": 6, "graph": graph}]}))
-    res = run_cli("suite", "--manifest", str(manifest))
-    assert res.returncode == 3
-    assert res.stderr.splitlines() == [
-        "error: manifest entry e: no connected non-bipartite instance with delta>=1 for n=1414, p=1e-09, seed=1 in 1 attempts"
-    ]
-
-
 def test_run_report_records_the_callers_argv(tmp_path, monkeypatch):
     from superkappa import cli
 
@@ -583,19 +307,22 @@ def test_run_report_records_the_callers_argv(tmp_path, monkeypatch):
 def test_a_run_report_hashes_every_file_an_expression_reads(tmp_path):
     import hashlib
 
+    from superkappa import cli
+
     c5, k2, manifest = tmp_path / "c5.g6", tmp_path / "k2.g6", tmp_path / "m.json"
     c5.write_text("Dhc\n")
     k2.write_text("A_\n")
     digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
     out = tmp_path / "r.json"
-    assert run_cli("verify", "--theorem", "T3.9", "--expr", f"file({c5}) x cycle(3)", "--out", str(out)).returncode == 0
+    argv = ["verify", "--theorem", "T3.9", "--expr", f"file({c5}) x cycle(3)", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
     assert json.loads(out.read_text())["inputs"] == {str(c5): digest(c5)}
     entries = [
         {"id": "a", "theorem": "T3.9", "graph": {"expr": f"file({c5})"}},
         {"id": "b", "theorem": "T3.9", "graph": {"expr": f"cycle(3) x tilde(file({k2}), 2)"}},  # a tilde base
     ]
     manifest.write_text(json.dumps({"instances": entries}))
-    assert run_cli("suite", "--manifest", str(manifest), "--out", str(out)).returncode == 0
+    assert cli.main(["suite", "--manifest", str(manifest), "--out", str(out)]) == cli.EXIT_OK
     files = (manifest, c5, k2)
     assert json.loads(out.read_text())["inputs"] == {str(path): digest(path) for path in files}
 
@@ -646,59 +373,3 @@ def test_every_error_the_input_can_cause_is_an_input_error():
     from superkappa.errors import CapacityError, FormatError, GenerationError, InputError, NoCutError
 
     assert all(issubclass(e, InputError) for e in (FormatError, CapacityError, NoCutError, GenerationError))
-
-
-def _one_stderr_line(res, code):
-    assert res.returncode == code
-    assert "Traceback" not in res.stderr
-    lines = res.stderr.strip().splitlines()
-    assert len(lines) == 1
-    return lines[0]
-
-
-BINARY = b"\xff\xfe\x00\x9c binary"  # not UTF-8
-
-
-def test_a_manifest_that_is_not_utf8_is_malformed_input(tmp_path):
-    manifest = tmp_path / "m.json"
-    manifest.write_bytes(BINARY + b'{"instances": []}')
-    res = run_cli("suite", "--manifest", str(manifest))
-    assert _one_stderr_line(res, 3).startswith("error:")
-    assert res.stdout == ""
-
-
-def test_a_file_leaf_that_is_binary_is_malformed_input(tmp_path):
-    (tmp_path / "g.bin").write_bytes(BINARY)
-    entries = [
-        {"id": "a", "theorem": "T3.9", "graph": {"expr": "cycle(3)"}},
-        {"id": "b", "theorem": "T3.9", "graph": {"expr": f"cycle(3) x file({tmp_path / 'g.bin'})"}},
-    ]
-    manifest = tmp_path / "m.json"
-    manifest.write_text(json.dumps({"instances": entries}))
-    res = run_cli("suite", "--manifest", str(manifest))
-    assert "manifest entry b:" in _one_stderr_line(res, 3)
-    assert res.stdout == ""
-
-
-@pytest.mark.parametrize(
-    "args",
-    [["gen", "cycle(5)"], ["verify", "--theorem", "T3.7", "--expr", "cycle(5)", "--n", "6"]],
-    ids=["gen", "verify"],
-)
-def test_an_unwritable_out_is_a_fault_not_malformed_input(tmp_path, args):
-    res = run_cli(*args, "--out", str(tmp_path / "missing-dir" / "out"))
-    line = _one_stderr_line(res, 4)
-    assert line.startswith("error:") and "missing-dir" in line and "input" not in line
-
-
-@pytest.mark.parametrize(
-    "args",
-    [["suite", "--manifest", "{path}"], ["verify", "--theorem", "T3.9", "--expr", "cycle(3) x file({path})"]],
-    ids=["manifest", "file-leaf"],
-)
-def test_an_input_that_is_not_utf8_is_named_in_its_error(tmp_path, args):
-    path = tmp_path / "input.bin"
-    path.write_bytes(BINARY)
-    res = run_cli(*(a.format(path=path) for a in args))
-    assert str(path) in _one_stderr_line(res, 3)
-    assert res.stdout == ""

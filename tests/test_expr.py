@@ -143,3 +143,24 @@ def test_tilde_nesting_is_refused_only_where_no_expression_could_be_built():
     parse_spec(nested(MAX_VERTICES.bit_length()))
     with pytest.raises(CapacityError, match="'tilde\\(' nested over 18 deep"):
         parse_spec(nested(MAX_VERTICES.bit_length() + 1))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["cycle(5)", "kbip(2,3) x complete(3)", "tilde(kbip(2,3), 3) x cycle(3)", "tilde(tilde(kbip(1,1), 2), 3)",
+     "file({c5}) x tilde(file({k2}), 2) x cycle(3)"],
+)
+def test_graph6_output_is_sized_from_the_expression_before_it_is_built(tmp_path, monkeypatch, text):
+    from superkappa import construct, expr, formats
+
+    (tmp_path / "c5.g6").write_text("Dhc\n")
+    (tmp_path / "k2.g6").write_text("A_\n")
+    text = text.format(c5=tmp_path / "c5.g6", k2=tmp_path / "k2.g6")
+    n = build_expression(text)[0].n
+    monkeypatch.setattr(formats, "MAX_GRAPH6_VERTICES", n)
+    assert build_expression(text, graph6=True)[0].n == n
+    monkeypatch.setattr(formats, "MAX_GRAPH6_VERTICES", n - 1)
+    monkeypatch.setattr(expr, "_leaf_graph", lambda *args: pytest.fail("a leaf was built"))
+    monkeypatch.setattr(construct, "direct_product", lambda *args: pytest.fail("a product was built"))
+    with pytest.raises(CapacityError, match=f"^graph6 output of {n} vertices exceeds the {n - 1}-vertex limit$"):
+        build_expression(text, graph6=True)

@@ -530,3 +530,13 @@ def test_t34_is_refuted_on_kdd_glued_to_a_clique_at_every_odd_n_up_to_4d_minus_3
     assert G.min_degree() == d and connectivity.vertex_connectivity(G) == 1
     odd = range(5, 4 * d + 2, 2)
     assert [_t34(G, n) for n in odd] == [REFUTED if n <= 4 * d - 3 else CONFIRMED for n in odd]
+
+
+# T3.2 fails on the one-vertex graph: K1 is connected and bipartite, so every clause holds, but K1 x C_n is n
+# isolated vertices, not two components. Weichsel's two-component theorem needs G to have an edge. RULES["T3.2"]
+# stays unedited, since a clause added there would change the clause list of every T3.2 verdict.
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_t32_is_refuted_on_the_one_vertex_graph(n):
+    verdict = verify("T3.2", complete(1), n=n)
+    assert all(clause_map(verdict.hypotheses).values())
+    assert verdict.verdict == REFUTED and verdict.actual == {"components": n}
