@@ -67,7 +67,7 @@ def cmd_super_kappa(args):
 
 def cmd_verify(args):
     if args.expr is not None:
-        graph, spec = build_expression(args.expr)
+        graph, spec = build_expression(args.expr, graph6=True)  # the verdict records its graph6
         lengths, descriptor, inputs = spec.odd_cycle_lengths(), {"expr": args.expr}, spec.file_paths()
     else:
         graph = load_graph_file(args.graph)

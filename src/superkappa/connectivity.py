@@ -3,12 +3,15 @@ max-connectivity / super-connectivity predicates.
 
 One flow engine serves kappa and kappa': unit-capacity augmenting-path
 flow on the vertex-split digraph, with unit vertex arcs for kappa and unit
-edge arcs for kappa'. The kappa scan takes optional symmetries: the T3.1,
-T3.3 and T3.4 value verdicts pass the cycle reflection of G x C_n and the
-automorphisms of G that fix G's scan source (graph.stabiliser_generators),
-lifted layer by layer; the scan then runs one pair per orbit of the group
-the certified maps among them generate. The super-kappa decider and the cut
-stream still scan every pair.
+edge arcs for kappa'. The kappa scan takes optional symmetries, vertex maps
+it certifies as automorphisms before it uses any: every value verdict on a
+construction passes them, T2.1 on the cyclic layered graph and T3.1, T3.3
+and T3.4 on G x C_n, each map lifted by `construct` from generators of G's
+automorphisms (graph.automorphism_generators). The scan runs one pair per
+orbit of the certified maps that fix its source, and skips its neighbour
+phase once the source's orbit under all of them outnumbers the first
+phase's minimum. The super-kappa decider, the cut stream, kappa(G),
+kappa(G x K2) and T3.2's component kappa pass none and scan every pair.
 
 Minimum cuts come from one method, Lawler-partitioning minimum s-t
 separators, rooted at the kappa scan's own flows, each kept as a
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 
 from .errors import InputError, NoCutError
-from .graph import _maps_onto
+from .graph import _maps_onto, orbit
 
 CUT_BUDGET = 10**5  # distinct minimum cuts examined
 
@@ -150,14 +153,10 @@ def _pair_scan_order(G):
 
 
 def _automorphisms(G, maps):
-    """The maps, each a sequence read as v -> map[v], that permute V(G), fix
-    the scan's source s and send E(G) onto E(G) as `_maps_onto` certifies;
-    any other is dropped."""
-    s, vertices = _scan_source(G), list(range(G.n))
-    return [
-        p for p in maps
-        if len(p) == G.n and sorted(p) == vertices and p[s] == s and _maps_onto(p.__getitem__, G.edges, G.edges)
-    ]
+    """The maps, each a sequence read as v -> map[v], that permute V(G) and
+    send E(G) onto E(G) as `_maps_onto` certifies; any other is dropped."""
+    vertices = list(range(G.n))
+    return [p for p in maps if len(p) == G.n and sorted(p) == vertices and _maps_onto(p.__getitem__, G.edges, G.edges)]
 
 
 def _orbit_firsts(pairs, maps):
@@ -167,12 +166,12 @@ def _orbit_firsts(pairs, maps):
     for pair in pairs:
         if frozenset(pair) not in seen:
             firsts.append(pair)
-            orbit = [frozenset(pair)]
-            seen.add(orbit[0])
-            for u, w in orbit:  # the orbit grows as it is read
+            members = [frozenset(pair)]
+            seen.add(members[0])
+            for u, w in members:  # the orbit grows as it is read
                 images = {frozenset((p[u], p[w])) for p in maps} - seen
                 seen |= images
-                orbit += images
+                members += images
     return firsts
 
 
@@ -180,18 +179,25 @@ def _kappa_scan(G, symmetries=()):
     """(s, t, flow, value) per pair in scan order, each a fresh network
     augmented up to the least value before it; the least value is kappa.
 
-    An automorphism fixing s maps each pair to one of equal connectivity,
-    so with `symmetries` only the first pair of each orbit under those of
-    them `_automorphisms` keeps is scanned: the least value is still kappa."""
-    pairs = _pair_scan_order(G)
-    if symmetries:
-        pairs = _orbit_firsts(pairs, _automorphisms(G, symmetries))
-    best = G.n - 1
-    for s, t in pairs:
+    With `symmetries`, those `_automorphisms` keeps prune the scan; the least
+    value is still kappa. An automorphism fixing s maps each pair to one of
+    equal connectivity, so only the first pair of each orbit under those that
+    fix s is scanned. And let O be the orbit of s under all of them: once the
+    pairs (s, t) are scanned, with least value best, the neighbour pairs are
+    skipped if |O| > best. A minimum cut then misses some x in O, and a map
+    taking x to s makes it a minimum cut avoiding s, which separates s from
+    some t outside N[s]: best is kappa already."""
+    s, pairs, maps = _scan_source(G), _pair_scan_order(G), _automorphisms(G, symmetries)
+    if maps:
+        pairs = _orbit_firsts(pairs, [p for p in maps if p[s] == s])
+    orbit_size, best = len(orbit(s, maps)), G.n - 1
+    for u, t in pairs:
+        if u != s and orbit_size > best:
+            return
         flow = _SplitFlow(G, 1, G.n + 1)
-        value = flow.max_flow(s, t, best)
+        value = flow.max_flow(u, t, best)
         best = min(best, value)
-        yield s, t, flow, value
+        yield u, t, flow, value
 
 
 def vertex_connectivity(G, symmetries=()):

@@ -1,6 +1,7 @@
 """Graph families and constructions: base families, direct products and
 every vertex map on G x C_n's numbering (`product_map`), the cyclic layered
-graph built from a bipartite base, double covers, proof-style layer
+graph built from a bipartite base and every vertex map on its numbering
+(`layered_permutation`), double covers, proof-style layer
 decompositions of G x C_n with their block maps, and seeded random
 instances, every one of them drawn by one loop, `_draw`.
 """
@@ -75,6 +76,14 @@ def product_map(G, n, phi=None, sign=1, shift=0, m=None):
 def product_permutation(G, n, phi=None, sign=1, shift=0):
     """`product_map` on V(G x C_n), a tuple read x -> p[x]: an automorphism when phi is one of G."""
     return tuple(map(product_map(G, n, phi, sign, shift), range(G.n * n)))
+
+
+def product_symmetries(G, n, stabiliser, automorphisms):
+    """Automorphisms of G x C_n for the kappa scan, from generators of the automorphisms of G that fix its scan
+    source s (`stabiliser`) and of all of them: the cycle reflection and each lift (v, i) -> (phi(v), i) of the
+    stabiliser, which fix (s, 0), then the cycle shift and each lifted automorphism."""
+    fixing = [product_permutation(G, n, sign=-1), *(product_permutation(G, n, phi) for phi in stabiliser)]
+    return fixing + [product_permutation(G, n, shift=1), *(product_permutation(G, n, phi) for phi in automorphisms)]
 
 
 def double_cover(G):
@@ -161,6 +170,27 @@ def tilde(G, B, n):
     layer_X = [frozenset(vid(x, i) for x in B.X) for i in range(1, n + 1)]
     layer_Y = [frozenset(vid(y, i) for y in B.Y) for i in range(1, n + 1)]
     return graph, _decomposition(graph, "tilde", layer_X, layer_Y, n)
+
+
+def layered_permutation(G, B, n, phi=None, sign=1, shift=(0, 0)):
+    """The vertex map (v, i) -> (phi[v], (sign*i + shift[v in Y]) mod n) on the numbering i*|V(G)| + v of
+    `tilde(G, B, n)`, layers 0-based, as a tuple read x -> p[x]: phi is the identity unless given, and the shift
+    is per side, X's first."""
+    phi = range(G.n) if phi is None else phi
+    return tuple((sign * i + shift[v in B.Y]) % n * G.n + phi[v] for i in range(n) for v in range(G.n))
+
+
+def layered_symmetries(G, B, n, s, stabiliser, automorphisms):
+    """Automorphisms of `tilde(G, B, n)` for the kappa scan, from generators of the automorphisms of G that fix
+    its scan source s (`stabiliser`) and of all of them. Those fixing (s, 0): the layer reversal (v, i) ->
+    (v, c - i), c one more on X than on Y and 0 on s's side, and each lift (v, i) -> (phi(v), i) of the
+    stabiliser. Then the layer rotation (v, i) -> (v, i + 1) and each lifted automorphism: (phi(v), i) if phi
+    keeps the sides, (phi(v), -i) if it swaps them."""
+    side = s in B.Y
+    fixing = [layered_permutation(G, B, n, sign=-1, shift=(side, side - 1))]
+    fixing += [layered_permutation(G, B, n, phi) for phi in stabiliser]
+    moving = [layered_permutation(G, B, n, phi, -1 if (phi[s] in B.Y) != side else 1) for phi in automorphisms]
+    return fixing + [layered_permutation(G, B, n, shift=(1, 1)), *moving]
 
 
 _N_MINIMUM = {"bipartite-odd": 3, "bipartite-even": 4, "nonbipartite-even": 4, "nonbipartite-odd": 5}

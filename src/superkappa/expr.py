@@ -14,17 +14,20 @@ MAX_VERTICES.bit_length() deep.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import reduce
 
 from . import construct
 from .errors import CapacityError, InputError
-from .formats import MAX_VERTICES, check_graph6_size, load_graph_file
+from .formats import MAX_VERTICES, check_graph6_size, check_size, load_graph_file
 
-# each family's number of integer arguments and builder
-_FAMILIES = {"cycle": (1, construct.cycle), "complete": (1, construct.complete), "kbip": (2, construct.complete_bipartite)}
+# each family's number of integer arguments, builder, and (vertices, edges) of what it builds
+_FAMILIES = {
+    "cycle": (1, construct.cycle, lambda n: (n, n)),
+    "complete": (1, construct.complete, lambda n: (n, n * (n - 1) // 2)),
+    "kbip": (2, construct.complete_bipartite, lambda m, n: (m + n, m * n)),
+}
 _ARGUMENTS = {1: "one integer argument", 2: "two integer arguments"}
 
 # a leaf, `tilde(` opening a layered leaf, `, n)` closing the innermost one, or `x`
@@ -121,10 +124,25 @@ def parse_spec(text):
     return _product(levels[0], expect_leaf)
 
 
-def _vertices(spec, loaded):
-    """The product's vertex count, from its leaves' arguments and its file leaves' graphs; nothing is built."""
-    return math.prod(leaf.args[1] * _vertices(leaf.args[0], loaded) if leaf.kind == "tilde"
-                     else loaded[leaf.args[0]].n if leaf.kind == "file" else sum(leaf.args) for leaf in spec.leaves)
+def _sized(spec, loaded):
+    """(vertices, edges) of the product, from its leaves' arguments and its file leaves' graphs. Each leaf and
+    partial product is sized in the order the build sizes them, and refused above the limits as its construction
+    would refuse it; nothing is built."""
+    total = None
+    for leaf in spec.leaves:
+        if leaf.kind == "file":
+            size = loaded[leaf.args[0]].n, len(loaded[leaf.args[0]].edges)
+        elif leaf.kind == "tilde":  # n copies of the base's vertices; blocks H_i and H_i' copy its edges
+            vertices, edges = _sized(leaf.args[0], loaded)
+            size = leaf.args[1] * vertices, 2 * leaf.args[1] * edges
+        else:
+            size = _FAMILIES[leaf.kind][2](*leaf.args)
+        check_size(*size)
+        if total is not None:  # the partial product
+            size = total[0] * size[0], 2 * total[1] * size[1]
+            check_size(*size)
+        total = size
+    return total
 
 
 def _leaf_graph(leaf, loaded):
@@ -138,17 +156,19 @@ def _leaf_graph(leaf, loaded):
 
 def build_spec(spec, graph6=False, loaded=None):
     """Build the product, every file leaf read first, those of tilde bases too (`loaded` holds their graphs by
-    path when a base is built). With `graph6`, a product of at most MAX_VERTICES vertices too large for graph6
-    output is then refused. The other leaves and the partial products are built one at a time, each refusing
-    itself above the limits before it is built, so a product over MAX_VERTICES is refused in every format."""
+    path when a base is built). With `graph6`, the product is then sized unbuilt (`_sized`), and refused if too
+    large for graph6 output. The other leaves and the partial products are built one at a time, each refusing
+    itself above the limits before it is built, so a product over the limits is refused in every format, with the
+    same message."""
     if loaded is None:
         loaded = {path: load_graph_file(path) for path in spec.file_paths()}
-    if graph6 and (vertices := _vertices(spec, loaded)) <= MAX_VERTICES:
-        check_graph6_size(vertices)
+    if graph6:
+        check_graph6_size(_sized(spec, loaded)[0])
     return reduce(construct.direct_product, (_leaf_graph(leaf, loaded) for leaf in spec.leaves))
 
 
 def build_expression(text, graph6=False):
-    """Parse and evaluate; returns (graph, spec). `graph6`: the graph is for graph6 output (see build_spec)."""
+    """Parse and evaluate; returns (graph, spec). `graph6`: the graph is for graph6 output, or for a verdict,
+    which records its graph6 (see build_spec)."""
     spec = parse_spec(text)
     return build_spec(spec, graph6), spec

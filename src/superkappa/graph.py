@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .errors import CapacityError, InputError
 
 ISO_CAP = 64
-STABILISER_NODES = 10**4  # search nodes one stabiliser_generators call may place
+STABILISER_NODES = 10**4  # search nodes one automorphism_generators call may place
 
 
 @dataclass(frozen=True)
@@ -165,6 +165,17 @@ def _maps_onto(phi, edges, target):
     return len(edges) == len(target) and image == target and len(set(map(phi, touched))) == len(touched)
 
 
+def orbit(v, maps):
+    """The vertices the group the maps generate sends v to, v first: each map a sequence read as u -> p[u]."""
+    found, seen = [v], {v}
+    for u in found:  # the list grows as it is read
+        for p in maps:
+            if p[u] not in seen:
+                seen.add(p[u])
+                found.append(p[u])
+    return found
+
+
 # -- isomorphisms and automorphisms of small graphs ---------------------------
 
 
@@ -256,9 +267,10 @@ def is_isomorphic_small(G, H):
     return _backtrack(G, H, order, [by_color_h[cg[g]] for g in order], [math.inf]) is not None
 
 
-def stabiliser_generators(G, v):
-    """Generators of the automorphisms of G that fix v, each a list read as
-    u -> phi[u]. v is individualised and the colors refined (McKay & Piperno
+def automorphism_generators(G, fixed):
+    """Generators of the automorphisms of G that fix each vertex of `fixed`,
+    each a list read as u -> phi[u]: with fixed=() the whole of Aut(G). The
+    fixed vertices are individualised and the colors refined (McKay & Piperno
     2014). Then for k from the last position of the search order back, and
     each h of order[k]'s color outside the orbit the maps found so far give
     order[k], it backtracks for a map that fixes order[:k] and sends order[k]
@@ -268,17 +280,15 @@ def stabiliser_generators(G, v):
     if G.n > ISO_CAP:
         return []
     start = [G.degree(u) for u in range(G.n)]
-    start[v] = -1
+    for i, v in enumerate(fixed):
+        start[v] = -1 - i
     colors = _refine_colors(G, G, start, start)[0]
     classes = [[w for w in range(G.n) if colors[w] == c] for c in colors]  # per vertex, those of its color
     order = _search_order(G, classes)
     gens, nodes, choices = [], [STABILISER_NODES], [classes[g] for g in order]
     for k in reversed(range(G.n)):
         for h in classes[order[k]]:
-            orbit = [order[k]]
-            for u in orbit:  # the orbit grows as it is read
-                orbit += {p[u] for p in gens} - set(orbit)
-            if h in orbit:
+            if h in orbit(order[k], gens):
                 continue
             phi = _backtrack(G, G, order, choices[:k] + [[h]] + choices[k + 1 :], nodes, k)
             if phi is not None:

@@ -52,7 +52,7 @@ _DESCRIPTOR_FIELDS = {
 def resolve_graph(descriptor):
     """Build (graph, odd_cycle_lengths) from a manifest graph descriptor, its
     shape and fields checked first; a graph with no vertices, or too many for
-    the graph6 its verdict records, is refused."""
+    the graph6 its verdict records, is refused (an expression's before it is built)."""
     if not isinstance(descriptor, dict) or len(descriptor) != 1 or next(iter(descriptor)) not in _DESCRIPTOR_FIELDS:
         raise InputError(f"bad graph descriptor {descriptor!r}")
     (kind, value), = descriptor.items()
@@ -60,7 +60,7 @@ def resolve_graph(descriptor):
     if fields is None and not isinstance(value, str):
         raise InputError(f"{kind} descriptor needs a string")
     if kind == "expr":
-        graph, spec = build_expression(value)
+        graph, spec = build_expression(value, graph6=True)
         lengths = spec.odd_cycle_lengths()
     elif kind == "graph6":
         graph = parse_graph6(value)

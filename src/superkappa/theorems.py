@@ -33,12 +33,13 @@ comparison also needs its branch in `_clauses`, `_construct` or `conclude`.
 
 Each thing certified equal is computed once. The invariants rules read
 (connected, bipartition, delta, kappa(G), kappa(GxK2), and generators of the
-automorphisms of G that fix its kappa scan's source) are computed on first
-use and kept on the Graph object, so every rule and every n checked on one
-object share them. For the two-component results, once the cycle shift
-certifies the two components isomorphic (Weichsel 1962), kappa or
-super-kappa is decided on the first alone and reported for both. Vertex
-maps on G x C_n come from `construct`; this module only certifies them.
+automorphisms of G, of all of them and of those that fix its kappa scan's
+source) are computed on first use and kept on the Graph object, so every
+rule and every n checked on one object share them. For the two-component
+results, once the cycle shift certifies the two components isomorphic
+(Weichsel 1962), kappa or super-kappa is decided on the first alone and
+reported for both. Vertex maps on G x C_n and on the cyclic layered graph
+come from `construct`; this module and `connectivity` only certify them.
 """
 
 from __future__ import annotations
@@ -50,10 +51,10 @@ from typing import Callable
 
 from . import connectivity as conn
 from .construct import cycle, decomposition_case, direct_product, double_cover, layer_decomposition, tilde
-from .construct import product_map, product_permutation
+from .construct import layered_symmetries, product_map, product_symmetries
 from .errors import InputError
 from .formats import parse_graph6, write_graph6
-from .graph import _maps_onto, stabiliser_generators
+from .graph import _maps_onto, automorphism_generators
 
 BIPARTITE, NONBIPARTITE = "bipartite", "non-bipartite"
 TILDE, PRODUCT, COMPONENTS, COVER = "tilde", "G x C_n", "components of G x C_n", "G x K2"
@@ -174,7 +175,9 @@ class _Invariants:
     delta = cached_property(lambda self: self.G.min_degree())
     kappa = cached_property(lambda self: conn.vertex_connectivity(self.G) if self.connected else 0)
     kappa_dc = cached_property(lambda self: conn.vertex_connectivity(double_cover(self.G)))
-    source_stabiliser = cached_property(lambda self: stabiliser_generators(self.G, conn._scan_source(self.G)))
+    # generators of the automorphisms of G that fix G's kappa scan source, and of all of them
+    source_stabiliser = cached_property(lambda self: automorphism_generators(self.G, (conn._scan_source(self.G),)))
+    automorphisms = cached_property(lambda self: automorphism_generators(self.G, ()))
 
 
 def theorem_rule(theorem_id, n=None):
@@ -365,12 +368,14 @@ def conclude(theorem_id, G, n=None, budget=conn.CUT_BUDGET, odd_cycle_lengths=No
     H = _construct(rule, inv, n)
 
     if rule.compare in (EQUAL, INTERVAL):
-        # G x C_n's scan source is (s, 0), s G's own: the cycle reflection fixes it, and so does
-        # each automorphism of G that fixes s, lifted to (v, i) -> (phi(v), i)
+        # automorphisms of H, from G's: the scan certifies each, runs one pair per orbit of those that fix
+        # its source (s, 0), s G's own, and skips its neighbour phase once the orbit of (s, 0) is large enough
         symmetries = []
         if rule.construction == PRODUCT:
-            lifted = [product_permutation(inv.G, n, phi) for phi in inv.source_stabiliser]
-            symmetries = [product_permutation(inv.G, n, sign=-1), *lifted]
+            symmetries = product_symmetries(inv.G, n, inv.source_stabiliser, inv.automorphisms)
+        elif rule.construction == TILDE:
+            s = conn._scan_source(inv.G)
+            symmetries = layered_symmetries(inv.G, inv.bipartition, n, s, inv.source_stabiliser, inv.automorphisms)
         actual = conn.vertex_connectivity(H, symmetries)
         ok = actual == pred if rule.compare == EQUAL else pred[0] <= actual <= pred[1]
         return done(pred, actual, CONFIRMED if ok else REFUTED)

@@ -23,7 +23,7 @@ from superkappa import (
 from superkappa import connectivity
 from superkappa.connectivity import VertexCut, _exhaustive_cuts, _minimum_cuts, _scan_source, classify_cut
 from superkappa.construct import product_permutation
-from superkappa.graph import Graph, stabiliser_generators
+from superkappa.graph import Graph, automorphism_generators, orbit
 from superkappa.theorems import _witness_from_cut
 
 from conftest import petersen, random_graph, seeded_corpus
@@ -432,7 +432,7 @@ def test_stabiliser_pruned_kappa_equals_the_full_scan_and_the_oracle(pairs_scann
     for G, n in bases:
         H = direct_product(G, cycle(n))
         reflection = product_permutation(G, n, sign=-1)
-        lifted = [product_permutation(G, n, phi) for phi in stabiliser_generators(G, _scan_source(G))]
+        lifted = [product_permutation(G, n, phi) for phi in automorphism_generators(G, (_scan_source(G),))]
         assert H.labels[_scan_source(H)] == f"({_scan_source(G)},0)"
         flows = []
         for maps in ((), [reflection], [reflection, *lifted]):
@@ -449,23 +449,58 @@ def test_stabiliser_pruned_kappa_equals_the_full_scan_and_the_oracle(pairs_scann
     assert pruned_by_stabiliser > 20
 
 
+def test_the_neighbour_phase_is_skipped_only_when_the_source_orbit_outnumbers_the_first_phase_minimum():
+    # each graph's whole automorphism group, and the stabiliser of its scan source s, as the scan's maps
+    rng = random.Random(29)
+    graphs = [random_graph(rng, max_n=9) for _ in range(150)] + [petersen(), complete_bipartite(3, 4)]
+    graphs += [direct_product(cycle(a), cycle(b)) for a, b in ((3, 3), (3, 4), (4, 4))] + [cycle(k) for k in (5, 6)]
+    skipped = ran = 0
+    for G in graphs:
+        s = _scan_source(G)
+        maps = automorphism_generators(G, (s,)) + automorphism_generators(G, ())
+        kappa = vertex_connectivity(G)
+        assert vertex_connectivity(G, maps) == kappa == vertex_connectivity_exhaustive(G), sorted(G.edges)
+        if G.is_complete():
+            continue
+        scanned = [(u, t, value) for u, t, _, value in connectivity._kappa_scan(G, maps)]
+        best = min((value for u, _, value in scanned if u == s), default=G.n - 1)
+        pruned = connectivity._orbit_firsts(connectivity._pair_scan_order(G), [p for p in maps if p[s] == s])
+        if len(orbit(s, maps)) > best:
+            assert [pair for pair in pruned if pair[0] == s] == [(u, t) for u, t, _ in scanned], sorted(G.edges)
+            skipped += any(pair[0] != s for pair in pruned)
+        else:
+            assert pruned == [(u, t) for u, t, _ in scanned], sorted(G.edges)
+            ran += any(pair[0] != s for pair in pruned)
+    assert skipped > 10 and ran > 20
+
+
 def test_uncertified_maps_are_dropped(pairs_scanned):
     H = direct_product(cycle(3), cycle(5))  # every vertex has degree 4: the scan's source is 0
     swap = list(range(H.n))
     swap[1], swap[2] = 2, 1  # fixes 0 and permutes V, but (0,1) and (0,2) have different neighbours
-    shift = product_permutation(cycle(3), 5, shift=1)  # an automorphism that moves 0
     collapse = [0] * H.n  # no bijection
     reflection = product_permutation(cycle(3), 5, sign=-1)
-    assert connectivity._automorphisms(H, [swap, shift, collapse, reflection]) == [reflection]
+    assert connectivity._automorphisms(H, [swap, collapse, reflection]) == [reflection]
     pairs = connectivity._pair_scan_order(H)
-    for bad in (swap, shift):  # each would prune the scan, were it trusted
-        assert len(connectivity._orbit_firsts(pairs, [bad])) < len(pairs)
+    assert len(connectivity._orbit_firsts(pairs, [swap])) < len(pairs)  # it would prune the scan, were it trusted
     kappa = vertex_connectivity(H)
     unpruned = len(pairs_scanned)
-    for bad in (swap, shift, collapse, swap[:-1]):
+    for bad in (swap, collapse, swap[:-1]):
         pairs_scanned.clear()
         assert vertex_connectivity(H, [bad]) == kappa
         assert len(pairs_scanned) == unpruned
+
+
+def test_a_certified_map_that_moves_the_source_skips_the_neighbour_phase(pairs_scanned):
+    H = direct_product(cycle(3), cycle(5))
+    shift = product_permutation(cycle(3), 5, shift=1)  # an automorphism that moves 0 through its 5 layers
+    assert connectivity._automorphisms(H, [shift]) == [shift]
+    first_phase = [pair for pair in connectivity._pair_scan_order(H) if pair[0] == 0]
+    kappa = vertex_connectivity(H)
+    assert kappa == 4 and len(pairs_scanned) > len(first_phase)
+    pairs_scanned.clear()
+    assert vertex_connectivity(H, [shift]) == kappa  # the orbit of 0 has 5 > 4 vertices: no neighbour pair is scanned
+    assert pairs_scanned == first_phase
 
 
 def test_connectivity_report_runs_one_kappa_scan(monkeypatch):

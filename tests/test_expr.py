@@ -3,8 +3,8 @@ import re
 import pytest
 
 from superkappa import CapacityError, InputError, build_expression, complete_bipartite, cycle, direct_product, parse_spec, tilde
-from superkappa.expr import build_spec
-from superkappa.formats import MAX_EDGES, MAX_VERTICES, check_size
+from superkappa.expr import _sized, build_spec
+from superkappa.formats import MAX_EDGES, MAX_VERTICES, check_size, load_graph_file
 from superkappa.graph import Graph
 
 
@@ -164,3 +164,31 @@ def test_graph6_output_is_sized_from_the_expression_before_it_is_built(tmp_path,
     monkeypatch.setattr(construct, "direct_product", lambda *args: pytest.fail("a product was built"))
     with pytest.raises(CapacityError, match=f"^graph6 output of {n} vertices exceeds the {n - 1}-vertex limit$"):
         build_expression(text, graph6=True)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["cycle(5)", "kbip(2,3) x complete(3)", "tilde(kbip(2,3), 3) x cycle(3)", "tilde(tilde(kbip(1,1), 2), 3)",
+     "file({c5}) x tilde(file({k2}), 2) x cycle(3)"],
+)
+def test_an_expression_is_sized_as_it_is_built(tmp_path, text):
+    (tmp_path / "c5.g6").write_text("Dhc\n")
+    (tmp_path / "k2.g6").write_text("A_\n")
+    text = text.format(c5=tmp_path / "c5.g6", k2=tmp_path / "k2.g6")
+    G, spec = build_expression(text)
+    loaded = {path: load_graph_file(path) for path in spec.file_paths()}
+    assert _sized(spec, loaded) == (G.n, len(G.edges))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["complete(100000)", "cycle(300000)", "cycle(3) x complete(100000)", "cycle(1000) x cycle(1000) x cycle(1000)",
+     "tilde(kbip(2,3), 100000)", "cycle(258047) x cycle(3)"],
+)
+def test_an_expression_over_the_limits_is_refused_as_its_construction_refuses_it_in_every_format(text):
+    # sizing graph6 output unbuilt keeps the message of the first leaf or partial product over the limits
+    with pytest.raises(CapacityError, match="exceed the 258047-vertex or 1000000-edge limit$") as built:
+        build_expression(text)
+    with pytest.raises(CapacityError) as sized:
+        build_expression(text, graph6=True)
+    assert str(sized.value) == str(built.value)

@@ -13,7 +13,7 @@ from superkappa import (
     is_isomorphic_small,
 )
 from superkappa import graph
-from superkappa.graph import _maps_onto, stabiliser_generators
+from superkappa.graph import _maps_onto, automorphism_generators
 
 from conftest import petersen, random_graph
 
@@ -126,13 +126,15 @@ def _generated_group(maps, n):
     return group
 
 
-def _certified_stabiliser_maps(G, v, maps):
+def _certified_maps(G, fixed, maps):
     return all(
-        sorted(p) == list(range(G.n)) and p[v] == v and _maps_onto(p.__getitem__, G.edges, G.edges) for p in maps
+        sorted(p) == list(range(G.n)) and all(p[v] == v for v in fixed) and _maps_onto(p.__getitem__, G.edges, G.edges)
+        for p in maps
     )
 
 
-def test_stabiliser_generators_generate_the_stabiliser():
+def _automorphism_corpus():
+    """(G, its automorphisms from networkx) over small families, products and seeded random graphs."""
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
 
@@ -143,39 +145,52 @@ def test_stabiliser_generators_generate_the_stabiliser():
     for G in graphs:
         H = nx.Graph(list(G.edges))
         H.add_nodes_from(range(G.n))
-        automorphisms = [tuple(m[x] for x in range(G.n)) for m in GraphMatcher(H, H).isomorphisms_iter()]
+        yield G, {tuple(m[x] for x in range(G.n)) for m in GraphMatcher(H, H).isomorphisms_iter()}
+
+
+def test_stabiliser_generators_generate_the_stabiliser():
+    for G, automorphisms in _automorphism_corpus():
         for v in range(G.n):
-            maps = stabiliser_generators(G, v)
-            assert _certified_stabiliser_maps(G, v, maps), (sorted(G.edges), v)
+            maps = automorphism_generators(G, (v,))
+            assert _certified_maps(G, (v,), maps), (sorted(G.edges), v)
             assert _generated_group(maps, G.n) == {p for p in automorphisms if p[v] == v}, (sorted(G.edges), v)
 
 
+def test_automorphism_generators_with_nothing_fixed_generate_the_whole_group():
+    for G, automorphisms in _automorphism_corpus():
+        maps = automorphism_generators(G, ())
+        assert _certified_maps(G, (), maps), sorted(G.edges)
+        assert _generated_group(maps, G.n) == automorphisms, sorted(G.edges)
+
+
 def test_stabiliser_search_above_its_caps_returns_certified_maps(monkeypatch):
-    assert stabiliser_generators(cycle(graph.ISO_CAP + 1), 0) == []
+    # the stabiliser of vertex 0, and with nothing fixed the whole group
     G = petersen()
-    full = _generated_group(stabiliser_generators(G, 0), G.n)
-    assert len(full) == 12  # the Petersen graph is vertex-transitive: 120 automorphisms over 10 vertices
-    sizes = set()
-    for budget in range(24):  # the search stops part way below 23 nodes and completes at 23
-        monkeypatch.setattr(graph, "STABILISER_NODES", budget)
-        maps = stabiliser_generators(G, 0)
-        assert _certified_stabiliser_maps(G, 0, maps)
-        group = _generated_group(maps, G.n)
-        assert group <= full
-        sizes.add(len(group))
-    assert {1, 12} < sizes  # a proper, nontrivial subgroup too
+    fulls = {fixed: _generated_group(automorphism_generators(G, fixed), G.n) for fixed in ((0,), ())}
+    assert [len(full) for full in fulls.values()] == [12, 120]  # vertex-transitive: 120 automorphisms, 10 vertices
+    for fixed, full in fulls.items():
+        assert automorphism_generators(cycle(graph.ISO_CAP + 1), fixed) == []
+        sizes = set()
+        for budget in range(40):  # the search stops part way below 23 nodes (the stabiliser), or 34, and completes there
+            monkeypatch.setattr(graph, "STABILISER_NODES", budget)
+            maps = automorphism_generators(G, fixed)
+            assert _certified_maps(G, fixed, maps)
+            group = _generated_group(maps, G.n)
+            assert group <= full
+            sizes.add(len(group))
+        assert {1, len(full)} < sizes  # a proper, nontrivial subgroup too
     monkeypatch.setattr(graph, "ISO_CAP", 4)
-    assert stabiliser_generators(G, 0) == []
+    assert automorphism_generators(G, (0,)) == automorphism_generators(G, ()) == []
 
 
 def test_each_stabiliser_search_starts_past_the_vertices_it_fixes(monkeypatch):
     # 28 search nodes find the whole stabiliser of (0, 0) in C3 x C5; re-placing
     # the fixed vertices for every candidate map took 260
     G = direct_product(cycle(3), cycle(5))
-    full = stabiliser_generators(G, 0)
+    full = automorphism_generators(G, (0,))
     assert len(_generated_group(full, G.n)) == 4
     monkeypatch.setattr(graph, "STABILISER_NODES", 28)
-    assert stabiliser_generators(G, 0) == full
+    assert automorphism_generators(G, (0,)) == full
 
 
 def _scattered_graph(rng):

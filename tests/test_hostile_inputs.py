@@ -208,6 +208,13 @@ ROWS = [
     Row("gen-graph6-of-258047-vertices", ("gen", "cycle(258047)"), 3,
         stderr="error: graph6 output of 258047 vertices exceeds the 16384-vertex limit", stdout=0,
         limit_kb=100000, timeout=2),
+    # so do verify --expr and a manifest's expression, whose verdicts record their graph's graph6
+    Row("verify-graph6-of-258047-vertices", ("verify", "--theorem", "T3.7", "--expr", "cycle(258047)", "--n", "6"), 3,
+        stderr="error: graph6 output of 258047 vertices exceeds the 16384-vertex limit", stdout=0,
+        limit_kb=100000, timeout=2),
+    Row("manifest-expression-graph6-of-258047-vertices", _SUITE, 3,
+        stderr="error: manifest entry b: graph6 output of 258047 vertices exceeds the 16384-vertex limit", stdout=0,
+        files={"m.json": _expression_entries("cycle(258047)")}, limit_kb=100000, timeout=2),
     # verify writes, and so sizes, the verdict's graph6 before any clause runs: kappa(G x K2) would outlast the timeout
     Row("verify-graph6-of-16503-vertices", ("verify", "--theorem", "T3.7", "--expr", "cycle(3) x cycle(5501)", "--n", "6"),
         3, stderr="error: graph6 output of 16503 vertices exceeds the 16384-vertex limit", limit_kb=1_500_000, timeout=10),

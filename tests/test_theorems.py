@@ -349,38 +349,45 @@ def test_verify_computes_base_kappas_at_most_once(monkeypatch, theorem_id, G, n,
 @pytest.mark.parametrize(
     "theorem_id,G,n,pairs",
     [
-        ("T3.4", direct_product(cycle(3), cycle(5)), 7, 60),  # 155 with every pair scanned, 102 with the reflection alone
-        ("T3.3", cycle(5), 6, 21),  # 39, 29
-        ("T3.1", complete_bipartite(2, 3), 5, 13),  # 29, 19
+        # 155 with every pair scanned, 102 with the reflection alone, 60 with the stabiliser lifted too
+        ("T3.4", direct_product(cycle(3), cycle(5)), 7, 53),
+        ("T3.3", cycle(5), 6, 18),  # 39, 29, 21
+        ("T3.1", complete_bipartite(2, 3), 5, 10),  # 29, 19, 13
+        ("T2.1", complete_bipartite(2, 3), 3, 7),  # 19 with every pair scanned
+        ("T2.1", cycle(6), 4, 12),  # 29
     ],
-    ids=["T3.4", "T3.3", "T3.1"],
+    ids=["T3.4", "T3.3", "T3.1", "T2.1-kbip23", "T2.1-c6"],
 )
 def test_value_verdict_flow_counts(pairs_scanned, theorem_id, G, n, pairs):
-    # the product's scan runs one pair per orbit of the cycle reflection and the lifted automorphisms of G
-    # that fix G's scan source; kappa(G x K2) and kappa(G) scan every pair
+    # the construction's scan runs one pair per orbit of its automorphisms that fix its source, and skips its
+    # neighbour phase when the source's orbit under all the maps outnumbers the first phase's minimum;
+    # kappa(G x K2) and kappa(G) scan every pair
     assert verify(theorem_id, G, n=n).verdict == CONFIRMED
     assert len(pairs_scanned) == pairs
 
 
-def test_the_stabiliser_is_searched_once_per_base_object_and_only_for_products(monkeypatch):
+def test_automorphisms_are_searched_once_per_base_for_products_and_layered_graphs(monkeypatch):
     searched = []
-    search = theorems.stabiliser_generators
-    monkeypatch.setattr(theorems, "stabiliser_generators", lambda G, v: searched.append(G) or search(G, v))
-    G = complete_bipartite(2, 3)
-    assert verify("T2.1", G, n=3).verdict == CONFIRMED  # the cyclic layered graph: no lift
+    search = theorems.automorphism_generators
+    monkeypatch.setattr(theorems, "automorphism_generators", lambda G, fixed: searched.append((G, fixed)) or search(G, fixed))
     assert verify("T3.9", cycle(3), odd_cycle_lengths=[3]).verdict == CONFIRMED  # G x K2: no lift
     assert searched == []
+    G = complete_bipartite(2, 3)  # the scan source of G is 2, the lowest vertex of degree 2
+    for n in (3, 4):
+        assert verify("T2.1", G, n=n).verdict == CONFIRMED  # the cyclic layered graph
     for n in (3, 5):
         assert verify("T3.1", G, n=n).verdict == CONFIRMED
     assert verify("T3.1", complete_bipartite(2, 3), n=3).verdict == CONFIRMED  # an equal graph, a new object
-    assert len(searched) == 2 and searched[0] is G and searched[1] is not G
+    assert [fixed for _, fixed in searched] == [(2,), (), (2,), ()]
+    assert [H is G for H, _ in searched] == [True, True, False, False]
 
 
 @pytest.mark.parametrize("cap", [("ISO_CAP", 4), ("STABILISER_NODES", 3)], ids=["ISO_CAP", "STABILISER_NODES"])
 def test_value_verdicts_hold_when_the_stabiliser_search_stops(monkeypatch, pairs_scanned, cap):
     # each call builds its base anew, so no generators are kept from an earlier call
-    # (theorem, base, n, kappa, pairs scanned with the full stabiliser), as pinned above
-    cases = [("T3.4", lambda: direct_product(cycle(3), cycle(5)), 7, 8, 60), ("T3.3", lambda: cycle(5), 6, 4, 21)]
+    # (theorem, base, n, kappa, pairs scanned with every generator found), as pinned above
+    cases = [("T3.4", lambda: direct_product(cycle(3), cycle(5)), 7, 8, 53), ("T3.3", lambda: cycle(5), 6, 4, 18),
+             ("T2.1", lambda: cycle(6), 4, 4, 12)]
     monkeypatch.setattr(graph, *cap)
     for tid, base, n, kappa, pairs in cases:
         verdict = verify(tid, base(), n=n)
