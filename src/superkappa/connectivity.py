@@ -6,11 +6,11 @@ flow on the vertex-split digraph, with unit vertex arcs for kappa and unit
 edge arcs for kappa'. The kappa scan takes optional symmetries, vertex maps
 it certifies as automorphisms before it uses any: every value verdict on a
 construction passes them, T2.1 on the cyclic layered graph and T3.1, T3.3
-and T3.4 on G x C_n, each map lifted by `construct` from generators of G's
-automorphisms (graph.automorphism_generators). The scan runs one pair per
-orbit of the certified maps that fix its source, and skips its neighbour
-phase once the source's orbit under all of them outnumbers the first
-phase's minimum. The super-kappa decider, the cut stream, kappa(G),
+and T3.4 on G x C_n, each map lifted by `construct` from generators of
+Aut(G) that one search from G's scan source finds. The scan runs one pair
+per orbit of the certified maps that fix its source, and skips its
+neighbour phase once the source's orbit under all of them outnumbers the
+first phase's minimum. The super-kappa decider, the cut stream, kappa(G),
 kappa(G x K2) and T3.2's component kappa pass none and scan every pair.
 
 Minimum cuts come from one method, Lawler-partitioning minimum s-t

@@ -78,12 +78,11 @@ def product_permutation(G, n, phi=None, sign=1, shift=0):
     return tuple(map(product_map(G, n, phi, sign, shift), range(G.n * n)))
 
 
-def product_symmetries(G, n, stabiliser, automorphisms):
-    """Automorphisms of G x C_n for the kappa scan, from generators of the automorphisms of G that fix its scan
-    source s (`stabiliser`) and of all of them: the cycle reflection and each lift (v, i) -> (phi(v), i) of the
-    stabiliser, which fix (s, 0), then the cycle shift and each lifted automorphism."""
-    fixing = [product_permutation(G, n, sign=-1), *(product_permutation(G, n, phi) for phi in stabiliser)]
-    return fixing + [product_permutation(G, n, shift=1), *(product_permutation(G, n, phi) for phi in automorphisms)]
+def product_symmetries(G, n, automorphisms):
+    """Automorphisms of G x C_n for the kappa scan, from generators of Aut(G): the cycle reflection, which fixes
+    layer 0, the cycle shift, and each lift (v, i) -> (phi(v), i)."""
+    lifts = [product_permutation(G, n, phi) for phi in automorphisms]
+    return [product_permutation(G, n, sign=-1), product_permutation(G, n, shift=1), *lifts]
 
 
 def double_cover(G):
@@ -180,17 +179,15 @@ def layered_permutation(G, B, n, phi=None, sign=1, shift=(0, 0)):
     return tuple((sign * i + shift[v in B.Y]) % n * G.n + phi[v] for i in range(n) for v in range(G.n))
 
 
-def layered_symmetries(G, B, n, s, stabiliser, automorphisms):
-    """Automorphisms of `tilde(G, B, n)` for the kappa scan, from generators of the automorphisms of G that fix
-    its scan source s (`stabiliser`) and of all of them. Those fixing (s, 0): the layer reversal (v, i) ->
-    (v, c - i), c one more on X than on Y and 0 on s's side, and each lift (v, i) -> (phi(v), i) of the
-    stabiliser. Then the layer rotation (v, i) -> (v, i + 1) and each lifted automorphism: (phi(v), i) if phi
-    keeps the sides, (phi(v), -i) if it swaps them."""
+def layered_symmetries(G, B, n, s, automorphisms):
+    """Automorphisms of `tilde(G, B, n)` for the kappa scan, from generators of Aut(G) and its scan source s: the
+    layer reversal (v, i) -> (v, c - i), c one more on X than on Y and 0 on s's side, which fixes (s, 0), the
+    layer rotation (v, i) -> (v, i + 1), and each lift: (phi(v), i) if phi keeps the sides, (phi(v), -i) if it
+    swaps them."""
     side = s in B.Y
-    fixing = [layered_permutation(G, B, n, sign=-1, shift=(side, side - 1))]
-    fixing += [layered_permutation(G, B, n, phi) for phi in stabiliser]
-    moving = [layered_permutation(G, B, n, phi, -1 if (phi[s] in B.Y) != side else 1) for phi in automorphisms]
-    return fixing + [layered_permutation(G, B, n, shift=(1, 1)), *moving]
+    lifts = [layered_permutation(G, B, n, phi, -1 if (phi[s] in B.Y) != side else 1) for phi in automorphisms]
+    reversal = layered_permutation(G, B, n, sign=-1, shift=(side, side - 1))
+    return [reversal, layered_permutation(G, B, n, shift=(1, 1)), *lifts]
 
 
 _N_MINIMUM = {"bipartite-odd": 3, "bipartite-even": 4, "nonbipartite-even": 4, "nonbipartite-odd": 5}

@@ -179,11 +179,9 @@ def orbit(v, maps):
 # -- isomorphisms and automorphisms of small graphs ---------------------------
 
 
-def _refine_colors(G, H, cg=None, ch=None):
-    """Joint 1-dimensional color refinement from starting colors, the degrees
-    unless given; returns per-graph color lists."""
-    cg = cg or [G.degree(v) for v in range(G.n)]
-    ch = ch or [H.degree(v) for v in range(H.n)]
+def _refine_colors(G, H):
+    """Joint 1-dimensional color refinement from the degrees; returns per-graph color lists."""
+    cg, ch = [G.degree(v) for v in range(G.n)], [H.degree(v) for v in range(H.n)]
     while True:
         table = {}
         new_g, new_h = [], []
@@ -196,9 +194,10 @@ def _refine_colors(G, H, cg=None, ch=None):
         cg, ch = new_g, new_h
 
 
-def _search_order(G, choices):
-    """V(G) in an order that keeps the partial map connected, the vertex with
-    the fewest choices first among those equally attached."""
+def _search_order(G, choices, first=None):
+    """V(G) in an order that keeps the partial map connected, starting at
+    `first` if given, the vertex with the fewest choices first among those
+    equally attached."""
     order, placed = [], [False] * G.n
     for _ in range(G.n):
         best = None
@@ -206,7 +205,7 @@ def _search_order(G, choices):
             if placed[v]:
                 continue
             attached = sum(1 for w in G.neighborhood(v) if placed[w])
-            key = (-attached, len(choices[v]), v)
+            key = (v != first, -attached, len(choices[v]), v)
             if best is None or key < best[0]:
                 best = (key, v)
         order.append(best[1])
@@ -267,24 +266,22 @@ def is_isomorphic_small(G, H):
     return _backtrack(G, H, order, [by_color_h[cg[g]] for g in order], [math.inf]) is not None
 
 
-def automorphism_generators(G, fixed):
-    """Generators of the automorphisms of G that fix each vertex of `fixed`,
-    each a list read as u -> phi[u]: with fixed=() the whole of Aut(G). The
-    fixed vertices are individualised and the colors refined (McKay & Piperno
-    2014). Then for k from the last position of the search order back, and
-    each h of order[k]'s color outside the orbit the maps found so far give
-    order[k], it backtracks for a map that fixes order[:k] and sends order[k]
-    to h. So at each k the maps generate the pointwise stabiliser of
-    order[:k]. Above ISO_CAP vertices, or once STABILISER_NODES search nodes
-    are spent, it returns the maps found so far instead of raising."""
+def automorphism_generators(G, base):
+    """Generators of Aut(G), each a list read as u -> phi[u], those that fix
+    the vertex `base` first: they generate its stabiliser. The search order
+    starts at base, and the colors are refined from the degrees (Sims 1970;
+    McKay & Piperno 2014). Then for k from the order's last position back,
+    and each h of order[k]'s color outside the orbit the maps found so far
+    give order[k], it backtracks for a map that fixes order[:k] and sends
+    order[k] to h. So at each k the maps generate the pointwise stabiliser of
+    order[:k]: at k = 1 that of base, at k = 0 the whole group. Above ISO_CAP
+    vertices, or once STABILISER_NODES search nodes are spent, it returns the
+    maps found so far instead of raising."""
     if G.n > ISO_CAP:
         return []
-    start = [G.degree(u) for u in range(G.n)]
-    for i, v in enumerate(fixed):
-        start[v] = -1 - i
-    colors = _refine_colors(G, G, start, start)[0]
+    colors = _refine_colors(G, G)[0]
     classes = [[w for w in range(G.n) if colors[w] == c] for c in colors]  # per vertex, those of its color
-    order = _search_order(G, classes)
+    order = _search_order(G, classes, base)
     gens, nodes, choices = [], [STABILISER_NODES], [classes[g] for g in order]
     for k in reversed(range(G.n)):
         for h in classes[order[k]]:

@@ -32,9 +32,9 @@ tightness search pick it up. A new kind of clause, construction or
 comparison also needs its branch in `_clauses`, `_construct` or `conclude`.
 
 Each thing certified equal is computed once. The invariants rules read
-(connected, bipartition, delta, kappa(G), kappa(GxK2), and generators of the
-automorphisms of G, of all of them and of those that fix its kappa scan's
-source) are computed on first use and kept on the Graph object, so every
+(connected, bipartition, delta, kappa(G), kappa(GxK2), and generators of
+Aut(G) from one search based at its kappa scan's source, those that fix the
+source first) are computed on first use and kept on the Graph object, so every
 rule and every n checked on one object share them. For the two-component
 results, once the cycle shift certifies the two components isomorphic
 (Weichsel 1962), kappa or super-kappa is decided on the first alone and
@@ -175,9 +175,8 @@ class _Invariants:
     delta = cached_property(lambda self: self.G.min_degree())
     kappa = cached_property(lambda self: conn.vertex_connectivity(self.G) if self.connected else 0)
     kappa_dc = cached_property(lambda self: conn.vertex_connectivity(double_cover(self.G)))
-    # generators of the automorphisms of G that fix G's kappa scan source, and of all of them
-    source_stabiliser = cached_property(lambda self: automorphism_generators(self.G, (conn._scan_source(self.G),)))
-    automorphisms = cached_property(lambda self: automorphism_generators(self.G, ()))
+    # generators of Aut(G), those that fix G's kappa scan source first
+    automorphisms = cached_property(lambda self: automorphism_generators(self.G, conn._scan_source(self.G)))
 
 
 def theorem_rule(theorem_id, n=None):
@@ -372,10 +371,9 @@ def conclude(theorem_id, G, n=None, budget=conn.CUT_BUDGET, odd_cycle_lengths=No
         # its source (s, 0), s G's own, and skips its neighbour phase once the orbit of (s, 0) is large enough
         symmetries = []
         if rule.construction == PRODUCT:
-            symmetries = product_symmetries(inv.G, n, inv.source_stabiliser, inv.automorphisms)
+            symmetries = product_symmetries(inv.G, n, inv.automorphisms)
         elif rule.construction == TILDE:
-            s = conn._scan_source(inv.G)
-            symmetries = layered_symmetries(inv.G, inv.bipartition, n, s, inv.source_stabiliser, inv.automorphisms)
+            symmetries = layered_symmetries(inv.G, inv.bipartition, n, conn._scan_source(inv.G), inv.automorphisms)
         actual = conn.vertex_connectivity(H, symmetries)
         ok = actual == pred if rule.compare == EQUAL else pred[0] <= actual <= pred[1]
         return done(pred, actual, CONFIRMED if ok else REFUTED)

@@ -19,7 +19,7 @@ from superkappa import (
     vertex_connectivity,
 )
 from superkappa.connectivity import _scan_source
-from superkappa.construct import layered_symmetries, product_permutation
+from superkappa.construct import layered_symmetries, product_permutation, product_symmetries
 from superkappa.graph import _maps_onto, automorphism_generators
 
 from conftest import petersen, random_graph
@@ -82,35 +82,39 @@ def test_cycle_reflection_is_an_automorphism_fixing_layer_zero(G, n):
 
 def test_product_maps_move_each_labelled_vertex_as_their_formula_says():
     # each map is checked against the labels, which record (v, i) apart from the numbering's arithmetic
-    rng, lifts, cases, swaps = random.Random(27), 0, set(), 0
+    rng, lifts, fixing_lifts, cases, swaps = random.Random(27), 0, 0, set(), 0
     for n in range(3, 10):
         for G in (random_graph(rng, max_n=6) for _ in range(6)):
             H, s, B = direct_product(G, cycle(n)), _scan_source(G), G.is_bipartite()
-            stabiliser, whole = automorphism_generators(G, (s,)), automorphism_generators(G, ())
+            gens = automorphism_generators(G, s)
+            fixing = [0] + [2 + k for k, phi in enumerate(gens) if phi[s] == s]  # the reflection, lifts fixing s
+            lifts, fixing_lifts = lifts + len(gens), fixing_lifts + len(fixing) - 1
             at = _coordinates(H)
-            maps = [(product_permutation(G, n, sign=-1), lambda v, i: (v, -i % n)),
-                    (product_permutation(G, n, shift=1), lambda v, i: (v, (i + 1) % n))]
-            for phi in stabiliser + whole:
-                maps.append((product_permutation(G, n, phi), lambda v, i, phi=phi: (phi[v], i)))
-                lifts += 1
-            for p, formula in maps:
+            formulas = [lambda v, i: (v, -i % n), lambda v, i: (v, (i + 1) % n)]
+            formulas += [lambda v, i, phi=phi: (phi[v], i) for phi in gens]
+            product = product_symmetries(G, n, gens)
+            assert len(product) == len(formulas)
+            for p, formula in zip(product, formulas):
                 assert [at[p[x]] for x in range(H.n)] == [formula(*c) for c in at]
                 assert _maps_onto(p.__getitem__, H.edges, H.edges)  # an automorphism of G x C_n
+            source = at.index((s, 0))  # the scan source of G x C_n
+            assert [k for k, p in enumerate(product) if p[source] == source] == fixing
             if B:  # the maps on the cyclic layered graph, whose labels count layers from 1
                 L = tilde(G, B, n)[0]
                 at_layer = [(v, i - 1) for v, i in _coordinates(L)]
                 c = (0, -1) if s in B.X else (1, 0)  # per side, X first: one more on X, 0 on s's side
-                formulas = [lambda v, i: (v, c[v in B.Y] - i)] + [lambda v, i, phi=phi: (phi[v], i) for phi in stabiliser]
-                formulas.append(lambda v, i: (v, i + 1))
-                for phi in whole:
+                formulas = [lambda v, i: (v, c[v in B.Y] - i), lambda v, i: (v, i + 1)]
+                for phi in gens:
                     swapping = (phi[s] in B.Y) != (s in B.Y)
                     formulas.append(lambda v, i, phi=phi, sign=-1 if swapping else 1: (phi[v], sign * i))
                     swaps += swapping
-                layered = layered_symmetries(G, B, n, s, stabiliser, whole)
-                assert len(layered) == len(formulas) and layered[0][s] == s  # the reversal fixes (s, 0)
+                layered = layered_symmetries(G, B, n, s, gens)
+                assert len(layered) == len(formulas)
                 for p, formula in zip(layered, formulas):
                     assert [at_layer[p[x]] for x in range(L.n)] == [(w, j % n) for w, j in (formula(*c) for c in at_layer)]
                     assert _maps_onto(p.__getitem__, L.edges, L.edges)  # an automorphism of tilde(G, B, n)
+                source = at_layer.index((s, 0))  # the reversal and the lifts fixing s fix (s, 0)
+                assert [k for k, p in enumerate(layered) if p[source] == source] == fixing
             try:
                 dec = layer_decomposition(G, n)
             except InputError:  # n below the case's minimum
@@ -126,7 +130,7 @@ def test_product_maps_move_each_labelled_vertex_as_their_formula_says():
                 assert all(below[f(x)][0] == at[x][0] for e in block for x in e)  # over the same vertex of G
             if B and n % 2:
                 assert _maps_onto(dec.tilde_map, tilde(G, B, n)[0].edges, H.edges)
-    assert lifts > 20 and swaps > 5 and cases == {"bipartite-odd", "bipartite-even", "nonbipartite-even", "nonbipartite-odd"}
+    assert lifts > 20 and fixing_lifts > 10 and swaps > 5 and cases == {"bipartite-odd", "bipartite-even", "nonbipartite-even", "nonbipartite-odd"}
 
 
 def test_double_cover():

@@ -126,11 +126,15 @@ def _generated_group(maps, n):
     return group
 
 
-def _certified_maps(G, fixed, maps):
-    return all(
-        sorted(p) == list(range(G.n)) and all(p[v] == v for v in fixed) and _maps_onto(p.__getitem__, G.edges, G.edges)
-        for p in maps
-    )
+def _certified_maps(G, maps):
+    return all(sorted(p) == list(range(G.n)) and _maps_onto(p.__getitem__, G.edges, G.edges) for p in maps)
+
+
+def _fixing_first(maps, v):
+    """The maps that fix v, checked to come before every map that moves it."""
+    fixing = [p for p in maps if p[v] == v]
+    assert maps[: len(fixing)] == fixing
+    return fixing
 
 
 def _automorphism_corpus():
@@ -148,49 +152,50 @@ def _automorphism_corpus():
         yield G, {tuple(m[x] for x in range(G.n)) for m in GraphMatcher(H, H).isomorphisms_iter()}
 
 
-def test_stabiliser_generators_generate_the_stabiliser():
+def test_automorphism_generators_generate_the_group_and_those_fixing_the_base_its_stabiliser():
     for G, automorphisms in _automorphism_corpus():
         for v in range(G.n):
-            maps = automorphism_generators(G, (v,))
-            assert _certified_maps(G, (v,), maps), (sorted(G.edges), v)
-            assert _generated_group(maps, G.n) == {p for p in automorphisms if p[v] == v}, (sorted(G.edges), v)
-
-
-def test_automorphism_generators_with_nothing_fixed_generate_the_whole_group():
-    for G, automorphisms in _automorphism_corpus():
-        maps = automorphism_generators(G, ())
-        assert _certified_maps(G, (), maps), sorted(G.edges)
-        assert _generated_group(maps, G.n) == automorphisms, sorted(G.edges)
+            maps = automorphism_generators(G, v)
+            assert _certified_maps(G, maps), (sorted(G.edges), v)
+            assert _generated_group(maps, G.n) == automorphisms, (sorted(G.edges), v)
+            stabiliser = {p for p in automorphisms if p[v] == v}
+            assert _generated_group(_fixing_first(maps, v), G.n) == stabiliser, (sorted(G.edges), v)
 
 
 def test_stabiliser_search_above_its_caps_returns_certified_maps(monkeypatch):
-    # the stabiliser of vertex 0, and with nothing fixed the whole group
+    # the stabiliser of vertex 0, from the maps that fix it, and the whole group
     G = petersen()
-    fulls = {fixed: _generated_group(automorphism_generators(G, fixed), G.n) for fixed in ((0,), ())}
-    assert [len(full) for full in fulls.values()] == [12, 120]  # vertex-transitive: 120 automorphisms, 10 vertices
-    for fixed, full in fulls.items():
-        assert automorphism_generators(cycle(graph.ISO_CAP + 1), fixed) == []
-        sizes = set()
-        for budget in range(40):  # the search stops part way below 23 nodes (the stabiliser), or 34, and completes there
-            monkeypatch.setattr(graph, "STABILISER_NODES", budget)
-            maps = automorphism_generators(G, fixed)
-            assert _certified_maps(G, fixed, maps)
-            group = _generated_group(maps, G.n)
-            assert group <= full
-            sizes.add(len(group))
-        assert {1, len(full)} < sizes  # a proper, nontrivial subgroup too
+    whole = _generated_group(automorphism_generators(G, 0), G.n)
+    stabiliser = {p for p in whole if p[0] == 0}
+    assert [len(stabiliser), len(whole)] == [12, 120]  # vertex-transitive: 120 automorphisms, 10 vertices
+    assert automorphism_generators(cycle(graph.ISO_CAP + 1), 0) == []
+    sizes = set()
+    for budget in range(40):  # the search stops part way below 24 nodes (the stabiliser part), or 34, and completes there
+        monkeypatch.setattr(graph, "STABILISER_NODES", budget)
+        maps = automorphism_generators(G, 0)
+        assert _certified_maps(G, maps)
+        fixing = _fixing_first(maps, 0)
+        part, group = _generated_group(fixing, G.n), _generated_group(maps, G.n)
+        assert part <= stabiliser and group <= whole
+        assert fixing == maps or part == stabiliser  # no map moves 0 until the stabiliser part is complete
+        sizes.add((len(part), len(group)))
+    for found, full in zip(zip(*sizes), (stabiliser, whole)):
+        assert {1, len(full)} < set(found)  # a proper, nontrivial subgroup too
     monkeypatch.setattr(graph, "ISO_CAP", 4)
-    assert automorphism_generators(G, (0,)) == automorphism_generators(G, ()) == []
+    assert automorphism_generators(G, 0) == []
 
 
-def test_each_stabiliser_search_starts_past_the_vertices_it_fixes(monkeypatch):
-    # 28 search nodes find the whole stabiliser of (0, 0) in C3 x C5; re-placing
-    # the fixed vertices for every candidate map took 260
-    G = direct_product(cycle(3), cycle(5))
-    full = automorphism_generators(G, (0,))
-    assert len(_generated_group(full, G.n)) == 4
-    monkeypatch.setattr(graph, "STABILISER_NODES", 28)
-    assert automorphism_generators(G, (0,)) == full
+def test_one_search_finds_the_stabiliser_then_the_group_at_pinned_node_counts(monkeypatch):
+    # the maps that fix 0 generate its stabiliser from the first count of search nodes on, and all the maps
+    # the whole group from the second
+    for G, orders, nodes in ((direct_product(cycle(3), cycle(5)), (4, 60), (35, 65)), (petersen(), (12, 120), (24, 34))):
+        found = []
+        for budget in (nodes[0] - 1, nodes[0], nodes[1] - 1, nodes[1]):
+            monkeypatch.setattr(graph, "STABILISER_NODES", budget)
+            maps = automorphism_generators(G, 0)
+            found.append((len(_generated_group(_fixing_first(maps, 0), G.n)), len(_generated_group(maps, G.n))))
+        assert found[0][0] < orders[0] == found[1][0], G
+        assert found[2][1] < orders[1] == found[3][1], G
 
 
 def _scattered_graph(rng):
