@@ -1,12 +1,12 @@
 """Command-line surface.
 
 Subcommands: gen, kappa, super-kappa, verify, suite, search-tightness.
-Exit codes: 0 success/confirmed, 1 refuted or witness found,
-2 indeterminate (budget), 3 input error (usage errors, oversized inputs and
-input files that cannot be read or decoded included), 4 a fault of the
-program or output it could not write. Errors of kind 3 and 4 print one stderr
-line, a closed stdout none; a suite whose entries hit internal errors reports
-each as an `error` verdict, prints one stderr line per such entry and exits 4.
+Exit codes: 0 success/confirmed, 1 refuted or witness found, 2 indeterminate
+(budget, or undecided odd-cycle factors), 3 input error (usage errors,
+oversized inputs and input files that cannot be read or decoded included), 4 a
+fault of the program or output it could not write. Errors of kind 3 and 4 print
+one stderr line, a closed stdout none; a suite whose entries hit internal errors
+reports each as an `error` verdict, prints one stderr line per such entry and exits 4.
 """
 
 from __future__ import annotations
@@ -68,11 +68,11 @@ def cmd_super_kappa(args):
 def cmd_verify(args):
     if args.expr is not None:
         graph, spec = build_expression(args.expr, graph6=True)  # the verdict records its graph6
-        lengths, descriptor, inputs = spec.odd_cycle_lengths(), {"expr": args.expr}, spec.file_paths()
+        descriptor, inputs = {"expr": args.expr}, spec.file_paths()
     else:
         graph = load_graph_file(args.graph)
-        lengths, descriptor, inputs = None, {"file": args.graph}, [args.graph]
-    verdict = verify(args.theorem, graph, n=args.n, budget=args.budget, odd_cycle_lengths=lengths, instance=descriptor)
+        descriptor, inputs = {"file": args.graph}, [args.graph]
+    verdict = verify(args.theorem, graph, n=args.n, budget=args.budget, instance=descriptor)
     doc = verdict.to_json()
     return _json(doc), [doc], inputs, [verdict.verdict]
 

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from functools import reduce
+from itertools import combinations, combinations_with_replacement, product
+from math import prod
 
 from .errors import GenerationError, InputError
 from .formats import MAX_EDGES, check_size
-from .graph import Graph
+from .graph import ISO_CAP, STABILISER_NODES, Graph, _maps_onto, isomorphism
 
 RESAMPLE_BUDGET = 10_000
 
@@ -88,6 +90,33 @@ def product_symmetries(G, n, automorphisms):
 def double_cover(G):
     """Bipartite double cover G x K_2."""
     return direct_product(G, complete(2))
+
+
+def odd_cycle_lengths(G):
+    """The lengths l_1 <= ... <= l_k of the k >= 1 odd cycles whose direct product is G, certified by a map of
+    that product onto G; () when G is none, being disconnected, not 2^k-regular or of even order; None when it
+    cannot be decided. A 2-regular G is the cycle its walk from vertex 0 traces; for k >= 2, a map is searched
+    for from each product of k odd factors of |V|, up to ISO_CAP vertices and STABILISER_NODES nodes in all."""
+    delta = G.min_degree()
+    k = delta.bit_length() - 1
+    if not (G.is_connected() and delta >= 2 and delta == 1 << k and 2 * len(G.edges) == delta * G.n and G.n % 2):
+        return ()
+    if k == 1:
+        walk = [0, min(G.neighborhood(0))]
+        while len(walk) < G.n:
+            walk.append(min(G.neighborhood(walk[-1]) - {walk[-2]}))
+        return (G.n,) if _maps_onto(walk.__getitem__, cycle(G.n).edges, G.edges) else ()
+    if G.n > ISO_CAP:
+        return None
+    factors, nodes = [f for f in range(3, G.n + 1, 2) if G.n % f == 0], [STABILISER_NODES]
+    for lengths in (L for L in combinations_with_replacement(factors, k) if prod(L) == G.n):
+        P = reduce(direct_product, map(cycle, lengths))
+        phi = isomorphism(P, G, nodes)
+        if phi is not None and _maps_onto(phi.__getitem__, P.edges, G.edges):
+            return lengths
+        if nodes[0] <= 0:
+            return None
+    return ()
 
 
 # -- layered constructions ---------------------------------------------------

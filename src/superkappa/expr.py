@@ -49,15 +49,6 @@ class ProductSpec:
 
     leaves: tuple  # of FamilyLeaf
 
-    def odd_cycle_lengths(self):
-        """Cycle lengths when every leaf is an odd cycle, else None."""
-        lengths = []
-        for leaf in self.leaves:
-            if leaf.kind != "cycle" or leaf.args[0] % 2 == 0:
-                return None
-            lengths.append(leaf.args[0])
-        return lengths
-
     def file_paths(self):
         """The paths of the file leaves, those of each tilde leaf's base included."""
         paths = []

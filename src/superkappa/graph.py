@@ -250,20 +250,24 @@ def _backtrack(G, H, order, choices, nodes, fixed=0):
     return phi if extend(fixed) else None
 
 
-def is_isomorphic_small(G, H):
-    """Edge-preserving bijection test by backtracking; graphs up to ISO_CAP vertices."""
+def isomorphism(G, H, nodes):
+    """An edge-preserving bijection V(G) -> V(H), as a list read v -> phi[v], or None: there is none, or the
+    backtracking placed the `nodes[0]` vertices it was allowed (it counts them down); up to ISO_CAP vertices."""
     if G.n > ISO_CAP or H.n > ISO_CAP:
         raise CapacityError(f"isomorphism search capped at {ISO_CAP} vertices")
     if G.n != H.n or len(G.edges) != len(H.edges):
-        return False
-    if G.n == 0:
-        return True
+        return None
     cg, ch = _refine_colors(G, H)
     if sorted(cg) != sorted(ch):
-        return False
+        return None
     by_color_h = {c: [v for v in range(H.n) if ch[v] == c] for c in set(ch)}
     order = _search_order(G, [by_color_h[c] for c in cg])
-    return _backtrack(G, H, order, [by_color_h[cg[g]] for g in order], [math.inf]) is not None
+    return _backtrack(G, H, order, [by_color_h[cg[g]] for g in order], nodes)
+
+
+def is_isomorphic_small(G, H):
+    """Edge-preserving bijection test by backtracking; graphs up to ISO_CAP vertices."""
+    return isomorphism(G, H, [math.inf]) is not None
 
 
 def automorphism_generators(G, base):

@@ -50,18 +50,17 @@ _DESCRIPTOR_FIELDS = {
 
 
 def resolve_graph(descriptor):
-    """Build (graph, odd_cycle_lengths) from a manifest graph descriptor, its
+    """Build (graph, ProductSpec of an expression, else None) from a manifest graph descriptor, its
     shape and fields checked first; a graph with no vertices, or too many for
     the graph6 its verdict records, is refused (an expression's before it is built)."""
     if not isinstance(descriptor, dict) or len(descriptor) != 1 or next(iter(descriptor)) not in _DESCRIPTOR_FIELDS:
         raise InputError(f"bad graph descriptor {descriptor!r}")
     (kind, value), = descriptor.items()
-    fields, lengths = _DESCRIPTOR_FIELDS[kind], None
+    fields, spec = _DESCRIPTOR_FIELDS[kind], None
     if fields is None and not isinstance(value, str):
         raise InputError(f"{kind} descriptor needs a string")
     if kind == "expr":
         graph, spec = build_expression(value, graph6=True)
-        lengths = spec.odd_cycle_lengths()
     elif kind == "graph6":
         graph = parse_graph6(value)
     else:  # a seeded random graph
@@ -81,25 +80,18 @@ def resolve_graph(descriptor):
     if not graph.n:
         raise InputError("the graph has no vertices")
     check_graph6_size(graph.n)
-    return graph, lengths
+    return graph, spec
 
 
 def run_instance(entry):
     """Evaluate one manifest entry; pure function of the entry."""
-    graph, lengths = resolve_graph(entry.get("graph"))
+    graph = resolve_graph(entry.get("graph"))[0]
     n = entry.get("n")
     budget = entry.get("budget", conn.CUT_BUDGET)
     descriptor = {"id": entry.get("id"), **entry["graph"]}
     if entry.get("check") == "decomposition":
         return verify_decomposition(graph, n, instance=descriptor)
-    return verify(
-        entry["theorem"],
-        graph,
-        n=n,
-        budget=budget,
-        odd_cycle_lengths=lengths,
-        instance=descriptor,
-    )
+    return verify(entry["theorem"], graph, n=n, budget=budget, instance=descriptor)
 
 
 def _run_or_error(entry):
@@ -140,18 +132,18 @@ def _entry_problem(entry):
             return "'n' and 'budget' must be integers"
         if "budget" in entry and (entry["budget"] is None or entry["budget"] < 0):
             return "'budget' must be a non-negative integer"
-        G, lengths = resolve_graph(entry.get("graph"))
+        G = resolve_graph(entry.get("graph"))[0]
         if rule is None:
             decomposition_case(G, n)  # refuses an n below the case's minimum
             builds = G.is_connected()
         else:  # running builds it where the hypotheses hold; load decides all but a strict clause, which needs kappa
-            builds = rule.n_min is not None and all_but_strict_hold(entry["theorem"], G, n, lengths)
-        if builds:  # G x C_n, or n copies of G: n|V| vertices and 2n|E| edges
+            builds = all_but_strict_hold(entry["theorem"], G, n)
+        if builds and n is not None:  # G x C_n, or n copies of G: n|V| vertices and 2n|E| edges
             check_size(n * G.n, 2 * n * len(G.edges))
-        # G x K2, 2|V| vertices and 2|E| edges: T3.9's construction on a product of odd cycles, and what
+        # G x K2, 2|V| vertices and 2|E| edges: T3.9's construction where its hypotheses hold, and what
         # a strict clause on kappa(G x K2) reads at any integer n when G is connected and non-bipartite
         strict_dc = rule and rule.strict and rule.strict[0] == "kappa_dc" and n is not None
-        if rule and rule.construction == COVER and lengths or strict_dc and G.is_connected() and G.is_bipartite() is None:
+        if rule and rule.construction == COVER and builds or strict_dc and G.is_connected() and not G.is_bipartite():
             check_size(2 * G.n, 2 * len(G.edges))
     except InputError as exc:
         return str(exc)

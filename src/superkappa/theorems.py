@@ -13,17 +13,17 @@ Each result is one `Rule` in the ordered `RULES` table, which
 - `strict`: `(invariant, minus, factor)` for the strict inequality
   `(n - minus) * invariant > factor * delta`, the invariant being
   kappa(G) ("kappa") or kappa(GxK2) ("kappa_dc");
-- `odd_cycles`: the clause that G is a direct product of k >= 1 odd cycles
-  (the caller supplies their lengths);
+- `odd_cycles`: the clause that G is a direct product of k >= 1 odd cycles, by
+  a certified map (`construct.odd_cycle_lengths`); "holds": null and an
+  indeterminate verdict where the search for one stops;
 - `construction`: the cyclic layered graph, G x C_n, the two components of
   G x C_n, or G x K2;
-- `predict`: the claim, from the base graph's invariants, n and the odd
-  cycle lengths only;
+- `predict`: the claim, from the base graph's invariants and n only;
 - `compare`: kappa equal to the claim, kappa within the claimed interval,
   two isomorphic components of the claimed kappa, or super-kappa (of each
   component, for the two-component construction);
 - `composes`: for the corollaries, the note naming the results they chain;
-  `verify` first checks T3.9's value kappa(GxK2) = delta = 2^k;
+  `conclude` first checks T3.9's value kappa(GxK2) = 2^k;
 - `decomposition`: the layer decomposition of G x C_n its proof uses.
 
 To add a result, add its record: the CLI, the manifest check and, for a
@@ -32,7 +32,7 @@ tightness search pick it up. A new kind of clause, construction or
 comparison also needs its branch in `_clauses`, `_construct` or `conclude`.
 
 Each thing certified equal is computed once. The invariants rules read
-(connected, bipartition, delta, kappa(G), kappa(GxK2), and generators of
+(connected, bipartition, delta, kappa(G), kappa(GxK2), the odd-cycle factors, and generators of
 Aut(G) from one search based at its kappa scan's source, those that fix the
 source first) are computed on first use and kept on the Graph object, so every
 rule and every n checked on one object share them. For the two-component
@@ -51,10 +51,10 @@ from typing import Callable
 
 from . import connectivity as conn
 from .construct import cycle, decomposition_case, direct_product, double_cover, layer_decomposition, tilde
-from .construct import layered_symmetries, product_map, product_symmetries
+from .construct import layered_symmetries, odd_cycle_lengths, product_map, product_symmetries
 from .errors import InputError
 from .formats import parse_graph6, write_graph6
-from .graph import _maps_onto, automorphism_generators
+from .graph import ISO_CAP, STABILISER_NODES, _maps_onto, automorphism_generators
 
 BIPARTITE, NONBIPARTITE = "bipartite", "non-bipartite"
 TILDE, PRODUCT, COMPONENTS, COVER = "tilde", "G x C_n", "components of G x C_n", "G x K2"
@@ -66,6 +66,7 @@ HYP_NOT_MET = "hypotheses-not-met"
 INDETERMINATE = "indeterminate"
 ERROR = "error"  # a suite entry the program failed on; see suite.run_manifest
 SUPER_KAPPA = {"super_kappa": True}  # what every super-kappa rule predicts; its verdicts share this object
+UNDECIDED_FACTORS = f"the search for G's odd-cycle factors stops above {ISO_CAP} vertices or {STABILISER_NODES} nodes"
 
 
 @dataclass(frozen=True)
@@ -77,17 +78,17 @@ class Rule:
     strict: tuple | None = None
     odd_cycles: bool = False
     construction: str = PRODUCT
-    predict: Callable = lambda inv, n, lengths: SUPER_KAPPA
+    predict: Callable = lambda inv, n: SUPER_KAPPA
     compare: str = SUPER
     composes: str | None = None
     decomposition: str | None = None
 
 
-def _layers_times_kappa(inv, n, lengths):
+def _layers_times_kappa(inv, n):
     return min(n * inv.kappa, 2 * inv.delta)
 
 
-def _two_components(inv, n, lengths):
+def _two_components(inv, n):
     return {"components": 2, "component_kappa": min(n // 2 * inv.kappa, 2 * inv.delta), "isomorphic": True}
 
 
@@ -98,25 +99,25 @@ RULES = {
     "T3.2": Rule(BIPARTITE, 4, "even", construction=COMPONENTS, predict=_two_components, compare=COMPONENT_KAPPA),
     "T3.3": Rule(
         NONBIPARTITE, 4, "even", compare=EQUAL,
-        predict=lambda inv, n, lengths: min(n // 2 * inv.kappa_dc, 2 * inv.delta),
+        predict=lambda inv, n: min(n // 2 * inv.kappa_dc, 2 * inv.delta),
     ),
     "T3.4": Rule(
         NONBIPARTITE, 5, "odd", compare=INTERVAL,
-        predict=lambda inv, n, lengths: [
+        predict=lambda inv, n: [
             min((n - 1) // 2 * inv.kappa_dc, 2 * inv.delta), min((n + 1) // 2 * inv.kappa_dc, 2 * inv.delta)
         ],
     ),
     "T3.5": Rule(BIPARTITE, 3, "odd", part_sizes=True, strict=("kappa", 0, 2), decomposition="bipartite-odd"),
     "T3.6": Rule(
         BIPARTITE, 6, "even", part_sizes=True, strict=("kappa", 0, 4), construction=COMPONENTS,
-        predict=lambda inv, n, lengths: {**_two_components(inv, n, lengths), "super_kappa": True},
+        predict=lambda inv, n: {**_two_components(inv, n), "super_kappa": True},
         decomposition="bipartite-even",
     ),
     "T3.7": Rule(NONBIPARTITE, 6, "even", strict=("kappa_dc", 0, 4), decomposition="nonbipartite-even"),
     "T3.8": Rule(NONBIPARTITE, 7, "odd", strict=("kappa_dc", 1, 4), decomposition="nonbipartite-odd"),
     "T3.9": Rule(
         None, None, None, odd_cycles=True, construction=COVER, compare=EQUAL,
-        predict=lambda inv, n, lengths: 2 ** len(lengths),
+        predict=lambda inv, n: 2 ** len(inv.odd_cycle_lengths),
     ),
     "C3.10": Rule(None, 6, "even", odd_cycles=True, composes="composed as: kappa(GxK2)=2^k (T3.9) feeding T3.7"),
     "C3.11": Rule(
@@ -175,6 +176,8 @@ class _Invariants:
     delta = cached_property(lambda self: self.G.min_degree())
     kappa = cached_property(lambda self: conn.vertex_connectivity(self.G) if self.connected else 0)
     kappa_dc = cached_property(lambda self: conn.vertex_connectivity(double_cover(self.G)))
+    # (l_1, ..., l_k) when G is certified the product of those odd cycles, () when it is none, None: undecided
+    odd_cycle_lengths = cached_property(lambda self: odd_cycle_lengths(self.G))
     # generators of Aut(G), those that fix G's kappa scan source first
     automorphisms = cached_property(lambda self: automorphism_generators(self.G, conn._scan_source(self.G)))
 
@@ -197,7 +200,7 @@ def n_rule_holds(rule, n):
     return n is not None and n >= rule.n_min and rule.parity in (None, ("even", "odd")[n % 2])
 
 
-def _clauses(rule, inv, n, odd_cycle_lengths):
+def _clauses(rule, inv, n):
     clauses = [_fixed_clause("G is connected", inv.connected)]
     if rule.graph_class == BIPARTITE:
         clauses.append(_fixed_clause("G is bipartite", inv.bipartition is not None))
@@ -224,43 +227,44 @@ def _clauses(rule, inv, n, odd_cycle_lengths):
                 inv.connected and (n - minus) * value > factor * inv.delta,
             ))
     if rule.odd_cycles:
-        ok = bool(odd_cycle_lengths) and all(l >= 3 and l % 2 == 1 for l in odd_cycle_lengths)
-        clauses.append(_fixed_clause("G is a direct product of k >= 1 odd cycles", ok))
+        lengths = inv.odd_cycle_lengths
+        holds = None if lengths is None else bool(lengths)  # None: undecided
+        clauses.append(_fixed_clause("G is a direct product of k >= 1 odd cycles", holds))
     return clauses
 
 
-def check_hypotheses(theorem_id, G, n=None, odd_cycle_lengths=None):
+def check_hypotheses(theorem_id, G, n=None):
     """Evaluate every hypothesis clause separately. Strict rational
     inequalities are compared by integer cross-multiplication. The clause
     dicts are shared between verdicts and are read-only."""
     rule, inv = theorem_rule(theorem_id, n), _Invariants(G)
-    return _clauses(rule, inv, n, odd_cycle_lengths)
+    return _clauses(rule, inv, n)
 
 
 def hypotheses_hold(clauses):
     return all(c["holds"] for c in clauses)
 
 
-def all_but_strict_hold(theorem_id, G, n=None, odd_cycle_lengths=None):
+def all_but_strict_hold(theorem_id, G, n=None):
     """Whether every hypothesis clause holds but a strict one: all that can be
     decided without kappa."""
     rule, inv = theorem_rule(theorem_id, n), _Invariants(G)
-    return hypotheses_hold(_clauses(replace(rule, strict=None), inv, n, odd_cycle_lengths))
+    return hypotheses_hold(_clauses(replace(rule, strict=None), inv, n))
 
 
 # -- predictions --------------------------------------------------------------
 
 
-def predicted(theorem_id, G, n=None, odd_cycle_lengths=None):
+def predicted(theorem_id, G, n=None):
     """The formula value / interval / property claim. Computed only from
     kappa(G), delta(G), kappa(G x K2), k and n -- never from the
     constructed product itself."""
     rule, inv = theorem_rule(theorem_id, n), _Invariants(G)
-    clauses = _clauses(rule, inv, n, odd_cycle_lengths)
+    clauses = _clauses(rule, inv, n)
     if not hypotheses_hold(clauses):
         failed = [c["clause"] for c in clauses if not c["holds"]]
         raise InputError(f"hypotheses not satisfied for {theorem_id}: {failed}")
-    return rule.predict(inv, n, odd_cycle_lengths)
+    return rule.predict(inv, n)
 
 
 # -- constructions --------------------------------------------------------------
@@ -337,18 +341,22 @@ def _verdict_maker(theorem_id, instance, clauses, start):
     return done
 
 
-def verify(theorem_id, G, n=None, budget=conn.CUT_BUDGET, odd_cycle_lengths=None, instance=None):
-    """The hypothesis gate: evaluate every clause and, where all hold, `conclude`."""
+def verify(theorem_id, G, n=None, budget=conn.CUT_BUDGET, instance=None):
+    """The hypothesis gate: evaluate every clause and, where all hold, `conclude`; where one fails, the
+    hypotheses are not met, and where the rest hold but one is undecided, the verdict is indeterminate."""
     rule, inv = theorem_rule(theorem_id, n), _Invariants(G)
     start = time.perf_counter()
     instance = _instance(G, n, instance)  # a graph too large for its graph6 is refused before any clause runs
-    clauses = _clauses(rule, inv, n, odd_cycle_lengths)
+    clauses = _clauses(rule, inv, n)
     if not hypotheses_hold(clauses):
-        return _verdict_maker(theorem_id, instance, clauses, start)(None, None, HYP_NOT_MET)
-    return conclude(theorem_id, G, n, budget, odd_cycle_lengths, instance, clauses, start)
+        done = _verdict_maker(theorem_id, instance, clauses, start)
+        if False in [c["holds"] for c in clauses]:
+            return done(None, None, HYP_NOT_MET)
+        return done(None, None, INDETERMINATE, notes=[UNDECIDED_FACTORS])
+    return conclude(theorem_id, G, n, budget, instance, clauses, start)
 
 
-def conclude(theorem_id, G, n=None, budget=conn.CUT_BUDGET, odd_cycle_lengths=None, instance=None, clauses=(), start=None):
+def conclude(theorem_id, G, n=None, budget=conn.CUT_BUDGET, instance=None, clauses=(), start=None):
     """The conclusion of a result on G and n, its hypotheses unread: build the
     construction, settle two components with the cycle-shift certificate,
     compute kappa or decide super-kappa with the connectivity module, compare
@@ -363,7 +371,7 @@ def conclude(theorem_id, G, n=None, budget=conn.CUT_BUDGET, odd_cycle_lengths=No
     rule, inv = theorem_rule(theorem_id, n), _Invariants(G)
     start = time.perf_counter() if start is None else start
     done = _verdict_maker(theorem_id, _instance(G, n, instance), list(clauses), start)
-    pred = rule.predict(inv, n, odd_cycle_lengths)
+    pred = rule.predict(inv, n)
     H = _construct(rule, inv, n)
 
     if rule.compare in (EQUAL, INTERVAL):
@@ -394,9 +402,9 @@ def conclude(theorem_id, G, n=None, budget=conn.CUT_BUDGET, odd_cycle_lengths=No
 
     # super-kappa, of H or of each component
     if rule.composes:
-        k = len(odd_cycle_lengths)
-        if inv.kappa_dc != 2 ** k or inv.delta != 2 ** k:
-            actual = {"kappa_double_cover": inv.kappa_dc, "delta": inv.delta, "expected": 2 ** k}
+        expected = RULES["T3.9"].predict(inv, None)
+        if inv.kappa_dc != expected:
+            actual = {"kappa_double_cover": inv.kappa_dc, "delta": inv.delta, "expected": expected}
             return done(pred, actual, REFUTED)
     notes = [rule.composes] if rule.composes else []
     statuses, witness = [], None

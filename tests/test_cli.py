@@ -224,7 +224,7 @@ _DOUBLE_COVER_ENTRIES = [
     ({"id": "e", "theorem": "T3.9", "graph": {"expr": "cycle(5)"}}, None),  # the construction is G x K2
     ({"id": "e", "theorem": "T3.7", "graph": {"expr": "cycle(6)"}, "n": 5}, "hypotheses-not-met"),  # bipartite G
     ({"id": "e", "theorem": "T3.7", "graph": {"expr": "cycle(5)"}}, "hypotheses-not-met"),  # no n, no strict clause
-    ({"id": "e", "theorem": "T3.9", "graph": {"graph6": "Dhc"}}, "hypotheses-not-met"),  # no odd-cycle lengths
+    ({"id": "e", "theorem": "T3.9", "graph": {"graph6": "Dhc"}}, None),  # C5 read from its graph6
 ]
 
 

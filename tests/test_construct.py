@@ -1,11 +1,14 @@
 import random
+from functools import reduce
 from itertools import combinations
 
 import pytest
 
 from superkappa import (
     GenerationError,
+    Graph,
     InputError,
+    build_expression,
     complete,
     complete_bipartite,
     cycle,
@@ -19,7 +22,8 @@ from superkappa import (
     vertex_connectivity,
 )
 from superkappa.connectivity import _scan_source
-from superkappa.construct import layered_symmetries, product_permutation, product_symmetries
+from superkappa import construct
+from superkappa.construct import layered_symmetries, odd_cycle_lengths, product_permutation, product_symmetries
 from superkappa.graph import _maps_onto, automorphism_generators
 
 from conftest import petersen, random_graph
@@ -253,6 +257,69 @@ def test_layer_decomposition_matches_networkx_oracle(base, n):
     assert set().union(*blocks) == {
         tuple(sorted((vertex[f"({u},{i})"], vertex[f"({v},{j})"]))) for (u, i), (v, j) in product.edges
     }
+
+
+def _relabelled(G, seed):
+    perm = list(range(G.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(G.n, [(perm[u], perm[v]) for u, v in G.edges])
+
+
+def _odd_cycle_products(limit):
+    """Every nondecreasing tuple of at least two odd cycle lengths whose product is at most `limit`."""
+    found = []
+
+    def grow(lengths, order):
+        if len(lengths) >= 2:
+            found.append(lengths)
+        for length in range(lengths[-1] if lengths else 3, limit // order + 1, 2):
+            grow((*lengths, length), order * length)
+
+    grow((), 1)
+    return found
+
+
+@pytest.mark.parametrize(
+    "expression,lengths",
+    [
+        ("cycle(3) x cycle(5)", (3, 5)),
+        ("cycle(5) x cycle(3)", (3, 5)),
+        ("cycle(3) x complete(3)", (3, 3)),  # K3 is C3, whatever its spelling
+        ("cycle(3) x cycle(4)", ()),  # even order
+        ("tilde(kbip(2,3),3) x cycle(3)", ()),  # not regular
+        ("cycle(1001)", (1001,)),  # one cycle is walked, at any size
+        ("cycle(3) x cycle(5) x cycle(7)", None),  # 105 vertices: above ISO_CAP, undecided
+    ],
+)
+def test_odd_cycle_lengths_are_read_from_the_graph(expression, lengths):
+    assert odd_cycle_lengths(build_expression(expression)[0]) == lengths
+
+
+def test_odd_cycle_lengths_are_undecided_once_the_search_budget_is_spent(monkeypatch):
+    G = _relabelled(direct_product(cycle(3), cycle(5)), 1)
+    assert odd_cycle_lengths(G) == (3, 5)
+    monkeypatch.setattr(construct, "STABILISER_NODES", 3)
+    assert odd_cycle_lengths(G) is None
+
+
+def test_odd_cycle_lengths_match_networkx_oracle():
+    """The derived lengths are certified exactly when networkx finds G isomorphic to some product of odd cycles,
+    over seeded random 4-regular graphs of odd order 9-63, 8-regular ones of 27, 45 and 63 vertices, and a
+    relabelling of every product of at least two odd cycles up to 63 vertices."""
+    nx = pytest.importorskip("networkx")
+    products = {L: nx.Graph(list(reduce(direct_product, map(cycle, L)).edges)) for L in _odd_cycle_products(63)}
+    rng, corpus = random.Random(20261021), []
+    for degree, order in [(4, rng.randrange(9, 64, 2)) for _ in range(40)] + [(8, n) for n in (27, 45, 63) * 2]:
+        g = nx.random_regular_graph(degree, order, seed=rng.randrange(10**6))
+        if nx.is_connected(g):
+            corpus.append(Graph(order, g.edges))
+    corpus += [_relabelled(reduce(direct_product, map(cycle, L)), seed) for seed, L in enumerate(products)]
+    for G in corpus:
+        g = nx.Graph(list(G.edges))
+        matches = {L for L, p in products.items() if p.number_of_nodes() == G.n and nx.vf2pp_is_isomorphic(g, p)}
+        lengths = odd_cycle_lengths(G)
+        assert lengths is not None
+        assert (lengths in matches) if lengths else not matches
 
 
 def test_random_bipartite_deterministic():

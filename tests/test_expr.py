@@ -28,7 +28,7 @@ def test_tilde_is_a_leaf_that_composes_and_nests():
     K = complete_bipartite(2, 3)
     g, spec = build_expression("tilde(kbip(2,3),3) x cycle(3)")
     assert g == direct_product(tilde(K, K.is_bipartite(), 3)[0], cycle(3))
-    assert len(spec.leaves) == 2 and spec.odd_cycle_lengths() is None
+    assert len(spec.leaves) == 2
     K2 = complete_bipartite(1, 1)
     inner = tilde(K2, K2.is_bipartite(), 2)[0]
     assert build_expression("tilde(tilde(kbip(1,1), 2), 3)")[0] == tilde(inner, inner.is_bipartite(), 3)[0]
@@ -45,12 +45,6 @@ def test_file_paths_include_every_tilde_base():
     spec = parse_spec("file(a.g6) x tilde(file(b.g6) x tilde(file(c.g6), 2), 3) x cycle(3) x file(a.g6)")
     assert spec.file_paths() == ["a.g6", "b.g6", "c.g6", "a.g6"]
     assert parse_spec("tilde(kbip(2,3), 3) x cycle(3)").file_paths() == []
-
-
-def test_odd_cycle_lengths():
-    assert parse_spec("cycle(3) x cycle(5)").odd_cycle_lengths() == [3, 5]
-    assert parse_spec("cycle(3) x cycle(4)").odd_cycle_lengths() is None
-    assert parse_spec("cycle(3) x complete(3)").odd_cycle_lengths() is None
 
 
 @pytest.mark.parametrize(

@@ -103,6 +103,18 @@ ROWS = [
         stdout=_VERDICT_KEYS),
     Row("verify-t39-expression", ("verify", "--theorem", "T3.9", "--expr", "cycle(3) x cycle(5)"), 0, 0,
         stdout={'"predicted": 4,': 1, '"actual": 4,': 1, '"verdict": "confirmed",': 1}),
+    # the odd-cycle clause reads G, so a graph6 file of C3 x C5 and its expression give one verdict
+    Row("verify-t39-file", ("verify", "--theorem", "T3.9", "--graph", "{c.g6}"), 0, 0,
+        stdout={'"predicted": 4,': 1, '"actual": 4,': 1, '"verdict": "confirmed",': 1},
+        files={"c.g6": Gen("cycle(3) x cycle(5)")}),
+    *(Row(f"verify-{theorem.lower().replace('.', '')}-{kind}", ("verify", "--theorem", theorem, *graph, "--n", n),
+          0, 0, stdout={'"verdict": "confirmed",': 1}, files=files)
+      for theorem, n in (("C3.10", "6"), ("C3.11", "7"))
+      for kind, graph, files in (("file", ("--graph", "{c.g6}"), {"c.g6": Gen("cycle(3) x cycle(5)")}),
+                                 ("expression", ("--expr", "cycle(3) x cycle(5)"), {}))),
+    # 105 vertices, above ISO_CAP: the clause is undecided and the verdict indeterminate
+    Row("verify-t39-undecided-factors", ("verify", "--theorem", "T3.9", "--expr", "cycle(3) x cycle(5) x cycle(7)"),
+        2, 0, stdout={'"holds": null': 1, '"verdict": "indeterminate",': 1}),
     # a value verdict whose kappa scan skips the pairs the cycle reflection swaps
     Row("verify-t33-reflection-orbits", ("verify", "--theorem", "T3.3", "--expr", "cycle(5)", "--n", "6"), 0, 0,
         stdout={'"verdict": "confirmed"': 1}),
@@ -130,7 +142,8 @@ ROWS = [
     Row("gen-6000-vertices-in-4s", ("gen", "cycle(3) x cycle(2000)"), 0, 0, stdout=2999505, timeout=4),
     # graph6 is packed a run of columns at a time: the largest output fits in 200 MB of address space
     Row("gen-16384-vertices-in-200mb", ("gen", "cycle(16384)"), 0, 0, stdout=22368261, limit_kb=200000),
-    # graph6 of 12,000 vertices is decoded a column at a time, well under 5 s for the whole verify
+    # graph6 of 12,000 vertices is decoded a column at a time, well under 5 s for the whole verify; its even order
+    # fails the odd-cycle clause before any walk or search
     Row("verify-t39-12000-vertex-file", ("verify", "--theorem", "T3.9", "--graph", "{c.g6}"), 0, 0,
         files={"c.g6": Gen("cycle(3) x cycle(4000)")}, timeout=5),
     # each block map and the layer relabeling spans its own block, so 5001 layers fit in 200 MB and well under 10 s

@@ -66,7 +66,7 @@ def test_predicted_values(k23):
     claim = predicted("T3.2", k23, n=4)
     assert claim["components"] == 2 and claim["component_kappa"] == 4
     prod = direct_product(cycle(3), cycle(5))
-    assert predicted("T3.9", prod, odd_cycle_lengths=[3, 5]) == 4
+    assert predicted("T3.9", prod) == 4
 
 
 def test_predicted_refuses_unmet_hypotheses(k23):
@@ -112,19 +112,59 @@ def test_verify_l22_confirmed(c6):
 
 
 def test_verify_t39():
-    v = verify("T3.9", cycle(3), odd_cycle_lengths=[3])
+    v = verify("T3.9", cycle(3))
     assert v.verdict == CONFIRMED and v.predicted == 2
     prod = direct_product(cycle(3), cycle(5))
-    v = verify("T3.9", prod, odd_cycle_lengths=[3, 5])
+    v = verify("T3.9", prod)
     assert v.verdict == CONFIRMED and v.actual == 4
 
 
 def test_verify_corollaries():
-    v = verify("C3.10", cycle(3), n=6, odd_cycle_lengths=[3])
+    v = verify("C3.10", cycle(3), n=6)
     assert v.verdict == CONFIRMED
-    v = verify("C3.11", cycle(3), n=7, odd_cycle_lengths=[3])
+    v = verify("C3.11", cycle(3), n=7)
     assert v.verdict == CONFIRMED
     assert any("T3.8" in note for note in v.notes)
+
+
+def test_odd_cycle_clause_reads_g_not_its_spelling():
+    v = verify("C3.10", cycle(5), n=6)  # k = 1: T3.9 gives kappa(C5 x K2) = 2, and T3.7 then applies
+    assert v.verdict == CONFIRMED and clause_map(v.hypotheses)["G is a direct product of k >= 1 odd cycles"]
+    assert verify("T3.9", cycle(5)).predicted == 2
+    assert verify("T3.9", direct_product(cycle(3), complete(3))).predicted == 4  # K3 is C3
+    with pytest.raises(TypeError):
+        verify("C3.10", cycle(5), n=6, odd_cycle_lengths=[3, 3])
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        complete(1),  # delta 0
+        cycle(6),  # connected and 2-regular, refused by its even order alone
+        Graph(9, [(i, j) for t in (0, 3, 6) for i, j in ((t, t + 1), (t + 1, t + 2), (t, t + 2))]),  # 3 triangles
+        Graph(15, [(i, (i + d) % 15) for i in range(15) for d in (1, 2)]),  # 4-regular with triangles: not C3 x C5
+        # of order 75 = 3 x 25 = 5 x 15, above ISO_CAP, and refused before any search: disconnected, not regular,
+        # and 6-regular
+        Graph(75, [(u + t, v + t) for u, v in direct_product(cycle(5), cycle(5)).edges for t in (0, 25, 50)]),
+        Graph(75, [*direct_product(cycle(5), cycle(15)).edges, (0, 1)]),
+        Graph(75, [(i, (i + d) % 75) for i in range(75) for d in (1, 2, 3)]),
+    ],
+    ids=["K1", "C6", "three-triangles", "circulant-15-1-2", "three-C5xC5", "C5xC15-plus-an-edge", "circulant-75-1-2-3"],
+)
+@pytest.mark.parametrize("theorem_id,n", [("T3.9", None), ("C3.10", 6), ("C3.11", 7)])
+def test_odd_cycle_clause_fails_off_a_product_of_odd_cycles(G, theorem_id, n):
+    v = verify(theorem_id, G, n=n)
+    assert v.verdict == HYP_NOT_MET
+    assert clause_map(v.hypotheses)["G is a direct product of k >= 1 odd cycles"] is False
+
+
+def test_odd_cycle_clause_undecided_above_iso_cap_is_indeterminate():
+    G = direct_product(direct_product(cycle(3), cycle(5)), cycle(7))  # 105 vertices
+    v = verify("T3.9", G)
+    assert v.verdict == theorems.INDETERMINATE and v.actual is None
+    assert clause_map(v.hypotheses) == {"G is connected": True, "G is a direct product of k >= 1 odd cycles": None}
+    assert v.notes == [theorems.UNDECIDED_FACTORS]
+    assert verify("C3.10", G, n=5).verdict == HYP_NOT_MET  # a failing clause outweighs an undecided one
 
 
 def test_verify_t36():
@@ -254,47 +294,47 @@ ODD_CYCLES = ("G is a direct product of k >= 1 odd cycles", True)
 SUPER = {"super_kappa": True}
 NOT_MET = None  # predicted() refuses: the hypotheses do not hold
 
-# (theorem, graph, n, odd cycle lengths, every (clause, holds), prediction)
+# (theorem, graph, n, every (clause, holds), prediction)
 TABLE_CASES = [
-    ("T2.1", "kbip23", 3, None, [CONNECTED, BIPARTITE, ("n >= 2", True)], 4),
-    ("L2.2", "c6", 3, None, [
+    ("T2.1", "kbip23", 3, [CONNECTED, BIPARTITE, ("n >= 2", True)], 4),
+    ("L2.2", "c6", 3, [
         CONNECTED, BIPARTITE, ("n >= 3", True), *PARTS_3_3,
         ("kappa(G) > (2/n) delta(G)  [3*2 > 2*2]", True)], SUPER),
-    ("T3.1", "kbip23", 3, None, [CONNECTED, BIPARTITE, ("n >= 3 odd", True)], 4),
-    ("T3.2", "kbip23", 4, None, [CONNECTED, BIPARTITE, ("n >= 4 even", True)],
+    ("T3.1", "kbip23", 3, [CONNECTED, BIPARTITE, ("n >= 3 odd", True)], 4),
+    ("T3.2", "kbip23", 4, [CONNECTED, BIPARTITE, ("n >= 4 even", True)],
      {"components": 2, "component_kappa": 4, "isomorphic": True}),
-    ("T3.3", "c5", 4, None, [CONNECTED, NONBIPARTITE, ("n >= 4 even", True)], 4),
-    ("T3.4", "c5", 5, None, [CONNECTED, NONBIPARTITE, ("n >= 5 odd", True)], [4, 4]),
-    ("T3.5", "c6", 3, None, [
+    ("T3.3", "c5", 4, [CONNECTED, NONBIPARTITE, ("n >= 4 even", True)], 4),
+    ("T3.4", "c5", 5, [CONNECTED, NONBIPARTITE, ("n >= 5 odd", True)], [4, 4]),
+    ("T3.5", "c6", 3, [
         CONNECTED, BIPARTITE, ("n >= 3 odd", True), *PARTS_3_3,
         ("kappa(G) > (2/n) delta(G)  [3*2 > 2*2]", True)], SUPER),
-    ("T3.6", "c6", 6, None, [
+    ("T3.6", "c6", 6, [
         CONNECTED, BIPARTITE, ("n >= 6 even", True), *PARTS_3_3,
         ("kappa(G) > (4/n) delta(G)  [6*2 > 4*2]", True)],
      {"components": 2, "component_kappa": 4, "isomorphic": True, "super_kappa": True}),
-    ("T3.7", "c5", 6, None, [
+    ("T3.7", "c5", 6, [
         CONNECTED, NONBIPARTITE, ("n >= 6 even", True),
         ("kappa(GxK2) > (4/n) delta(G)  [6*2 > 4*2]", True)], SUPER),
-    ("T3.8", "c5", 7, None, [
+    ("T3.8", "c5", 7, [
         CONNECTED, NONBIPARTITE, ("n >= 7 odd", True),
         ("kappa(GxK2) > (4/(n-1)) delta(G)  [6*2 > 4*2]", True)], SUPER),
-    ("T3.9", "c3xc5", None, [3, 5], [CONNECTED, ODD_CYCLES], 4),
-    ("C3.10", "c3", 6, [3], [CONNECTED, ("n >= 6 even", True), ODD_CYCLES], SUPER),
-    ("C3.11", "c3", 7, [3], [CONNECTED, ("n >= 7 odd", True), ODD_CYCLES], SUPER),
+    ("T3.9", "c3xc5", None, [CONNECTED, ODD_CYCLES], 4),
+    ("C3.10", "c3", 6, [CONNECTED, ("n >= 6 even", True), ODD_CYCLES], SUPER),
+    ("C3.11", "c3", 7, [CONNECTED, ("n >= 7 odd", True), ODD_CYCLES], SUPER),
     # one failing clause each, for the targets of the tightness search
-    ("L2.2", "kbip34", 3, None, [
+    ("L2.2", "kbip34", 3, [
         CONNECTED, BIPARTITE, ("n >= 3", True), ("|X| >= delta+1 (3 vs 4)", False),
         ("|Y| >= delta+1 (4 vs 4)", True), ("kappa(G) > (2/n) delta(G)  [3*3 > 2*3]", True)], NOT_MET),
-    ("T3.5", "kbip33-bridge-kbip33", 3, None, [
+    ("T3.5", "kbip33-bridge-kbip33", 3, [
         CONNECTED, BIPARTITE, ("n >= 3 odd", True), ("|X| >= delta+1 (6 vs 4)", True),
         ("|Y| >= delta+1 (6 vs 4)", True), ("kappa(G) > (2/n) delta(G)  [3*1 > 2*3]", False)], NOT_MET),
-    ("T3.6", "kbip33-bridge-kbip33", 6, None, [
+    ("T3.6", "kbip33-bridge-kbip33", 6, [
         CONNECTED, BIPARTITE, ("n >= 6 even", True), ("|X| >= delta+1 (6 vs 4)", True),
         ("|Y| >= delta+1 (6 vs 4)", True), ("kappa(G) > (4/n) delta(G)  [6*1 > 4*3]", False)], NOT_MET),
-    ("T3.7", "k4-bridge-k4", 6, None, [
+    ("T3.7", "k4-bridge-k4", 6, [
         CONNECTED, NONBIPARTITE, ("n >= 6 even", True),
         ("kappa(GxK2) > (4/n) delta(G)  [6*2 > 4*3]", False)], NOT_MET),
-    ("T3.8", "k4-bridge-k4", 7, None, [
+    ("T3.8", "k4-bridge-k4", 7, [
         CONNECTED, NONBIPARTITE, ("n >= 7 odd", True),
         ("kappa(GxK2) > (4/(n-1)) delta(G)  [6*2 > 4*3]", False)], NOT_MET),
 ]
@@ -306,33 +346,33 @@ def test_table_cases_cover_every_rule():
 
 
 @pytest.mark.parametrize(
-    "theorem_id,graph,n,lengths,clauses,claim", TABLE_CASES,
+    "theorem_id,graph,n,clauses,claim", TABLE_CASES,
     ids=[f"{c[0]}-{c[1]}-n{c[2]}" for c in TABLE_CASES],
 )
-def test_rule_table_clauses_and_prediction(theorem_id, graph, n, lengths, clauses, claim):
+def test_rule_table_clauses_and_prediction(theorem_id, graph, n, clauses, claim):
     G = TABLE_GRAPHS[graph]
-    got = check_hypotheses(theorem_id, G, n=n, odd_cycle_lengths=lengths)
+    got = check_hypotheses(theorem_id, G, n=n)
     assert [(c["clause"], c["holds"]) for c in got] == clauses
     if claim is NOT_MET:
         assert sum(not holds for _, holds in clauses) == 1
         with pytest.raises(InputError):
-            predicted(theorem_id, G, n=n, odd_cycle_lengths=lengths)
+            predicted(theorem_id, G, n=n)
     else:
-        assert predicted(theorem_id, G, n=n, odd_cycle_lengths=lengths) == claim
+        assert predicted(theorem_id, G, n=n) == claim
 
 
 @pytest.mark.parametrize(
-    "theorem_id,G,n,lengths,kappa_calls,cover_calls",
+    "theorem_id,G,n,kappa_calls,cover_calls",
     [
-        ("T3.7", cycle(5), 6, None, 0, 1),
-        ("T3.3", cycle(5), 4, None, 0, 1),
-        ("C3.10", cycle(3), 6, [3], 0, 1),
-        ("T3.5", cycle(6), 3, None, 1, 0),
-        ("T2.1", complete_bipartite(2, 3), 3, None, 1, 0),
+        ("T3.7", cycle(5), 6, 0, 1),
+        ("T3.3", cycle(5), 4, 0, 1),
+        ("C3.10", cycle(3), 6, 0, 1),
+        ("T3.5", cycle(6), 3, 1, 0),
+        ("T2.1", complete_bipartite(2, 3), 3, 1, 0),
     ],
     ids=["T3.7", "T3.3", "C3.10", "T3.5", "T2.1"],
 )
-def test_verify_computes_base_kappas_at_most_once(monkeypatch, theorem_id, G, n, lengths, kappa_calls, cover_calls):
+def test_verify_computes_base_kappas_at_most_once(monkeypatch, theorem_id, G, n, kappa_calls, cover_calls):
     calls = Counter()
     original = connectivity.vertex_connectivity
 
@@ -341,7 +381,7 @@ def test_verify_computes_base_kappas_at_most_once(monkeypatch, theorem_id, G, n,
         return original(H, *args)
 
     monkeypatch.setattr(connectivity, "vertex_connectivity", counting)
-    assert verify(theorem_id, G, n=n, odd_cycle_lengths=lengths).verdict == CONFIRMED
+    assert verify(theorem_id, G, n=n).verdict == CONFIRMED
     assert calls[G] == kappa_calls
     assert calls[double_cover(G)] == cover_calls
 
@@ -370,7 +410,7 @@ def test_automorphisms_are_searched_once_per_base_for_products_and_layered_graph
     searched = []
     search = theorems.automorphism_generators
     monkeypatch.setattr(theorems, "automorphism_generators", lambda G, base: searched.append((G, base)) or search(G, base))
-    assert verify("T3.9", cycle(3), odd_cycle_lengths=[3]).verdict == CONFIRMED  # G x K2: no lift
+    assert verify("T3.9", cycle(3)).verdict == CONFIRMED  # G x K2: no lift
     assert searched == []
     G = complete_bipartite(2, 3)  # the scan source of G is 2, the lowest vertex of degree 2
     for n in (3, 4):
