@@ -10,16 +10,21 @@ and T3.4 on G x C_n, each map lifted by `construct` from generators of
 Aut(G) that one search from G's scan source finds. The scan runs one pair
 per orbit of the certified maps that fix its source, and skips its
 neighbour phase once the source's orbit under all of them outnumbers the
-first phase's minimum. The super-kappa decider, the cut stream, kappa(G),
-kappa(G x K2) and T3.2's component kappa pass none and scan every pair.
+first phase's minimum. The super-kappa decider takes the same maps on
+those constructions (L2.2 on the layered graph, the other super-kappa results
+on G x C_n) for kappa alone: its cut stream and witness still come from every
+pair in scan order, a pair the scan left out flowed only when the stream
+reaches it, so the stream is the one without maps. T3.6's components,
+`connectivity_report`, kappa(G), kappa(G x K2) and T3.2's component kappa pass
+none and scan every pair.
 
 Minimum cuts come from one method, Lawler-partitioning minimum s-t
-separators, rooted at the kappa scan's own flows, each kept as a
-vertex-level flow state; each Lawler node is one bit-BFS closure over its
-root's residual arcs and the adjacency masks, with no flow of its own. At
-most CUT_BUDGET of the cuts are examined. Cuts are classified by bit-BFS
-too, which also drives the brute-force subset scan that tests use as an
-independent oracle.
+separators, rooted at the kappa scan's own flows and at flows run to kappa
+for the pairs it left out, each kept as a vertex-level flow state; each
+Lawler node is one bit-BFS closure over its root's residual arcs and the
+adjacency masks, with no flow of its own. At most CUT_BUDGET of the cuts
+are examined. Cuts are classified by bit-BFS too, which also drives the
+brute-force subset scan that tests use as an independent oracle.
 """
 
 from __future__ import annotations
@@ -161,23 +166,26 @@ def _automorphisms(G, maps):
 
 def _orbit_firsts(pairs, maps):
     """The pairs, in order, whose orbit under the group the maps generate
-    holds no earlier pair."""
+    holds no earlier pair. `seen` holds each pair reached in both orders."""
     seen, firsts = set(), []
     for pair in pairs:
-        if frozenset(pair) not in seen:
+        if pair not in seen:
             firsts.append(pair)
-            members = [frozenset(pair)]
-            seen.add(members[0])
+            members = [pair]
+            seen.update((pair, pair[::-1]))
             for u, w in members:  # the orbit grows as it is read
-                images = {frozenset((p[u], p[w])) for p in maps} - seen
-                seen |= images
-                members += images
+                for p in maps:
+                    image = p[u], p[w]
+                    if image not in seen:
+                        seen.update((image, image[::-1]))
+                        members.append(image)
     return firsts
 
 
-def _kappa_scan(G, symmetries=()):
-    """(s, t, flow, value) per pair in scan order, each a fresh network
-    augmented up to the least value before it; the least value is kappa.
+def _kappa_scan(G, symmetries=(), pairs=None):
+    """(s, t, flow, value) per pair in scan order (`pairs`, default
+    `_pair_scan_order(G)`), each a fresh network augmented up to the least
+    value before it; the least value is kappa.
 
     With `symmetries`, those `_automorphisms` keeps prune the scan; the least
     value is still kappa. An automorphism fixing s maps each pair to one of
@@ -187,7 +195,8 @@ def _kappa_scan(G, symmetries=()):
     skipped if |O| > best. A minimum cut then misses some x in O, and a map
     taking x to s makes it a minimum cut avoiding s, which separates s from
     some t outside N[s]: best is kappa already."""
-    s, pairs, maps = _scan_source(G), _pair_scan_order(G), _automorphisms(G, symmetries)
+    s, maps = _scan_source(G), _automorphisms(G, symmetries)
+    pairs = _pair_scan_order(G) if pairs is None else pairs
     if maps:
         pairs = _orbit_firsts(pairs, [p for p in maps if p[s] == s])
     orbit_size, best = len(orbit(s, maps)), G.n - 1
@@ -345,7 +354,7 @@ def _closure(masks, through, pred, s, t, forced_in, forced_out):
 
 def _separator_cuts(G, roots):
     """Distinct minimum vertex cuts, pair by pair in scan order. A root is
-    (s, t, *_flow_state) of a kappa-scan flow of value kappa; Lawler's
+    (s, t, *_flow_state) of an s-t flow of value kappa; Lawler's
     partitioning then yields each minimum s-t separator once.
 
     A node whose cut has free vertices f_0..f_k has children i = 0..k:
@@ -354,7 +363,7 @@ def _separator_cuts(G, roots):
     Queyranne 1980), so a node needs no flow of its own: its cut is the
     smallest such closure that obeys the forcing, `_closure` over the root's
     flow state and the adjacency masks. A root whose closure reaches in(t) is
-    a pair whose connectivity exceeds kappa: the scan stopped its flow at kappa.
+    a pair whose connectivity exceeds kappa, its flow stopped at kappa.
     """
     found, masks = set(), G.adjacency_masks()
     for s, t, through, pred in roots:
@@ -374,16 +383,34 @@ def _separator_cuts(G, roots):
                 forced_in, free = forced_in | f, free ^ f
 
 
-def _minimum_cuts(G):
-    """(kappa from one scan, stream of minimum cuts as vertex sets) of a
-    connected, non-complete G."""
-    kappa, roots = G.n - 1, []  # the pairs whose flow is the least so far
-    for s, t, flow, value in _kappa_scan(G):
+def _minimum_cuts(G, symmetries=()):
+    """(kappa, stream of minimum cuts as vertex sets) of a connected,
+    non-complete G, kappa from one `_kappa_scan(G, symmetries)`.
+
+    The roots are every pair of `_pair_scan_order`, in order: a scanned pair
+    with its own flow, kept if its value is kappa, and a pair the scan pruned
+    or skipped with a flow run to kappa only when the stream reaches it. A
+    pair of connectivity kappa then has a maximum flow, whose closures are
+    the same as any other's; one above kappa has a flow stopped at kappa,
+    whose closure reaches in(t). So the stream does not depend on the maps."""
+    order, kappa, scanned, states = _pair_scan_order(G), G.n - 1, set(), {}
+    for s, t, flow, value in _kappa_scan(G, symmetries, order):
+        scanned.add((s, t))
         if value < kappa:
-            kappa, roots = value, []
+            kappa, states = value, {}
         if value == kappa:
-            roots.append((s, t, *_flow_state(G, flow)))
-    return kappa, _separator_cuts(G, roots)
+            states[s, t] = _flow_state(G, flow)
+
+    def roots():
+        for s, t in order:
+            if (s, t) in states:
+                yield s, t, *states[s, t]
+            elif (s, t) not in scanned:
+                flow = _SplitFlow(G, 1, G.n + 1)
+                flow.max_flow(s, t, kappa)
+                yield s, t, *_flow_state(G, flow)
+
+    return kappa, _separator_cuts(G, roots())
 
 
 def all_minimum_vertex_cuts(G, budget=CUT_BUDGET):
@@ -403,7 +430,7 @@ def all_minimum_vertex_cuts(G, budget=CUT_BUDGET):
     return CutEnumeration(cuts=cuts, complete=len(raw) <= cap)
 
 
-def is_super_kappa(G, budget=CUT_BUDGET):
+def is_super_kappa(G, budget=CUT_BUDGET, symmetries=()):
     """Every minimum vertex cut is the neighborhood of a minimum-degree
     vertex. Complete graphs hold vacuously.
 
@@ -411,17 +438,19 @@ def is_super_kappa(G, budget=CUT_BUDGET):
     yields them; the first that is no such neighborhood is the witness (with
     kappa < delta, the first cut). Only a True status examines every minimum
     cut. Status None: more than min(budget, CUT_BUDGET) cuts were needed.
+    `symmetries` prune the kappa scan, as in `vertex_connectivity`; the
+    stream, and so the result, is the same with or without them.
     """
-    return _super_kappa(G, budget)[1]
+    return _super_kappa(G, budget, symmetries)[1]
 
 
-def _super_kappa(G, budget):
+def _super_kappa(G, budget, symmetries=()):
     """(kappa, is_super_kappa's result), with kappa from the decision's own scan."""
     if not G.is_connected():
         raise InputError("super connectivity of a disconnected graph")
     if G.is_complete():
         return G.n - 1, SuperKappaResult(status=True, vacuous=True, method="flow")
-    kappa, stream = _minimum_cuts(G)
+    kappa, stream = _minimum_cuts(G, symmetries)
     cap = min(budget, CUT_BUDGET)
     examined = 0
     for S in islice(stream, cap + 1):

@@ -161,7 +161,7 @@ def _maps_onto(phi, edges, target):
     """Whether the vertex map phi sends `edges` one-to-one onto the edge set
     `target` and their vertices one-to-one: the graphs they span are then isomorphic."""
     touched = {x for e in edges for x in e}
-    image = {tuple(sorted((phi(u), phi(v)))) for u, v in edges}
+    image = {(a, b) if (a := phi(u)) < (b := phi(v)) else (b, a) for u, v in edges}
     return len(edges) == len(target) and image == target and len(set(map(phi, touched))) == len(touched)
 
 
@@ -179,37 +179,34 @@ def orbit(v, maps):
 # -- isomorphisms and automorphisms of small graphs ---------------------------
 
 
-def _refine_colors(G, H):
+def _refine_colors(*graphs):
     """Joint 1-dimensional color refinement from the degrees; returns per-graph color lists."""
-    cg, ch = [G.degree(v) for v in range(G.n)], [H.degree(v) for v in range(H.n)]
+    colors = [[g.degree(v) for v in range(g.n)] for g in graphs]
     while True:
-        table = {}
-        new_g, new_h = [], []
-        for graph, colors, out in ((G, cg, new_g), (H, ch, new_h)):
-            for v in range(graph.n):
-                sig = (colors[v], tuple(sorted(colors[w] for w in graph.neighborhood(v))))
-                out.append(table.setdefault(sig, len(table)))
-        if new_g == cg and new_h == ch:
-            return cg, ch
-        cg, ch = new_g, new_h
+        table, new = {}, []
+        for graph, old in zip(graphs, colors):
+            sigs = ((old[v], tuple(sorted(old[w] for w in graph.neighborhood(v)))) for v in range(graph.n))
+            new.append([table.setdefault(sig, len(table)) for sig in sigs])
+        if new == colors:
+            return colors
+        colors = new
 
 
 def _search_order(G, choices, first=None):
     """V(G) in an order that keeps the partial map connected, starting at
     `first` if given, the vertex with the fewest choices first among those
     equally attached."""
-    order, placed = [], [False] * G.n
+    order, placed, masks = [], 0, G.adjacency_masks()
     for _ in range(G.n):
         best = None
         for v in range(G.n):
-            if placed[v]:
+            if placed >> v & 1:
                 continue
-            attached = sum(1 for w in G.neighborhood(v) if placed[w])
-            key = (v != first, -attached, len(choices[v]), v)
+            key = (v != first, -(masks[v] & placed).bit_count(), len(choices[v]), v)
             if best is None or key < best[0]:
                 best = (key, v)
         order.append(best[1])
-        placed[best[1]] = True
+        placed |= 1 << best[1]
     return order
 
 
@@ -247,7 +244,9 @@ def _backtrack(G, H, order, choices, nodes, fixed=0):
             mapped_mask &= ~(1 << h)
         return False
 
-    return phi if extend(fixed) else None
+    found = extend(fixed)
+    del extend  # it is in its own closure: break that cycle, so no search leaves garbage for the collector
+    return phi if found else None
 
 
 def isomorphism(G, H, nodes):
@@ -283,17 +282,23 @@ def automorphism_generators(G, base):
     maps found so far instead of raising."""
     if G.n > ISO_CAP:
         return []
-    colors = _refine_colors(G, G)[0]
+    colors = _refine_colors(G)[0]
     classes = [[w for w in range(G.n) if colors[w] == c] for c in colors]  # per vertex, those of its color
     order = _search_order(G, classes, base)
     gens, nodes, choices = [], [STABILISER_NODES], [classes[g] for g in order]
+    masks, prefix = G.adjacency_masks(), (1 << G.n) - 1
     for k in reversed(range(G.n)):
-        for h in classes[order[k]]:
-            if h in orbit(order[k], gens):
+        g = order[k]
+        prefix &= ~(1 << g)  # order[:k]
+        reached = orbit(g, gens)
+        for h in classes[g]:
+            # a map fixing order[:k] sends g to no vertex of it, and to none joined to it otherwise than g is
+            if h in reached or prefix >> h & 1 or masks[h] & prefix != masks[g] & prefix:
                 continue
             phi = _backtrack(G, G, order, choices[:k] + [[h]] + choices[k + 1 :], nodes, k)
             if phi is not None:
                 gens.append(phi)
+                reached = orbit(g, gens)
             elif nodes[0] <= 0:
                 return gens
     return gens

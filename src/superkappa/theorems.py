@@ -372,16 +372,22 @@ def conclude(theorem_id, G, n=None, budget=conn.CUT_BUDGET, instance=None, claus
     start = time.perf_counter() if start is None else start
     done = _verdict_maker(theorem_id, _instance(G, n, instance), list(clauses), start)
     pred = rule.predict(inv, n)
+    if rule.composes:
+        expected = RULES["T3.9"].predict(inv, None)
+        if inv.kappa_dc != expected:
+            actual = {"kappa_double_cover": inv.kappa_dc, "delta": inv.delta, "expected": expected}
+            return done(pred, actual, REFUTED)
     H = _construct(rule, inv, n)
+    # automorphisms of H, from G's: the kappa scan certifies each, runs one pair per orbit of those that fix
+    # its source (s, 0), s G's own, and skips its neighbour phase once the orbit of (s, 0) is large enough;
+    # the super-kappa decider takes kappa from that scan and draws its cuts from every pair in scan order
+    symmetries = []
+    if rule.construction == PRODUCT:
+        symmetries = product_symmetries(inv.G, n, inv.automorphisms)
+    elif rule.construction == TILDE:
+        symmetries = layered_symmetries(inv.G, inv.bipartition, n, conn._scan_source(inv.G), inv.automorphisms)
 
     if rule.compare in (EQUAL, INTERVAL):
-        # automorphisms of H, from G's: the scan certifies each, runs one pair per orbit of those that fix
-        # its source (s, 0), s G's own, and skips its neighbour phase once the orbit of (s, 0) is large enough
-        symmetries = []
-        if rule.construction == PRODUCT:
-            symmetries = product_symmetries(inv.G, n, inv.automorphisms)
-        elif rule.construction == TILDE:
-            symmetries = layered_symmetries(inv.G, inv.bipartition, n, conn._scan_source(inv.G), inv.automorphisms)
         actual = conn.vertex_connectivity(H, symmetries)
         ok = actual == pred if rule.compare == EQUAL else pred[0] <= actual <= pred[1]
         return done(pred, actual, CONFIRMED if ok else REFUTED)
@@ -401,15 +407,10 @@ def conclude(theorem_id, G, n=None, budget=conn.CUT_BUDGET, instance=None, claus
         return done(pred, actual, CONFIRMED if ok else REFUTED)
 
     # super-kappa, of H or of each component
-    if rule.composes:
-        expected = RULES["T3.9"].predict(inv, None)
-        if inv.kappa_dc != expected:
-            actual = {"kappa_double_cover": inv.kappa_dc, "delta": inv.delta, "expected": expected}
-            return done(pred, actual, REFUTED)
     notes = [rule.composes] if rule.composes else []
     statuses, witness = [], None
     for sub in parts:
-        res = conn.is_super_kappa(sub, budget=budget)
+        res = conn.is_super_kappa(sub, budget, symmetries)
         statuses.append(res.status)
         if res.status is False and witness is None:
             witness = _witness_from_cut(sub, res.witness)

@@ -21,6 +21,7 @@ record shared as its own field dict.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field, fields
 
@@ -117,6 +118,7 @@ def tightness_search(target, max_part_size, n_range, seed, budget):
         report.instances_probed += 1
         v = conclude(target, G, n, instance={**descriptor, "n": n})
         holds = {CONFIRMED: True, REFUTED: False}.get(v.verdict)  # None: indeterminate
-        report.records.append(BoundaryRecord(v.instance, failed[0]["clause"], holds, v.witness))
+        # interned: a search's records share the few texts a failed clause has
+        report.records.append(BoundaryRecord(v.instance, sys.intern(failed[0]["clause"]), holds, v.witness))
     report.runtime_ms = int((time.perf_counter() - start) * 1000)
     return report

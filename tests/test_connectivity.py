@@ -22,7 +22,7 @@ from superkappa import (
 )
 from superkappa import connectivity
 from superkappa.connectivity import VertexCut, _exhaustive_cuts, _minimum_cuts, _scan_source, classify_cut
-from superkappa.construct import product_permutation
+from superkappa.construct import layered_symmetries, product_permutation, product_symmetries
 from superkappa.graph import Graph, automorphism_generators, orbit
 from superkappa.theorems import _witness_from_cut
 
@@ -228,10 +228,15 @@ def _decider_corpus():
             P = direct_product(cycle(a), cycle(b))
             if P.is_connected():
                 graphs.append(P)
+    graphs += [tilde(base, base.is_bipartite(), n)[0] for base, n in _decider_tildes()]
+    return graphs
+
+
+def _decider_tildes():
+    """(G, n) of the cyclic layered graphs in `_decider_corpus`."""
     for base in (complete_bipartite(1, 3), complete_bipartite(2, 3), cycle(4), cycle(6)):
         for n in (3, 4, 5):
-            graphs.append(tilde(base, base.is_bipartite(), n)[0])
-    return graphs
+            yield base, n
 
 
 def test_separator_decider_matches_exhaustive_oracle():
@@ -511,6 +516,54 @@ def test_connectivity_report_runs_one_kappa_scan(monkeypatch):
     rep = connectivity_report(G)
     assert len(scans) == 1
     assert (rep.kappa, rep.delta, rep.is_max_kappa, rep.is_super_kappa) == (4, 4, True, True)
+
+
+def test_a_decision_with_maps_orders_the_pairs_once(monkeypatch):
+    scans = []
+    scan_order = connectivity._pair_scan_order
+    monkeypatch.setattr(connectivity, "_pair_scan_order", lambda G: scans.append(G) or scan_order(G))
+    B = cycle(6)
+    H = direct_product(B, cycle(3))
+    maps = product_symmetries(B, 3, automorphism_generators(B, _scan_source(B)))
+    res = is_super_kappa(H, symmetries=maps)
+    assert len(scans) == 1
+    assert (res.status, res.cuts_examined) == (True, 18)
+
+
+def _constructions_with_maps():
+    """(H, maps): each G x C_n of `_product_bases` with `product_symmetries`, and each cyclic layered graph of
+    `_decider_corpus` with `layered_symmetries`, both from the generators of Aut(G) based at G's scan source."""
+    for G, n in _product_bases():
+        yield direct_product(G, cycle(n)), product_symmetries(G, n, automorphism_generators(G, _scan_source(G)))
+    for G, n in _decider_tildes():
+        s, B = _scan_source(G), G.is_bipartite()
+        yield tilde(G, B, n)[0], layered_symmetries(G, B, n, s, automorphism_generators(G, s))
+
+
+def _is_automorphism(G, p):  # read off the edge set, apart from `connectivity._automorphisms`
+    return sorted(p) == list(range(G.n)) and {tuple(sorted((p[u], p[v]))) for u, v in G.edges} == G.edges
+
+
+def test_the_constructions_maps_leave_kappa_and_the_cut_stream_unchanged(pairs_scanned):
+    # kappa from the pruned scan, and every pair of the full scan order as a root, each flowed when reached
+    graphs = pruned = dropped = 0
+    for H, maps in _constructions_with_maps():
+        kappa, stream = _minimum_cuts(H)
+        cuts, full = [sorted(S) for S in stream], len(pairs_scanned)
+        pairs_scanned.clear()
+        swap = list(range(H.n))
+        swap[0], swap[1] = 1, 0
+        for extra in ([], [swap], [[0] * H.n], [maps[0][:-1]]):
+            kappa_m, stream_m = _minimum_cuts(H, maps + extra)
+            assert (kappa_m, [sorted(S) for S in stream_m]) == (kappa, cuts), (sorted(H.edges), extra)
+            if not extra:
+                pruned += len(pairs_scanned) < full
+            pairs_scanned.clear()
+        kept = connectivity._automorphisms(H, maps + [swap, [0] * H.n, maps[0][:-1]])
+        assert kept == maps + [swap] * _is_automorphism(H, swap)
+        dropped += not _is_automorphism(H, swap)
+        graphs += 1
+    assert (graphs, pruned, dropped) == (44, 44, 41)
 
 
 def _classify_by_components(G, S):

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -205,6 +206,19 @@ def test_one_search_finds_the_stabiliser_then_the_group_at_pinned_node_counts(mo
             found.append((len(_generated_group(_fixing_first(maps, 0), G.n)), len(_generated_group(maps, G.n))))
         assert found[0][0] < orders[0] == found[1][0], G
         assert found[2][1] < orders[1] == found[3][1], G
+
+
+def test_the_searches_leave_no_garbage_for_the_collector():
+    # each backtracking search's recursive closure is released when it returns, with the graphs it read
+    gc.collect()
+    gc.disable()
+    try:
+        for G in (petersen(), direct_product(cycle(3), cycle(5)), complete_bipartite(2, 3)):
+            automorphism_generators(G, 0)
+            graph.isomorphism(G, G, [100])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _scattered_graph(rng):

@@ -1,6 +1,7 @@
 import json
 import pickle
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -125,6 +126,14 @@ def test_verify_corollaries():
     v = verify("C3.11", cycle(3), n=7)
     assert v.verdict == CONFIRMED
     assert any("T3.8" in note for note in v.notes)
+
+
+def test_a_corollary_refuted_on_kappa_of_the_double_cover_builds_no_construction(monkeypatch):
+    # were T3.9's value not 2^k, C3.10 would be refuted before G x C_n or its maps are built
+    monkeypatch.setitem(RULES, "T3.9", replace(RULES["T3.9"], predict=lambda inv, n: 3))
+    monkeypatch.setattr(theorems, "_construct", lambda *args: pytest.fail("built the construction"))
+    v = verify("C3.10", cycle(3), n=6)
+    assert (v.verdict, v.actual) == (REFUTED, {"kappa_double_cover": 2, "delta": 2, "expected": 3})
 
 
 def test_odd_cycle_clause_reads_g_not_its_spelling():
@@ -404,6 +413,38 @@ def test_value_verdict_flow_counts(pairs_scanned, theorem_id, G, n, pairs):
     # kappa(G x K2) and kappa(G) scan every pair
     assert verify(theorem_id, G, n=n).verdict == CONFIRMED
     assert len(pairs_scanned) == pairs
+
+
+@pytest.mark.parametrize(
+    "theorem_id,with_maps,without_maps",
+    [("L2.2", (8, 25), (22, 67)), ("T3.5", (9, 31), (22, 71))],
+    ids=["L2.2", "T3.5"],
+)
+def test_a_refutation_flows_only_the_pairs_up_to_its_witness(monkeypatch, theorem_id, with_maps, without_maps):
+    # F`EBW misses only the strict clause at n = 3; its construction's decision on 22 pairs ends at the first cut.
+    # With the maps, kappa comes from the pruned scan and only the pairs up to the witness's root are flowed.
+    work = []
+    max_flow = connectivity._SplitFlow.max_flow
+
+    def counting(self, s, t, limit):
+        found = max_flow(self, s, t, limit)
+        work[-1][0] += 1
+        work[-1][1] += found + (found < limit)  # one search per unit found, plus the one that found no path, if run
+        return found
+
+    monkeypatch.setattr(connectivity._SplitFlow, "max_flow", counting)
+
+    def decide():
+        work.append([0, 0])
+        verdict = theorems.conclude(theorem_id, parse_graph6("F`EBW"), 3).to_json()
+        assert verdict["verdict"] == REFUTED and verdict["actual"]["minimum_cuts"] == 1
+        return {**verdict, "runtime_ms": 0}
+
+    verdict = decide()
+    monkeypatch.setattr(theorems, "product_symmetries", lambda *args: [])
+    monkeypatch.setattr(theorems, "layered_symmetries", lambda *args: [])
+    assert decide() == verdict  # the same witness
+    assert [tuple(w) for w in work] == [with_maps, without_maps]
 
 
 def test_automorphisms_are_searched_once_per_base_for_products_and_layered_graphs(monkeypatch):

@@ -60,6 +60,13 @@ def test_records_include_non_witnesses():
     assert holds, "boundary instances where the conclusion still holds are data too"
 
 
+def test_records_share_each_failed_clause_text():
+    # a report keeps one string per distinct text, however many records fail that clause
+    records = tightness_search("T3.5", 4, range(3, 8), 1, 400).records
+    texts = {r.failed_clause for r in records}
+    assert len(records) > 2 * len(texts) and len({id(r.failed_clause) for r in records}) == len(texts)
+
+
 def test_benchmark_searches_compute_each_invariant_once(monkeypatch):
     """The five seed-0 searches of the benchmark's tightness-boundary workload
     (max part 4, budget 400, search seeds 1..5). Each base graph's kappa serves
