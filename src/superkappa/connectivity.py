@@ -23,8 +23,8 @@ separators, rooted at the kappa scan's own flows and at flows run to kappa
 for the pairs it left out, each kept as a vertex-level flow state; each
 Lawler node is one bit-BFS closure over its root's residual arcs and the
 adjacency masks, with no flow of its own. At most CUT_BUDGET of the cuts
-are examined. Cuts are classified by bit-BFS too, which also drives the
-brute-force subset scan that tests use as an independent oracle.
+are examined. A witness cut is classified by bit-BFS, which also drives
+the brute-force subset scan that tests use as an independent oracle.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ class SuperKappaResult:
     stopped the decision (then enumeration_complete is False)."""
 
     status: bool | None
+    kappa: int  # of the graph decided, from the decision's own scan
     witness: VertexCut | None = None
     vacuous: bool = False  # complete graph: no cuts to quantify over
     enumeration_complete: bool = True
@@ -434,50 +435,42 @@ def is_super_kappa(G, budget=CUT_BUDGET, symmetries=()):
     """Every minimum vertex cut is the neighborhood of a minimum-degree
     vertex. Complete graphs hold vacuously.
 
-    Cuts are classified as the separator stream of `all_minimum_vertex_cuts`
-    yields them; the first that is no such neighborhood is the witness (with
-    kappa < delta, the first cut). Only a True status examines every minimum
-    cut. Status None: more than min(budget, CUT_BUDGET) cuts were needed.
-    `symmetries` prune the kappa scan, as in `vertex_connectivity`; the
-    stream, and so the result, is the same with or without them.
+    As kappa <= delta, a minimum cut is such a neighborhood exactly when it is
+    N(v) with deg v = kappa: each cut of the separator stream is looked up in
+    that set (empty when kappa < delta), and the first it misses is the
+    witness, the one cut classified. Only a True status examines every minimum cut. Status None:
+    more than min(budget, CUT_BUDGET) cuts were needed. `symmetries` prune the
+    kappa scan, as in `vertex_connectivity`; the stream, and so the result
+    (which carries the scan's kappa), is the same with or without them.
     """
-    return _super_kappa(G, budget, symmetries)[1]
-
-
-def _super_kappa(G, budget, symmetries=()):
-    """(kappa, is_super_kappa's result), with kappa from the decision's own scan."""
-    if not G.is_connected():
-        raise InputError("super connectivity of a disconnected graph")
+    if not G.is_connected():  # the empty graph is refused in `vertex_connectivity`'s words
+        raise InputError("super connectivity of a disconnected graph" if G.n else "connectivity of the empty graph")
     if G.is_complete():
-        return G.n - 1, SuperKappaResult(status=True, vacuous=True, method="flow")
+        return SuperKappaResult(status=True, kappa=G.n - 1, vacuous=True, method="flow")
     kappa, stream = _minimum_cuts(G, symmetries)
+    neighborhoods = {N for N in map(G.neighborhood, range(G.n)) if len(N) == kappa}
     cap = min(budget, CUT_BUDGET)
     examined = 0
     for S in islice(stream, cap + 1):
         examined += 1
-        cut = classify_cut(G, S)
-        if not cut.is_neighborhood_of_min_degree_vertex:
-            return kappa, SuperKappaResult(status=False, witness=cut, cuts_examined=examined)
+        if S not in neighborhoods:
+            return SuperKappaResult(False, kappa, witness=classify_cut(G, S), cuts_examined=examined)
     complete = examined <= cap
-    return kappa, SuperKappaResult(
-        status=True if complete else None,
-        enumeration_complete=complete,
-        cuts_examined=examined,
-    )
+    return SuperKappaResult(True if complete else None, kappa, enumeration_complete=complete, cuts_examined=examined)
 
 
 def connectivity_report(G, budget=CUT_BUDGET):
     connected = G.is_connected()
     if connected:
-        kappa, sk = _super_kappa(G, budget)
+        sk = is_super_kappa(G, budget)
     else:  # kappa 0, or InputError on the empty graph
-        kappa, sk = vertex_connectivity(G), SuperKappaResult(status=None, method="flow")
+        sk = SuperKappaResult(status=None, kappa=vertex_connectivity(G), method="flow")
     delta = G.min_degree()
     return ConnectivityReport(
-        kappa=kappa,
+        kappa=sk.kappa,
         kappa_edge=edge_connectivity(G) if G.n >= 2 else None,
         delta=delta,
-        is_max_kappa=connected and kappa == delta,
+        is_max_kappa=connected and sk.kappa == delta,
         is_super_kappa=sk.status,
         witness_cut=sk.witness,
         method=sk.method,

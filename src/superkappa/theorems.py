@@ -17,7 +17,7 @@ Each result is one `Rule` in the ordered `RULES` table, which
   a certified map (`construct.odd_cycle_lengths`); "holds": null and an
   indeterminate verdict where the search for one stops;
 - `construction`: the cyclic layered graph, G x C_n, the two components of
-  G x C_n, or G x K2;
+  G x C_n, or G x K2 (its kappa the kept kappa(GxK2));
 - `predict`: the claim, from the base graph's invariants and n only;
 - `compare`: kappa equal to the claim, kappa within the claimed interval,
   two isomorphic components of the claimed kappa, or super-kappa (of each
@@ -32,13 +32,14 @@ tightness search pick it up. A new kind of clause, construction or
 comparison also needs its branch in `_clauses`, `_construct` or `conclude`.
 
 Each thing certified equal is computed once. The invariants rules read
-(connected, bipartition, delta, kappa(G), kappa(GxK2), the odd-cycle factors, and generators of
-Aut(G) from one search based at its kappa scan's source, those that fix the
-source first) are computed on first use and kept on the Graph object, so every
-rule and every n checked on one object share them. For the two-component
-results, once the cycle shift certifies the two components isomorphic
-(Weichsel 1962), kappa or super-kappa is decided on the first alone and
-reported for both. Vertex maps on G x C_n and on the cyclic layered graph
+(connected, bipartition, delta, kappa(G), kappa(GxK2), the odd-cycle factors,
+and generators of Aut(G) from one search based at its kappa scan's source,
+those that fix the source first) are computed on first use and kept on the
+Graph object, so every rule and every n checked on one object share them: one
+kappa(GxK2) is T3.9's value and what every other rule reads. For the
+two-component results, once the cycle shift certifies the two components
+isomorphic (Weichsel 1962), kappa or super-kappa is decided on the first alone
+and reported for both. Vertex maps on G x C_n and on the cyclic layered graph
 come from `construct`; this module and `connectivity` only certify them.
 """
 
@@ -261,9 +262,11 @@ def predicted(theorem_id, G, n=None):
     constructed product itself."""
     rule, inv = theorem_rule(theorem_id, n), _Invariants(G)
     clauses = _clauses(rule, inv, n)
-    if not hypotheses_hold(clauses):
-        failed = [c["clause"] for c in clauses if not c["holds"]]
+    failed = [c["clause"] for c in clauses if c["holds"] is False]  # an undecided clause holds None
+    if failed:
         raise InputError(f"hypotheses not satisfied for {theorem_id}: {failed}")
+    if not hypotheses_hold(clauses):
+        raise InputError(f"hypotheses undecided for {theorem_id}: {UNDECIDED_FACTORS}")
     return rule.predict(inv, n)
 
 
@@ -271,11 +274,13 @@ def predicted(theorem_id, G, n=None):
 
 
 def _construct(rule, inv, n):
+    """H with the automorphisms of H, lifted from G's, its kappa scan prunes by (`connectivity._kappa_scan`); the
+    super-kappa decider takes kappa from that scan. T3.9's G x K2 is not built here: its kappa is `kappa_dc`."""
     if rule.construction == TILDE:
-        return tilde(inv.G, inv.bipartition, n)[0]
-    if rule.construction == COVER:
-        return double_cover(inv.G)
-    return direct_product(inv.G, cycle(n))
+        H = tilde(inv.G, inv.bipartition, n)[0]
+        return H, layered_symmetries(inv.G, inv.bipartition, n, conn._scan_source(inv.G), inv.automorphisms)
+    H = direct_product(inv.G, cycle(n))
+    return H, product_symmetries(inv.G, n, inv.automorphisms) if rule.construction == PRODUCT else []
 
 
 def _settling(rule, G, H, n):
@@ -377,21 +382,12 @@ def conclude(theorem_id, G, n=None, budget=conn.CUT_BUDGET, instance=None, claus
         if inv.kappa_dc != expected:
             actual = {"kappa_double_cover": inv.kappa_dc, "delta": inv.delta, "expected": expected}
             return done(pred, actual, REFUTED)
-    H = _construct(rule, inv, n)
-    # automorphisms of H, from G's: the kappa scan certifies each, runs one pair per orbit of those that fix
-    # its source (s, 0), s G's own, and skips its neighbour phase once the orbit of (s, 0) is large enough;
-    # the super-kappa decider takes kappa from that scan and draws its cuts from every pair in scan order
-    symmetries = []
-    if rule.construction == PRODUCT:
-        symmetries = product_symmetries(inv.G, n, inv.automorphisms)
-    elif rule.construction == TILDE:
-        symmetries = layered_symmetries(inv.G, inv.bipartition, n, conn._scan_source(inv.G), inv.automorphisms)
-
     if rule.compare in (EQUAL, INTERVAL):
-        actual = conn.vertex_connectivity(H, symmetries)
+        actual = inv.kappa_dc if rule.construction == COVER else conn.vertex_connectivity(*_construct(rule, inv, n))
         ok = actual == pred if rule.compare == EQUAL else pred[0] <= actual <= pred[1]
         return done(pred, actual, CONFIRMED if ok else REFUTED)
 
+    H, symmetries = _construct(rule, inv, n)
     parts, count, isomorphic = _settling(rule, inv.G, H, n)
     copies = count // len(parts)  # a certified pair reports its first component's value twice
     actual = {}

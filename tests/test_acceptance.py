@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the pinned instance manifests live in manifests/.
 """
 
+import hashlib
 import json
 import time
 from itertools import combinations_with_replacement
@@ -59,6 +60,15 @@ def assert_all_confirmed(verdicts, minimum):
     assert len(verdicts) >= minimum
     bad = [v for v in verdicts if v.verdict != CONFIRMED]
     assert not bad, [f"{v.theorem_id} {v.instance} -> {v.verdict}" for v in bad]
+
+
+def test_acceptance_verdicts_digest(manifest_results):
+    # every verdict's JSON but its runtime, in manifest order: a change to any verdict, witness or note shows here
+    docs = [{k: v for k, v in verdict.to_json().items() if k != "runtime_ms"} for verdict in manifest_results.values()]
+    assert len(docs) == 195
+    assert hashlib.sha256(json.dumps(docs).encode()).hexdigest() == (
+        "0d3457b2587d826c6a23fd297b469d88da7d7d8f650a2c5768bfb1dee2098f4c"
+    )
 
 
 def test_criterion_01_oracle_equivalence():

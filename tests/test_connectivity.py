@@ -113,6 +113,31 @@ def test_super_kappa_vacuous_and_errors():
     assert res.status is True and res.vacuous
     with pytest.raises(InputError):
         is_super_kappa(Graph(4, [(0, 1), (2, 3)]))
+    for decide in (is_super_kappa, vertex_connectivity, connectivity_report):  # one wording for the empty graph
+        with pytest.raises(InputError, match="^connectivity of the empty graph$"):
+            decide(Graph(0, []))
+
+
+@pytest.mark.parametrize(
+    "G,examined,witness",
+    [
+        (direct_product(cycle(3), cycle(6)), 18, None),  # a confirmation
+        (cycle(8), 2, [1, 6]),  # the first cut is N(2): looked up, not classified
+        (direct_product(complete(2), complete(3)), 2, [2, 5]),
+        (Graph(7, [(0, 4), (1, 4), (2, 5), (3, 5), (4, 6), (5, 6), (0, 1), (2, 3)]), 1, [4]),  # kappa 1 < delta 2
+    ],
+    ids=["c3xc6", "c8", "k2xk3", "two-triangles-on-a-path"],
+)
+def test_only_the_witness_is_classified(monkeypatch, G, examined, witness):
+    # each cut is looked up among the neighbourhoods of the vertices of degree kappa; only the witness is classified
+    classified = []
+    classify = connectivity.classify_cut
+    monkeypatch.setattr(connectivity, "classify_cut", lambda H, S: classified.append(sorted(S)) or classify(H, S))
+    res = is_super_kappa(G)
+    assert (res.status, res.cuts_examined) == (witness is None, examined)
+    assert classified == ([] if witness is None else [witness])
+    if witness is not None:
+        assert sorted(res.witness.vertices) == witness and res.witness == classify(G, witness)
 
 
 def test_super_kappa_indeterminate(c5):

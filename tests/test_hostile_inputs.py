@@ -197,6 +197,9 @@ ROWS = [
     Row("gen-unknown-family", ("gen", "blob(3)"), 3, stderr="error: unknown family 'blob'", stdout=0),
     Row("kappa-of-a-missing-file", ("kappa", "/nonexistent.g6"), 3,
         stderr="error: [Errno 2] No such file or directory: '/nonexistent.g6'", stdout=0),
+    # the 0-vertex graph is refused in one wording by both connectivity commands
+    *(Row(f"{command}-of-the-empty-graph", (command, "{e.g6}"), 3, stderr="error: connectivity of the empty graph",
+          stdout=0, files={"e.g6": "?\n"}) for command in ("kappa", "super-kappa")),
     # constructions, draws and outputs over the size limits are refused before they are built
     Row("gen-complete-100000", ("gen", "complete(100000)", "--format", "json"), 3, stderr=_LIMITS, stdout=0,
         timeout=60),

@@ -176,6 +176,26 @@ def test_odd_cycle_clause_undecided_above_iso_cap_is_indeterminate():
     assert verify("C3.10", G, n=5).verdict == HYP_NOT_MET  # a failing clause outweighs an undecided one
 
 
+def test_predicted_calls_an_undecided_clause_undecided():
+    G = direct_product(direct_product(cycle(3), cycle(5)), cycle(7))  # 105 vertices: the odd-cycle clause is undecided
+    with pytest.raises(InputError, match="^hypotheses undecided for T3.9: ") as undecided:
+        predicted("T3.9", G)
+    assert theorems.UNDECIDED_FACTORS in str(undecided.value)
+    with pytest.raises(InputError) as failed:  # a failing clause outweighs an undecided one, which is not listed
+        predicted("C3.10", G, n=5)
+    assert str(failed.value) == "hypotheses not satisfied for C3.10: ['n >= 6 even']"
+
+
+def test_one_kappa_of_the_double_cover_per_graph(monkeypatch):
+    # T3.9's value is the kept kappa(G x K2) that C3.10's check of it and T3.3's prediction read
+    sizes = []
+    original = connectivity.vertex_connectivity
+    monkeypatch.setattr(connectivity, "vertex_connectivity", lambda H, *args: sizes.append(H.n) or original(H, *args))
+    G = cycle(5)
+    assert [verify(*args).verdict for args in [("T3.9", G), ("C3.10", G, 6), ("T3.3", G, 4)]] == [CONFIRMED] * 3
+    assert sizes == [10, 20]  # G x K2, then G x C_4; C3.10 decides super-kappa
+
+
 def test_verify_t36():
     v = verify("T3.6", cycle(6), n=6)
     assert v.verdict == CONFIRMED
